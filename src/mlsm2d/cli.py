@@ -50,11 +50,11 @@ class RunConfig:
     n: int | None = None  # per-case default, see DEFAULT_N
     sigma_w: float = 1.0
 
-    solver: str = "bicgstab-ilut"
+    solver: str | None = None  # None leaves the default to SolverConfig
     tol: float | None = None  # per-case default, see DEFAULT_TOL
     max_iter: int | None = None
-    fill_factor: float = 40.0
-    drop_tol: float = 1e-5
+    fill_factor: float | None = None
+    drop_tol: float | None = None
 
     refine_levels: int | None = None
     secondary_levels: int | None = None
@@ -79,7 +79,7 @@ class RunConfig:
             problems.append(f"unknown case {self.case!r}; choose from {', '.join(CASES)}")
         if self.basis not in BASES:
             problems.append(f"unknown basis {self.basis!r}; choose from {', '.join(BASES)}")
-        if self.solver not in SOLVERS:
+        if self.solver is not None and self.solver not in SOLVERS:
             problems.append(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.n is not None and self.n < 9:
             problems.append(f"support size n must be at least the basis size 9, got {self.n}")
@@ -91,9 +91,9 @@ class RunConfig:
             problems.append(f"tol must be in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             problems.append(f"max-iter must be positive, got {self.max_iter}")
-        if self.fill_factor < 1:
+        if self.fill_factor is not None and self.fill_factor < 1:
             problems.append(f"fill-factor must be at least 1, got {self.fill_factor}")
-        if self.drop_tol < 0:
+        if self.drop_tol is not None and self.drop_tol < 0:
             problems.append(f"drop-tol must be nonnegative, got {self.drop_tol}")
         if self.nx is not None and self.nx < 2:
             problems.append(f"nx must be at least 2, got {self.nx}")
@@ -158,11 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")
     ap.add_argument("--n", type=int, help="support size")
     ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
-    ap.add_argument("--solver", choices=SOLVERS)
+    ap.add_argument("--solver", choices=SOLVERS, help="direct (default): MMD_ATA-ordered LU; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
     ap.add_argument("--max-iter", type=int)
-    ap.add_argument("--fill-factor", type=float, help="incomplete-LU fill factor")
-    ap.add_argument("--drop-tol", type=float, help="incomplete-LU drop tolerance")
+    ap.add_argument("--fill-factor", type=float, help="ILUT fill factor; hertz fails as exactly singular at 10")
+    ap.add_argument("--drop-tol", type=float, help="ILUT drop tolerance")
     ap.add_argument("--refine-levels", type=int)
     ap.add_argument("--secondary-levels", type=int, help="hertz edge-refinement levels")
     ap.add_argument("--relax-iterations", type=int)
@@ -240,14 +240,15 @@ def run(config: RunConfig) -> None:
     basis = BasisSpec(kind=BASES[config.basis], sigma=config.sigma_b)
     weight = WeightSpec(sigma=config.sigma_w)
     support_n = config.n if config.n is not None else DEFAULT_N.get(config.case, 9)
-    tol = config.tol if config.tol is not None else DEFAULT_TOL.get(config.case, 1e-10)
-    solver = SolverConfig(
+    tol = config.tol if config.tol is not None else DEFAULT_TOL.get(config.case)
+    solver_args = dict(
         method=config.solver,
         tolerance=tol,
         max_iterations=config.max_iter,
         fill_factor=config.fill_factor,
         drop_tol=config.drop_tol,
     )
+    solver = SolverConfig(**{k: v for k, v in solver_args.items() if v is not None})
 
     if config.case == "refine-demo":
         _run_refine_demo(config, outdir)

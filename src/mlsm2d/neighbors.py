@@ -108,9 +108,9 @@ def knn_support(index: SpatialIndex, center: int, n: int) -> Support:
 def build_supports(nodes: NodeSet | np.ndarray, n: int, index: SpatialIndex | None = None) -> SupportSet:
     """Supports of size n for every node, vectorized.
 
-    The bulk path queries n + 16 candidates per node and sorts each row by
-    (distance, index); rows where ties might straddle the cutoff fall back
-    to the exact per-node search.
+    The bulk path queries n + 1 candidates per node and sorts each row by
+    (distance, index); rows where ties might straddle the cutoff, which
+    the extra candidate detects, fall back to the exact per-node search.
     """
     index = index or build_index(nodes)
     N = index.n_points
@@ -119,7 +119,7 @@ def build_supports(nodes: NodeSet | np.ndarray, n: int, index: SpatialIndex | No
     if n > N:
         raise ValueError(f"support size {n} exceeds point count {N}")
 
-    k = min(N, n + 16)
+    k = min(N, n + 1)
     _, idx = index.tree.query(index.positions, k=k)
     diff = index.positions[idx] - index.positions[:, None, :]
     dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)

@@ -303,7 +303,7 @@ def test_criterion_10_iterative_matches_direct():
     for system in systems:
         assert system.n_nodes <= 5000
         (u_d, v_d), _ = solve(system, SolverConfig(method="direct"))
-        (u_i, v_i), _ = solve(system, SolverConfig(tolerance=1e-12))
+        (u_i, v_i), _ = solve(system, SolverConfig(method="bicgstab-ilut", tolerance=1e-12))
         scale = max(np.abs(u_d).max(), np.abs(v_d).max())
         dev = max(np.abs(u_i - u_d).max(), np.abs(v_i - v_d).max()) / scale
         worst = max(worst, dev)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for
+from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for, perturb_nodes
 from mlsm2d.elasticity import Material, SparseSystem, assemble
 from mlsm2d.neighbors import build_supports
-from mlsm2d.nodes import build_rectangle_grid
+from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.shapes import build_shape_set
 from mlsm2d.solve import (
     NonConvergenceError,
@@ -18,10 +19,14 @@ from mlsm2d.solve import (
 )
 
 
-def beam_system(n_target=400):
+def beam_system(n_target=400, n=9, sigma=0.0, levels=0):
     params = BeamParams()
     nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, n_target))
-    shapes = build_shape_set(nodes, build_supports(nodes, 9))
+    if sigma > 0:
+        nodes = perturb_nodes(nodes, sigma, seed=1)
+    if levels > 0:
+        nodes = refine_levels(nodes, [RefineRegion(Rect(10.0, 20.0, -1.2, 1.2), levels)])
+    shapes = build_shape_set(nodes, build_supports(nodes, n))
     bcs = cantilever_bcs(nodes, params)
     return assemble(nodes, shapes, Material(params.E, params.nu), bcs)
 
@@ -35,7 +40,7 @@ def diagonal_system(diag):
 class TestSolverConfig:
     def test_defaults(self):
         config = SolverConfig()
-        assert config.method == "bicgstab-ilut"
+        assert config.method == "direct"
         assert config.tolerance == 1e-10
         assert config.max_iterations is None
 
@@ -63,18 +68,43 @@ class TestDirect:
         assert report.method == "direct"
         assert report.iterations == 0
 
-    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
     def test_singular_system_raises(self):
         system = diagonal_system([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(NonConvergenceError):
             solve(system, SolverConfig(method="direct"))
+
+    @pytest.mark.parametrize(
+        "method, name", [("direct", "complete LU"), ("bicgstab-ilut", "incomplete LU")]
+    )
+    def test_structurally_singular_system_names_the_factorization(self, method, name):
+        # column 1 holds no entry at all, so no pivot order can factor it
+        matrix = sp.csr_matrix(
+            np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+        )
+        system = SparseSystem(matrix=matrix, rhs=np.ones(4), n_nodes=2, n_support=1)
+        with pytest.raises(NonConvergenceError, match=f"^{name} .*factorization failed"):
+            solve(system, SolverConfig(method=method))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"n": 13, "sigma": 0.1}, {"n": 15, "levels": 2}], ids=["perturbed", "refined"]
+    )
+    def test_default_reaches_tolerance_on_irregular_clouds(self, kwargs):
+        system = beam_system(**kwargs)
+        config = SolverConfig()
+        (u, v), report = solve(system, config)
+        matrix, rhs = _equilibrate(system)
+        residual = _relative_residual(matrix, rhs, np.concatenate([u, v]))
+        assert residual <= config.tolerance
+        assert report.residual == pytest.approx(residual, rel=1e-9)
+        assert report.method == "direct"
+        assert report.t_preconditioner > 0
 
 
 class TestBicgstab:
     def test_matches_direct_on_beam(self):
         system = beam_system()
         (u_d, v_d), _ = solve(system, SolverConfig(method="direct"))
-        (u_i, v_i), report = solve(system, SolverConfig(tolerance=1e-12))
+        (u_i, v_i), report = solve(system, SolverConfig(method="bicgstab-ilut", tolerance=1e-12))
         scale = max(np.abs(u_d).max(), np.abs(v_d).max())
         assert np.abs(u_i - u_d).max() <= 1e-8 * scale
         assert np.abs(v_i - v_d).max() <= 1e-8 * scale
@@ -84,7 +114,7 @@ class TestBicgstab:
 
     def test_reported_residual_is_recomputable(self):
         system = beam_system()
-        (u, v), report = solve(system, SolverConfig(tolerance=1e-11))
+        (u, v), report = solve(system, SolverConfig(method="bicgstab-ilut", tolerance=1e-11))
         matrix, rhs = _equilibrate(system)
         x = np.concatenate([u, v])
         assert report.residual == pytest.approx(_relative_residual(matrix, rhs, x), rel=1e-9)
@@ -93,14 +123,14 @@ class TestBicgstab:
     def test_iteration_cap_raises(self):
         system = beam_system()
         with pytest.raises(NonConvergenceError):
-            solve(system, SolverConfig(tolerance=1e-13, max_iterations=2))
+            solve(system, SolverConfig(method="bicgstab-ilut", tolerance=1e-13, max_iterations=2))
 
     def test_default_iteration_budget_scales_with_dimension(self):
         assert SolverConfig().max_iterations is None
         # the implementation derives 10 sqrt(dim) + 1000 when unset; a small
         # system converges long before that, so just confirm it solves
         system = diagonal_system([1.0, 2.0, 3.0, 4.0])
-        (_, _), report = solve(system, SolverConfig(tolerance=1e-12))
+        (_, _), report = solve(system, SolverConfig(method="bicgstab-ilut", tolerance=1e-12))
         assert report.residual <= 1e-12
 
 
