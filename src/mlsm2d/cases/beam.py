@@ -120,8 +120,7 @@ def perturb_nodes(nodes: NodeSet, sigma: float, seed: int = 0) -> NodeSet:
     shift = sigma * rng.uniform(0.0, 1.0, size=(interior.size, 2)) * nodes.spacing[interior, None]
     positions[interior] += shift
     out = nodes.replace(positions=positions, spacing=nodes.spacing.copy())
-    out.recompute_spacing()
-    out.validate()
+    out.finalize()
     return out
 
 

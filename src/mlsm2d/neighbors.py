@@ -2,8 +2,10 @@
 
 Supports drive every stencil in the solver, so the search has to be exact
 and deterministic: neighbors are ordered by distance, with ties broken by
-the smaller node index. A kd-tree provides candidates; ties at the cutoff
-are resolved by re-ranking an inflated candidate ball.
+the smaller node index. One batched kd-tree query gives each point n + 1
+candidates, ranked by exact distance and then index; rows whose tie group
+may reach past the last candidate (common on lattices) query again with
+twice as many, until the cutoff is clear or the whole cloud is in.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .nodes import NodeSet
 
-# Slack added to the k-th kd-tree distance when collecting tie candidates.
+# Relative gap the n-th distance must keep below the last candidate's.
 _TIE_EPS = 1e-9
 
 
@@ -38,10 +40,10 @@ class Support:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Stacked supports for every node of a NodeSet."""
+    """Stacked supports, one row per center node."""
 
-    indices: np.ndarray  # (N, n), row i starts with i
-    distances: np.ndarray  # (N, n), nondecreasing along rows
+    indices: np.ndarray  # (M, n), each row starts with its center
+    distances: np.ndarray  # (M, n), nondecreasing along rows
 
     @property
     def n(self) -> int:
@@ -50,9 +52,6 @@ class SupportSet:
     @property
     def p_min(self) -> np.ndarray:
         return self.distances[:, 1]
-
-    def support(self, i: int) -> Support:
-        return Support(i, self.indices[i].copy(), self.distances[i].copy())
 
 
 class SpatialIndex:
@@ -74,28 +73,42 @@ def build_index(nodes: NodeSet | np.ndarray) -> SpatialIndex:
     return SpatialIndex(positions)
 
 
-def _exact_distances(index: SpatialIndex, p: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    d = index.positions[cand] - p
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+def knn(index: SpatialIndex, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the n nearest points, ties by index.
 
-
-def knn(index: SpatialIndex, p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the n nearest points to p, ties by index.
-
-    Returns (indices, distances) with distances nondecreasing. Requires
-    n >= 2 so that the near-neighbor distance p_min is defined.
+    points is one (2,) point or an (M, 2) array of them; the result has
+    shape (n,) or (M, n) to match, distances nondecreasing along each row.
+    Requires n >= 2 so that the near-neighbor distance p_min is defined.
     """
+    N = index.n_points
     if n < 2:
         raise ValueError(f"support size must be at least 2, got {n}")
-    if n > index.n_points:
-        raise ValueError(f"support size {n} exceeds point count {index.n_points}")
-    p = np.asarray(p, dtype=float)
+    if n > N:
+        raise ValueError(f"support size {n} exceeds point count {N}")
+    points = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(points)
+    out_idx = np.empty((len(pts), n), dtype=np.intp)
+    out_dist = np.empty((len(pts), n))
 
-    d, _ = index.tree.query(p, k=n)
-    cand = np.asarray(index.tree.query_ball_point(p, d[-1] * (1.0 + _TIE_EPS)), dtype=np.intp)
-    dc = _exact_distances(index, p, cand)
-    order = np.lexsort((cand, dc))[:n]
-    return cand[order], dc[order]
+    rows = np.arange(len(pts))
+    k = min(N, n + 1)
+    while rows.size:
+        p = pts[rows]
+        _, idx = index.tree.query(p, k=k)
+        d = index.positions[idx] - p[:, None, :]
+        dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+        order = np.lexsort((idx, dist), axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+        out_idx[rows] = idx[:, :n]
+        out_dist[rows] = dist[:, :n]
+        # The kept prefix is exact unless its last tie group may reach past
+        # the k-th candidate; such rows ask again for twice as many.
+        rows = rows[(k < N) & (dist[:, n - 1] >= dist[:, -1] * (1.0 - _TIE_EPS))]
+        k = min(N, 2 * k)
+    if points.ndim == 1:
+        return out_idx[0], out_dist[0]
+    return out_idx, out_dist
 
 
 def knn_support(index: SpatialIndex, center: int, n: int) -> Support:
@@ -105,44 +118,21 @@ def knn_support(index: SpatialIndex, center: int, n: int) -> Support:
     return Support(center, idx, dist)
 
 
-def build_supports(nodes: NodeSet | np.ndarray, n: int, index: SpatialIndex | None = None) -> SupportSet:
-    """Supports of size n for every node, vectorized.
+def build_supports(
+    nodes: NodeSet | np.ndarray,
+    n: int,
+    index: SpatialIndex | None = None,
+    centers: np.ndarray | None = None,
+) -> SupportSet:
+    """Supports of size n for the center nodes (default: every node).
 
-    The bulk path queries n + 1 candidates per node and sorts each row by
-    (distance, index); rows where ties might straddle the cutoff, which
-    the extra candidate detects, fall back to the exact per-node search.
+    Row r of the result is the support of node centers[r].
     """
     index = index or build_index(nodes)
-    N = index.n_points
-    if n < 2:
-        raise ValueError(f"support size must be at least 2, got {n}")
-    if n > N:
-        raise ValueError(f"support size {n} exceeds point count {N}")
-
-    k = min(N, n + 1)
-    _, idx = index.tree.query(index.positions, k=k)
-    diff = index.positions[idx] - index.positions[:, None, :]
-    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-
-    order = np.lexsort((idx, dist), axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
-
-    out_idx = np.ascontiguousarray(idx[:, :n])
-    out_dist = np.ascontiguousarray(dist[:, :n])
-
-    if k > n:
-        # A tie across the cutoff means the kept prefix may be wrong.
-        unresolved = np.nonzero(dist[:, n - 1] >= dist[:, n] * (1.0 - _TIE_EPS))[0]
-    else:
-        unresolved = np.arange(0, 0)
-    for i in unresolved:
-        ii, dd = knn(index, index.positions[i], n)
-        out_idx[i] = ii
-        out_dist[i] = dd
-
-    if np.any(out_idx[:, 0] != np.arange(N)):
+    centers = np.arange(index.n_points) if centers is None else np.asarray(centers, dtype=np.intp)
+    idx, dist = knn(index, index.positions[centers], n)
+    if np.any(idx[:, 0] != centers):
         raise ValueError("a node is not its own nearest neighbor (coincident nodes?)")
-    if np.any(out_dist[:, 1] <= 0.0):
+    if np.any(dist[:, 1] <= 0.0):
         raise ValueError("zero near-neighbor distance (coincident nodes?)")
-    return SupportSet(out_idx, out_dist)
+    return SupportSet(idx, dist)

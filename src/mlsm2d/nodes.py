@@ -184,12 +184,19 @@ class NodeSet:
         """Refresh the per-node nearest-neighbor distances."""
         if self.n < 2:
             raise ValueError("spacing undefined for fewer than 2 nodes")
-        tree = cKDTree(self.positions)
-        d, _ = tree.query(self.positions, k=2)
-        self.spacing = d[:, 1].copy()
+        self.spacing = _nearest_distances(self.positions)
+
+    def finalize(self) -> None:
+        """recompute_spacing, then validate, sharing one nearest-neighbor query."""
+        self.recompute_spacing()
+        self._check(self.spacing)
 
     def validate(self) -> None:
         """Check the structural invariants; raise ValueError on violation."""
+        self._check(_nearest_distances(self.positions) if self.n >= 2 else None)
+
+    def _check(self, nearest: np.ndarray | None) -> None:
+        """validate, given each node's distance to its closest other node."""
         N = self.n
         if self.kinds.shape != (N,) or self.normals.shape != (N, 2) or self.spacing.shape != (N,):
             raise ValueError("inconsistent array shapes in NodeSet")
@@ -214,11 +221,8 @@ class NodeSet:
         if np.any(self.normals[~bnd] != 0.0):
             raise ValueError("interior node carries a normal")
 
-        if N >= 2:
-            tree = cKDTree(self.positions)
-            d, _ = tree.query(self.positions, k=2)
-            if np.min(d[:, 1]) <= 1e-12 * self.domain.diagonal:
-                raise ValueError("coincident nodes")
+        if nearest is not None and np.min(nearest) <= 1e-12 * self.domain.diagonal:
+            raise ValueError("coincident nodes")
 
     def to_csv(self, path) -> None:
         """Write `x,y,kind,nx,ny` rows; normals are empty for interior nodes."""
@@ -231,6 +235,12 @@ class NodeSet:
                     fh.write(f"{x:.17g},{y:.17g},boundary,{nx:.17g},{ny:.17g}\n")
                 else:
                     fh.write(f"{x:.17g},{y:.17g},interior,,\n")
+
+
+def _nearest_distances(positions: np.ndarray) -> np.ndarray:
+    """Distance from each point to its closest other point."""
+    d, _ = cKDTree(positions).query(positions, k=2)
+    return d[:, 1].copy()
 
 
 def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
@@ -270,8 +280,7 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
 
     spacing = np.full(positions.shape[0], min(rect.width / (nx - 1), rect.height / (ny - 1)))
     nodes = NodeSet(positions, kinds, normals, spacing, DomainShape(rect))
-    nodes.recompute_spacing()
-    nodes.validate()
+    nodes.finalize()
     return nodes
 
 
@@ -319,6 +328,5 @@ def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h
     spacing = np.ones(len(positions))
 
     nodes = NodeSet(positions, kinds, normals, spacing, DomainShape(rect, holes))
-    nodes.recompute_spacing()
-    nodes.validate()
+    nodes.finalize()
     return nodes

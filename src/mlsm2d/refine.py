@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .neighbors import build_supports
+from .neighbors import build_index, build_supports
 from .nodes import BOUNDARY, INTERIOR, NodeSet, Rect
 
 
@@ -46,7 +46,7 @@ class RefineConfig:
 
 def refine_once(nodes: NodeSet, region: Rect, config: RefineConfig = RefineConfig()) -> NodeSet:
     """Single halving pass over one rectangular region."""
-    return _refine_pass(nodes, [region], config)
+    return _finished(nodes, _refine_pass(nodes, [region], config))
 
 
 def refine_levels(nodes: NodeSet, regions: list[RefineRegion], config: RefineConfig = RefineConfig()) -> NodeSet:
@@ -54,14 +54,22 @@ def refine_levels(nodes: NodeSet, regions: list[RefineRegion], config: RefineCon
     if not regions:
         return nodes
     max_level = max(r.level for r in regions)
+    out = nodes
     for pass_no in range(1, max_level + 1):
         active = [r.rect for r in regions if r.level >= pass_no]
-        nodes = _refine_pass(nodes, active, config)
-    return nodes
+        out = _refine_pass(out, active, config)
+    return _finished(nodes, out)
+
+
+def _finished(before: NodeSet, after: NodeSet) -> NodeSet:
+    """Refresh spacing and check the cloud, if any pass added nodes."""
+    if after is not before:
+        after.finalize()
+    return after
 
 
 def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> NodeSet:
-    supports = build_supports(nodes, min(config.support_n, nodes.n))
+    """One halving pass; the result's spacing is stale until _finished."""
     pos = nodes.positions
 
     selected = np.zeros(nodes.n, dtype=bool)
@@ -70,13 +78,15 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     sel = np.nonzero(selected)[0]
     if sel.size == 0:
         return nodes
+    index = build_index(pos)
+    supports = build_supports(nodes, min(config.support_n, nodes.n), index=index, centers=sel)
 
     # Candidate midpoints in deterministic order: by node index, then by
     # neighbor rank within the support.
-    nbr = supports.indices[sel, 1:]
+    nbr = supports.indices[:, 1:]
     k = nbr.shape[1]
     mids = 0.5 * (pos[sel, None, :] + pos[nbr])
-    p_min = supports.distances[sel, 1]
+    p_min = supports.distances[:, 1]
     radius = np.repeat(config.proximity * p_min / 2.0, k)
     near_boundary = np.repeat(config.proximity * p_min, k)
     src = np.repeat(sel, k)
@@ -104,8 +114,7 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     keep &= project | inside
 
     # Reject candidates crowding an existing node, then earlier-accepted ones.
-    tree = cKDTree(pos)
-    d_exist, _ = tree.query(final, k=1)
+    d_exist, _ = index.tree.query(final, k=1)
     keep &= d_exist >= radius
 
     order = np.nonzero(keep)[0]
@@ -129,9 +138,4 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     kinds_all = np.concatenate([nodes.kinds, kinds[new]])
     normals_all = np.vstack([nodes.normals, normals[new]])
     spacing_all = np.concatenate([nodes.spacing, np.full(new.size, 1.0)])
-    out = nodes.replace(
-        positions=positions, kinds=kinds_all, normals=normals_all, spacing=spacing_all
-    )
-    out.recompute_spacing()
-    out.validate()
-    return out
+    return nodes.replace(positions=positions, kinds=kinds_all, normals=normals_all, spacing=spacing_all)

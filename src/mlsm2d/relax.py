@@ -106,8 +106,7 @@ def relax(nodes: NodeSet, config: RelaxConfig = RelaxConfig()) -> NodeSet:
         positions[interior] = proposed
 
     out = nodes.replace(positions=positions, spacing=nodes.spacing.copy())
-    out.recompute_spacing()
-    out.validate()
+    out.finalize()
     return out
 
 

@@ -92,14 +92,13 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     Returns the solution split into its u and v halves together with a
     report of iteration count, achieved relative residual and timings.
     """
+    t0 = time.perf_counter()  # the preconditioner phase includes the row scaling
     matrix, rhs = _equilibrate(system)
     report = SolveReport(config.method, 0, np.inf, 0.0, 0.0)
     dim = matrix.shape[0]
     maxiter = config.max_iterations
     if maxiter is None:
         maxiter = int(10.0 * np.sqrt(dim)) + 1000
-
-    t0 = time.perf_counter()
     try:
         if config.method == "direct":
             factor = spla.splu(matrix.tocsc(), permc_spec="MMD_ATA")

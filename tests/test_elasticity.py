@@ -149,7 +149,7 @@ class TestAssembly:
         normals[0] = (-1.0, 0.0)
         normals[m - 1] = (1.0, 0.0)
         nodes = grid.replace(positions=positions, kinds=kinds, normals=normals)
-        nodes = nodes.replace(spacing=nodes.recompute_spacing())
+        nodes.recompute_spacing()
         shapes = build_shape_set(nodes, build_supports(nodes, 9))
         mat = Material(E=1.0, nu=0.3)
         bcs = BoundaryConditions.empty(m)

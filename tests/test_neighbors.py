@@ -5,14 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsm2d.cases.beam import perturb_nodes
 from mlsm2d.neighbors import build_index, build_supports, knn, knn_support
 from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.refine import RefineRegion, refine_levels
 
 
 def brute_force_knn(positions, p, n):
-    d = np.hypot(positions[:, 0] - p[0], positions[:, 1] - p[1])
-    order = np.lexsort((np.arange(len(d)), d))
-    return order[:n]
+    """n nearest by (distance, index), with the distance formula knn uses."""
+    d = positions - p
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    order = np.lexsort((np.arange(len(dist)), dist))[:n]
+    return order, dist[order]
+
+
+def assert_supports_match_brute_force(positions, n):
+    sup = build_supports(positions, n)
+    for i, p in enumerate(positions):
+        idx, dist = brute_force_knn(positions, p, n)
+        np.testing.assert_array_equal(sup.indices[i], idx)
+        np.testing.assert_array_equal(sup.distances[i], dist)
 
 
 @st.composite
@@ -32,17 +44,84 @@ def clouds(draw):
     return np.asarray(coords, dtype=float)
 
 
+@st.composite
+def lattices(draw):
+    """Shuffled integer lattices, scaled, some sites dropped: tie-heavy."""
+    nx = draw(st.integers(min_value=3, max_value=25))
+    ny = draw(st.integers(min_value=3, max_value=25))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.25, 7.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sites = np.array([(i, j) for i in range(nx) for j in range(ny)], dtype=float) * scale
+    keep = rng.random(len(sites)) >= draw(st.sampled_from([0.0, 0.1, 0.3]))
+    return rng.permutation(sites[keep])
+
+
 @given(clouds(), st.integers(min_value=2, max_value=5), st.randoms())
 @settings(max_examples=60, deadline=None)
 def test_knn_matches_brute_force(cloud, n, rnd):
     index = build_index(cloud)
     p = np.array([rnd.uniform(-10, 10), rnd.uniform(-10, 10)])
     indices, distances = knn(index, p, min(n, len(cloud)))
-    expected = brute_force_knn(cloud, p, min(n, len(cloud)))
-    d_exp = np.hypot(cloud[expected, 0] - p[0], cloud[expected, 1] - p[1])
-    # sets of distances must agree; indices may differ only across exact ties
-    assert np.allclose(np.sort(distances), np.sort(d_exp))
-    assert np.all(np.diff(distances) >= 0)
+    expected, d_exp = brute_force_knn(cloud, p, min(n, len(cloud)))
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(distances, d_exp)
+
+
+@given(lattices(), st.sampled_from([2, 9, 15]))
+@settings(max_examples=25, deadline=None)
+def test_supports_on_lattices_match_brute_force(positions, n):
+    if len(positions) >= n:
+        assert_supports_match_brute_force(positions, n)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([0.05, 0.1, 0.3]), st.sampled_from([2, 9, 15]))
+@settings(max_examples=10, deadline=None)
+def test_supports_on_perturbed_grids_match_brute_force(seed, sigma, n):
+    nodes = perturb_nodes(build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), sigma, seed)
+    assert_supports_match_brute_force(nodes.positions, n)
+
+
+@pytest.mark.parametrize("n", [2, 9, 15])
+def test_supports_on_a_refined_cloud_match_brute_force(n):
+    nodes = refine_levels(
+        build_rectangle_grid(Rect(0, 2, 0, 1), 0.25),
+        [RefineRegion(Rect(0.25, 1.75, 0.0, 0.75), 1), RefineRegion(Rect(0.75, 1.25, 0.0, 0.5), 3)],
+    )
+    assert_supports_match_brute_force(nodes.positions, n)
+
+
+@given(lattices(), st.sampled_from([2, 9, 15]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_batched_knn_equals_per_point_calls(positions, n, seed):
+    if len(positions) < n:
+        return
+    rng = np.random.default_rng(seed)
+    # lattice sites, midpoints of site pairs, and arbitrary points
+    a, b = rng.integers(len(positions), size=(2, 10))
+    points = np.vstack([
+        positions[a],
+        0.5 * (positions[a] + positions[b]),
+        rng.uniform(positions.min(axis=0), positions.max(axis=0), size=(10, 2)),
+    ])
+    index = build_index(positions)
+    indices, distances = knn(index, points, n)
+    assert indices.shape == distances.shape == (len(points), n)
+    for p, idx, dist in zip(points, indices, distances):
+        one_idx, one_dist = knn(index, p, n)
+        np.testing.assert_array_equal(idx, one_idx)
+        np.testing.assert_array_equal(dist, one_dist)
+
+
+@given(lattices(), st.sampled_from([2, 9, 15]), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_center_rows_equal_full_cloud_rows(positions, n, seed):
+    if len(positions) < n:
+        return
+    centers = np.random.default_rng(seed).permutation(len(positions))[: len(positions) // 3]
+    full = build_supports(positions, n)
+    part = build_supports(positions, n, centers=centers)
+    np.testing.assert_array_equal(part.indices, full.indices[centers])
+    np.testing.assert_array_equal(part.distances, full.distances[centers])
 
 
 def test_ties_break_by_node_index():

@@ -141,6 +141,14 @@ class TestNodeSet:
         with pytest.raises(ValueError):
             nodes.replace(normals=normals).validate()
 
+    @pytest.mark.parametrize("check", ["validate", "finalize"])
+    def test_coincident_nodes_rejected(self, check):
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
+        positions = nodes.positions.copy()
+        positions[7] = positions[6]  # two interior nodes
+        with pytest.raises(ValueError, match="coincident|non-positive"):
+            getattr(nodes.replace(positions=positions), check)()
+
     def test_recompute_spacing_is_nearest_neighbor_distance(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
         assert np.allclose(nodes.spacing, 0.5)

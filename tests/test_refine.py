@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
@@ -99,6 +100,21 @@ class TestRefineLevels:
         a = refine_levels(nodes, [RefineRegion(region, level=1)], RefineConfig())
         b = refine_once(nodes, region, RefineConfig())
         np.testing.assert_array_equal(a.positions, b.positions)
+
+    def test_schedule_equals_chained_single_passes(self):
+        nodes = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
+        outer = Rect(0.5, 3.5, 0.0, 2.0)
+        inner = Rect(1.2, 2.8, 0.2, 1.8)
+        out = refine_levels(nodes, [RefineRegion(outer, level=2), RefineRegion(inner, level=3)])
+        chained = nodes
+        for rect in (outer, outer, inner):
+            chained = refine_once(chained, rect)
+        assert out.n > nodes.n
+        np.testing.assert_array_equal(out.positions, chained.positions)
+        np.testing.assert_array_equal(out.kinds, chained.kinds)
+        np.testing.assert_array_equal(out.normals, chained.normals)
+        d, _ = cKDTree(out.positions).query(out.positions, k=2)
+        np.testing.assert_array_equal(out.spacing, d[:, 1])
 
     def test_nested_regions_refine_deepest_last(self):
         h = 0.25

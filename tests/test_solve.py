@@ -1,5 +1,8 @@
 """Linear solver: equilibration, preconditioned BiCGSTAB, direct fallback."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -152,3 +155,13 @@ class TestEquilibration:
         matrix_eq, rhs_eq = _equilibrate(system)
         x_eq = np.linalg.solve(matrix_eq.toarray(), rhs_eq)
         np.testing.assert_allclose(x_eq, np.linalg.solve(dense, rhs), rtol=1e-9)
+
+    def test_counted_in_the_preconditioner_time(self, monkeypatch):
+        def slow_equilibrate(system):
+            time.sleep(0.05)
+            return _equilibrate(system)
+
+        # the package re-exports the function solve under the module's name
+        monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_equilibrate", slow_equilibrate)
+        (_, _), report = solve(diagonal_system([1.0, 2.0, 3.0, 4.0]))
+        assert report.t_preconditioner >= 0.05
