@@ -17,7 +17,7 @@ from .elasticity import (
     von_mises,
 )
 from .neighbors import SpatialIndex, Support, SupportSet, build_index, build_supports, knn, knn_support
-from .nodes import Circle, DomainShape, Node, NodeSet, Rect, build_drilled_domain, build_rectangle_grid
+from .nodes import Circle, DomainShape, NodeSet, Rect, build_drilled_domain, build_rectangle_grid
 from .refine import RefineConfig, RefineRegion, refine_levels, refine_once
 from .relax import RelaxConfig, relax, relax_offset
 from .shapes import (
@@ -25,7 +25,6 @@ from .shapes import (
     IllConditionedStencilError,
     ShapeSet,
     WeightSpec,
-    apply_shape,
     build_shape_set,
     compute_shapes,
     weight,

@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")
     ap.add_argument("--n", type=int, help="support size")
     ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
-    ap.add_argument("--solver", choices=SOLVERS, help="direct (default): MMD_ATA-ordered LU; bicgstab-ilut: memory-bounded ILUT")
+    ap.add_argument("--solver", choices=SOLVERS, help="direct (default): LU ordered on A^T+A with diagonal pivots; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
     ap.add_argument("--max-iter", type=int)
     ap.add_argument("--fill-factor", type=float, help="ILUT fill factor; hertz fails as exactly singular at 10")

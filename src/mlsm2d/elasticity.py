@@ -129,11 +129,6 @@ class SparseSystem:
     def nnz_ratio(self) -> float:
         return self.nnz / float(self.dim) ** 2
 
-    def sparsity_pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, col) index pairs of structurally nonzero entries."""
-        coo = self.matrix.tocoo()
-        return coo.row.copy(), coo.col.copy()
-
     def export_matrix(self, path) -> None:
         """Plain-text coordinate dump: `row col value` per line, 0-based."""
         coo = self.matrix.tocoo()

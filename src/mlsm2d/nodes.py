@@ -123,16 +123,6 @@ class DomainShape:
         return self.rect.diagonal
 
 
-@dataclass(frozen=True)
-class Node:
-    """Single-node view, mainly for debugging and tests."""
-
-    position: np.ndarray
-    kind: int
-    normal: np.ndarray
-    spacing: float
-
-
 @dataclass
 class NodeSet:
     """Flat arrays describing one point-cloud discretization.
@@ -168,14 +158,6 @@ class NodeSet:
     @property
     def n_interior(self) -> int:
         return int(np.count_nonzero(self.interior_mask))
-
-    def node(self, i: int) -> Node:
-        return Node(
-            position=self.positions[i].copy(),
-            kind=int(self.kinds[i]),
-            normal=self.normals[i].copy(),
-            spacing=float(self.spacing[i]),
-        )
 
     def replace(self, **kwargs) -> "NodeSet":
         return replace(self, **kwargs)

@@ -231,15 +231,6 @@ def compute_shapes(
     return rows
 
 
-def apply_shape(row: np.ndarray, values: np.ndarray) -> float:
-    """Contract one stencil row against nodal values."""
-    row = np.asarray(row)
-    values = np.asarray(values)
-    if row.shape != values.shape:
-        raise ValueError(f"shape mismatch: {row.shape} vs {values.shape}")
-    return float(np.dot(row, values))
-
-
 @dataclass(frozen=True)
 class ShapeSet:
     """Stencil rows for every node, aligned with the SupportSet ordering.

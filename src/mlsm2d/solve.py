@@ -3,12 +3,20 @@
 Both methods factor the matrix once and run BiCGSTAB with the factor as
 preconditioner, judging convergence on the true residual
 |b - A x| <= tol * |b|; restarts from the current iterate act as iterative
-refinement. "direct" (the default) is a complete LU with SuperLU's
-minimum-degree ordering on A^T A (MMD_ATA), on which BiCGSTAB stops at its
-first half-step. "bicgstab-ilut" is a threshold incomplete LU, the
-memory-bounded alternative; at fill 10 it fails with "Factor is exactly
-singular" on the Hertz and 1e5-node cantilever systems, so it is kept as
-an oracle.
+refinement. "direct" (the default) is a complete LU in SuperLU's symmetric
+mode: minimum-degree ordering on A^T + A with diagonal pivots, on which
+BiCGSTAB stops at its first half-step. Collocation matrices are nearly
+structurally symmetric (row i couples to the support of node i), so that
+ordering needs far less fill than one on A^T A, but only if pivoting keeps
+it: the pivot threshold is 0, so a diagonal pivot is always taken unless
+it is exactly zero, in which case SuperLU falls back to the largest entry
+of the column. Any threshold above 0 lets partial pivoting break the
+ordering and multiplies time and fill (1e-2 already does on the 1e5-node
+cantilever); a factor spoiled by a tiny pivot is caught by the
+true-residual check and mended by the refinement restarts.
+"bicgstab-ilut" is a threshold incomplete LU, the memory-bounded
+alternative; at fill 10 it fails with "Factor is exactly singular" on the
+Hertz and 1e5-node cantilever systems, so it is kept as an oracle.
 
 Collocation rows mix wildly different scales: interior rows carry
 E / spacing^2 while essential rows are unit diagonals, which puts the raw
@@ -65,6 +73,7 @@ class SolveReport:
     residual: float
     t_preconditioner: float
     t_iterations: float
+    factor_nnz: int = 0  # nonzeros of L + U
     residual_history: list[float] = field(default_factory=list)
 
 
@@ -101,7 +110,12 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         maxiter = int(10.0 * np.sqrt(dim)) + 1000
     try:
         if config.method == "direct":
-            factor = spla.splu(matrix.tocsc(), permc_spec="MMD_ATA")
+            factor = spla.splu(
+                matrix.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         else:
             factor = spla.spilu(
                 matrix.tocsc(),
@@ -109,9 +123,14 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
                 drop_tol=config.drop_tol,
             )
     except RuntimeError as exc:
-        name = "complete LU (MMD_ATA)" if config.method == "direct" else "incomplete LU"
+        name = (
+            "complete LU (MMD_AT_PLUS_A, diagonal pivots)"
+            if config.method == "direct"
+            else "incomplete LU"
+        )
         raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
     report.t_preconditioner = time.perf_counter() - t0
+    report.factor_nnz = int(factor.nnz)
 
     # An explicit dtype spares LinearOperator a probing solve with the factor.
     precond = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=matrix.dtype)

@@ -6,8 +6,10 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.drilled import drilled_cantilever_case
 from mlsm2d.elasticity import Material, SparseSystem, assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
@@ -88,11 +90,33 @@ class TestDirect:
         with pytest.raises(NonConvergenceError, match=f"^{name} .*factorization failed"):
             solve(system, SolverConfig(method=method))
 
+    def test_exact_zero_diagonal_is_pivoted_off(self):
+        # every equilibrated diagonal entry is exactly zero, so each pivot
+        # must come from the off-diagonal entry of its column
+        block = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        matrix = sp.block_diag([block, 2.0 * block]).tocsr()
+        system = SparseSystem(matrix=matrix, rhs=np.array([1.0, 2.0, 3.0, 4.0]), n_nodes=2, n_support=1)
+        config = SolverConfig()
+        (u, v), _ = solve(system, config)
+        x = np.concatenate([u, v])
+        eq_matrix, eq_rhs = _equilibrate(system)
+        assert eq_matrix.diagonal().max() == eq_matrix.diagonal().min() == 0.0
+        assert _relative_residual(eq_matrix, eq_rhs, x) <= config.tolerance
+        np.testing.assert_allclose(x, [2.0, 1.0, 2.0, 1.5])
+
     @pytest.mark.parametrize(
-        "kwargs", [{"n": 13, "sigma": 0.1}, {"n": 15, "levels": 2}], ids=["perturbed", "refined"]
+        "make_system",
+        [
+            lambda: beam_system(n=13, sigma=0.1),
+            lambda: beam_system(n=15, levels=2),
+            # a coarse relaxed cloud with holes, where the factor alone
+            # leaves a residual near 1e-9 and the restart refines it
+            lambda: drilled_cantilever_case(0.4).extras["system"],
+        ],
+        ids=["perturbed", "refined", "drilled"],
     )
-    def test_default_reaches_tolerance_on_irregular_clouds(self, kwargs):
-        system = beam_system(**kwargs)
+    def test_default_reaches_tolerance_on_irregular_clouds(self, make_system):
+        system = make_system()
         config = SolverConfig()
         (u, v), report = solve(system, config)
         matrix, rhs = _equilibrate(system)
@@ -101,6 +125,20 @@ class TestDirect:
         assert report.residual == pytest.approx(residual, rel=1e-9)
         assert report.method == "direct"
         assert report.t_preconditioner > 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n": 15, "levels": 2}, {"n": 13, "sigma": 0.1}, {"n_target": 2000}],
+        ids=["refined", "perturbed", "grid"],
+    )
+    def test_factor_is_smaller_than_the_ata_ordering(self, kwargs):
+        # the symmetric-mode ordering on A^T + A must keep its fill below a
+        # minimum-degree ordering on A^T A of the same equilibrated matrix
+        system = beam_system(**kwargs)
+        (_, _), report = solve(system)
+        matrix, _ = _equilibrate(system)
+        ata = spla.splu(matrix.tocsc(), permc_spec="MMD_ATA")
+        assert 0 < report.factor_nnz < ata.nnz
 
 
 class TestBicgstab:
@@ -112,6 +150,7 @@ class TestBicgstab:
         assert np.abs(u_i - u_d).max() <= 1e-8 * scale
         assert np.abs(v_i - v_d).max() <= 1e-8 * scale
         assert report.method == "bicgstab-ilut"
+        assert report.factor_nnz > 0
         assert report.iterations >= 1
         assert report.residual_history, "iterative solve must record its history"
 
