@@ -16,7 +16,7 @@ from .elasticity import (
     lame_parameters,
     von_mises,
 )
-from .neighbors import SpatialIndex, Support, SupportSet, build_index, build_supports, knn, knn_support
+from .neighbors import SupportSet, build_supports, knn
 from .nodes import Circle, DomainShape, NodeSet, Rect, build_drilled_domain, build_rectangle_grid
 from .refine import RefineConfig, RefineRegion, refine_levels, refine_once
 from .relax import RelaxConfig, relax, relax_offset

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..elasticity import BoundaryConditions, Material, assemble, compute_stresses
-from ..neighbors import build_supports
+from ..elasticity import BoundaryConditions, Material
 from ..nodes import NodeSet, Rect, build_rectangle_grid
-from ..shapes import BasisSpec, WeightSpec, build_shape_set
-from ..solve import SolverConfig, solve
+from ..shapes import BasisSpec, WeightSpec
+from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .metrics import CaseResult, error_einf_displacement, error_einf_stress
+from .metrics import CaseResult, error_einf_displacement, error_einf_stress, solve_on_cloud
 
 
 @dataclass(frozen=True)
@@ -155,19 +154,8 @@ def cantilever_case(
         nodes = build_rectangle_grid(params.rect, spacing)
         if perturb_sigma > 0.0:
             nodes = perturb_nodes(nodes, perturb_sigma, seed)
-    with timer.phase("supports"):
-        supports = build_supports(nodes, support_n)
-    with timer.phase("shapes"):
-        shapes = build_shape_set(nodes, supports, basis, weight)
-    material = Material(params.E, params.nu, "plane-stress")
-    with timer.phase("assembly"):
-        bcs = cantilever_bcs(nodes, params, all_essential)
-        system = assemble(nodes, shapes, material, bcs)
-    (u, v), report = solve(system, solver)
-    timer.add("preconditioner", report.t_preconditioner)
-    timer.add("solve", report.t_iterations)
-    with timer.phase("postprocess"):
-        stress = compute_stresses(shapes, material, u, v)
+
+    def measure(nodes, u, v, stress):
         x, y = nodes.positions[:, 0], nodes.positions[:, 1]
         u_ref, v_ref = timoshenko_displacement(x, y, params)
         sxx, syy, sxy = timoshenko_stress(x, y, params)
@@ -175,13 +163,16 @@ def cantilever_case(
             "e_inf_u": error_einf_displacement(u, v, u_ref, v_ref),
             "e_inf_sigma": error_einf_stress(stress, sxx, syy, sxy),
         }
-    return CaseResult(
-        nodes=nodes,
-        u=u,
-        v=v,
-        stress=stress,
-        errors=errors,
-        solve_report=report,
-        timings=timer.report(),
-        extras={"system": system},
+        return errors, {}
+
+    return solve_on_cloud(
+        timer,
+        nodes,
+        Material(params.E, params.nu, "plane-stress"),
+        lambda nodes: cantilever_bcs(nodes, params, all_essential),
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

@@ -12,15 +12,14 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from ..elasticity import BoundaryConditions, Material, assemble, compute_stresses
-from ..neighbors import build_supports
+from ..elasticity import BoundaryConditions, Material
 from ..nodes import Circle, NodeSet, Rect, build_drilled_domain
 from ..refine import RefineConfig, RefineRegion, refine_levels
 from ..relax import RelaxConfig, relax
-from ..shapes import BasisSpec, WeightSpec, build_shape_set
-from ..solve import SolverConfig, solve
+from ..shapes import BasisSpec, WeightSpec
+from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .metrics import CaseResult
+from .metrics import CaseResult, solve_on_cloud
 
 
 @dataclass(frozen=True)
@@ -119,35 +118,22 @@ def drilled_cantilever_case(
     if relax_config is not None:
         with timer.phase("relaxation"):
             nodes = relax(nodes, relax_config)
-    with timer.phase("supports"):
-        supports = build_supports(nodes, support_n)
-    with timer.phase("shapes"):
-        shapes = build_shape_set(nodes, supports, basis, weight)
-    material = Material(params.E, params.nu, "plane-stress")
-    with timer.phase("assembly"):
-        bcs = drilled_bcs(nodes, params)
-        system = assemble(nodes, shapes, material, bcs)
-    (u, v), report = solve(system, solver)
-    timer.add("preconditioner", report.t_preconditioner)
-    timer.add("solve", report.t_iterations)
-    with timer.phase("postprocess"):
-        stress = compute_stresses(shapes, material, u, v)
+
+    def measure(nodes, u, v, stress):
         tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))
         vm = stress.von_mises
         peak = int(np.argmax(vm))
-        errors = {"tip_deflection": float(v[tip])}
-    return CaseResult(
-        nodes=nodes,
-        u=u,
-        v=v,
-        stress=stress,
-        errors=errors,
-        solve_report=report,
-        timings=timer.report(),
-        extras={
-            "tip_node": tip,
-            "peak_vm_node": peak,
-            "peak_vm": float(vm[peak]),
-            "system": system,
-        },
+        extras = {"tip_node": tip, "peak_vm_node": peak, "peak_vm": float(vm[peak])}
+        return {"tip_deflection": float(v[tip])}, extras
+
+    return solve_on_cloud(
+        timer,
+        nodes,
+        Material(params.E, params.nu, "plane-stress"),
+        lambda nodes: drilled_bcs(nodes, params),
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

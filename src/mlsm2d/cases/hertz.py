@@ -31,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..elasticity import BoundaryConditions, Material, assemble, compute_stresses
-from ..neighbors import build_supports
+from ..elasticity import BoundaryConditions, Material
 from ..nodes import Rect, build_rectangle_grid
 from ..refine import RefineConfig, RefineRegion, refine_levels
 from ..relax import RelaxConfig, relax
-from ..shapes import BasisSpec, WeightSpec, build_shape_set
-from ..solve import SolverConfig, solve
+from ..shapes import BasisSpec, WeightSpec
+from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .metrics import CaseResult, error_einf_stress
+from .metrics import CaseResult, error_einf_stress, solve_on_cloud
 
 # Default nested refinement schedule toward the contact, in units of b.
 PRIMARY_FACTORS = (500.0, 200.0, 100.0, 50.0, 20.0, 10.0, 5.0, 4.0, 3.0, 2.0)
@@ -205,31 +204,23 @@ def hertz_case(
     if relax_config is not None:
         with timer.phase("relaxation"):
             nodes = relax(nodes, relax_config)
-    with timer.phase("supports"):
-        supports = build_supports(nodes, support_n)
-    with timer.phase("shapes"):
-        shapes = build_shape_set(nodes, supports, basis, weight)
-    material = Material(params.E1, params.nu1, "plane-stress")
-    with timer.phase("assembly"):
-        bcs = hertz_bcs(nodes, lambda xx: hertz_pressure(xx, geom.half_width, geom.peak_pressure))
-        system = assemble(nodes, shapes, material, bcs)
-    (u, v), report = solve(system, solver)
-    timer.add("preconditioner", report.t_preconditioner)
-    timer.add("solve", report.t_iterations)
-    with timer.phase("postprocess"):
-        stress = compute_stresses(shapes, material, u, v)
+
+    def measure(nodes, u, v, stress):
         x, y = nodes.positions[:, 0], nodes.positions[:, 1]
         sxx, syy, sxy = hertz_stress(x, y, geom.half_width, geom.peak_pressure)
         errors = {
             "e_inf_sigma": error_einf_stress(stress, sxx, syy, sxy, scale=geom.peak_pressure)
         }
-    return CaseResult(
-        nodes=nodes,
-        u=u,
-        v=v,
-        stress=stress,
-        errors=errors,
-        solve_report=report,
-        timings=timer.report(),
-        extras={"geometry": geom, "system": system},
+        return errors, {"geometry": geom}
+
+    return solve_on_cloud(
+        timer,
+        nodes,
+        Material(params.E1, params.nu1, "plane-stress"),
+        lambda nodes: hertz_bcs(nodes, lambda xx: hertz_pressure(xx, geom.half_width, geom.peak_pressure)),
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

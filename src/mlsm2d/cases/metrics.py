@@ -1,14 +1,17 @@
-"""Error norms and the common result container for benchmark cases."""
+"""The pipeline, result container and error norms shared by the benchmark cases."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from ..elasticity import StressField
+from ..elasticity import BoundaryConditions, Material, StressField, assemble, compute_stresses
+from ..neighbors import build_supports
 from ..nodes import NodeSet
-from ..solve import SolveReport
-from ..timing import TimingReport
+from ..shapes import BasisSpec, WeightSpec, build_shape_set
+from ..solve import SolveReport, SolverConfig, solve
+from ..timing import PhaseTimer, TimingReport
 
 
 def error_einf_displacement(u, v, u_ref, v_ref) -> float:
@@ -58,3 +61,45 @@ class CaseResult:
     @property
     def n_nodes(self) -> int:
         return self.nodes.n
+
+
+def solve_on_cloud(
+    timer: PhaseTimer,
+    nodes: NodeSet,
+    material: Material,
+    make_bcs: Callable[[NodeSet], BoundaryConditions],
+    measure: Callable[[NodeSet, np.ndarray, np.ndarray, StressField], tuple[dict, dict]],
+    *,
+    basis: BasisSpec,
+    support_n: int,
+    weight: WeightSpec,
+    solver: SolverConfig,
+) -> CaseResult:
+    """Supports, shapes, assembly, solve and stress recovery on a finished cloud.
+
+    make_bcs(nodes) runs inside the assembly phase; measure(nodes, u, v,
+    stress) runs inside the postprocess phase and returns the case's errors
+    and extras. The assembled system is added to the extras.
+    """
+    with timer.phase("supports"):
+        supports = build_supports(nodes, support_n)
+    with timer.phase("shapes"):
+        shapes = build_shape_set(nodes, supports, basis, weight)
+    with timer.phase("assembly"):
+        system = assemble(nodes, shapes, material, make_bcs(nodes))
+    (u, v), report = solve(system, solver)
+    timer.add("preconditioner", report.t_preconditioner)
+    timer.add("solve", report.t_iterations)
+    with timer.phase("postprocess"):
+        stress = compute_stresses(shapes, material, u, v)
+        errors, extras = measure(nodes, u, v, stress)
+    return CaseResult(
+        nodes=nodes,
+        u=u,
+        v=v,
+        stress=stress,
+        errors=errors,
+        solve_report=report,
+        timings=timer.report(),
+        extras={**extras, "system": system},
+    )

@@ -3,55 +3,60 @@
 Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. Configuration comes from flags, optionally layered on top of a
-JSON config file (flags win). Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
-
-Heavy numeric imports happen after argument parsing so that --threads can
-cap the BLAS thread pools via environment variables.
+JSON config file (flags win). A case receives only the values the user
+set; every other default is the case function's own. Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
+
+from . import io
+from .cases import beam, drilled, hertz
+from .nodes import Circle, Rect, build_drilled_domain
+from .refine import RefineRegion, refine_levels
+from .relax import RelaxConfig, relax
+from .shapes import IllConditionedStencilError
+from .solve import NonConvergenceError
+from .timing import PhaseTimer
 
 CASES = ("cantilever", "cantilever-perturbed", "drilled-beam", "hertz", "refine-demo")
 BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
 SOLVERS = ("bicgstab-ilut", "direct")
 OUT_ENV = "MLSM2D_OUT"
 
-# Hard caps on the schedule lengths the --refine-levels/--secondary-levels
-# flags can select for the contact case; must match cases.hertz defaults.
-N_PRIMARY = 10
-N_SECONDARY = 2
-
-# Per-case defaults, applied when the flag is absent: the contact case
-# needs larger supports (full-rank refinement interfaces) and a tolerance
-# above the attainable accuracy on strongly graded clouds.
-DEFAULT_N = {"hertz": 15, "drilled-beam": 15, "cantilever-perturbed": 13}
-DEFAULT_TOL = {"hertz": 1e-8, "drilled-beam": 1e-8}
+# Defaults of the inputs that only the CLI defines: the cantilever grid,
+# the perturbed-cantilever variant and the node-positioning demo.
+CLI_DEFAULTS = {
+    "cantilever": {"nx": 60},
+    "cantilever-perturbed": {"nx": 60, "perturb_sigma": 0.1, "n": 13},
+    "refine-demo": {"spacing": 0.5, "refine_levels": 4, "relax_iterations": 20},
+}
 
 
 @dataclass
 class RunConfig:
     case: str | None = None
     out: str | None = None
-    seed: int = 0
+    seed: int | None = None
 
     nx: int | None = None
     spacing: float | None = None
     n_target: int | None = None
 
-    basis: str = "m9"
-    sigma_b: float = 1.0
-    n: int | None = None  # per-case default, see DEFAULT_N
-    sigma_w: float = 1.0
+    basis: str | None = None
+    sigma_b: float | None = None
+    n: int | None = None
+    sigma_w: float | None = None
 
-    solver: str | None = None  # None leaves the default to SolverConfig
-    tol: float | None = None  # per-case default, see DEFAULT_TOL
+    solver: str | None = None
+    tol: float | None = None
     max_iter: int | None = None
     fill_factor: float | None = None
     drop_tol: float | None = None
@@ -68,7 +73,6 @@ class RunConfig:
 
     vtk: bool = False
     dump_matrix: bool = False
-    threads: int | None = None
 
     def validate(self) -> list[str]:
         """Collect every configuration problem instead of stopping at the first."""
@@ -77,15 +81,15 @@ class RunConfig:
             problems.append("no case selected (--case or config file 'case')")
         elif self.case not in CASES:
             problems.append(f"unknown case {self.case!r}; choose from {', '.join(CASES)}")
-        if self.basis not in BASES:
+        if self.basis is not None and self.basis not in BASES:
             problems.append(f"unknown basis {self.basis!r}; choose from {', '.join(BASES)}")
         if self.solver is not None and self.solver not in SOLVERS:
             problems.append(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.n is not None and self.n < 9:
             problems.append(f"support size n must be at least the basis size 9, got {self.n}")
-        if self.sigma_w <= 0:
+        if self.sigma_w is not None and self.sigma_w <= 0:
             problems.append(f"sigma-w must be positive, got {self.sigma_w}")
-        if self.sigma_b <= 0:
+        if self.sigma_b is not None and self.sigma_b <= 0:
             problems.append(f"sigma-b must be positive, got {self.sigma_b}")
         if self.tol is not None and not 0.0 < self.tol < 1.0:
             problems.append(f"tol must be in (0, 1), got {self.tol}")
@@ -104,12 +108,13 @@ class RunConfig:
         if self.refine_levels is not None and self.refine_levels < 0:
             problems.append(f"refine-levels must be nonnegative, got {self.refine_levels}")
         if self.case == "hertz":
+            n_primary, n_secondary = len(hertz.PRIMARY_FACTORS), len(hertz.SECONDARY_FACTORS)
             for lv in [self.refine_levels] + list(self.sweep_refine):
-                if lv is not None and lv > N_PRIMARY:
-                    problems.append(f"refine-levels for hertz capped at {N_PRIMARY}, got {lv}")
-            if self.secondary_levels is not None and not 0 <= self.secondary_levels <= N_SECONDARY:
+                if lv is not None and lv > n_primary:
+                    problems.append(f"refine-levels for hertz capped at {n_primary}, got {lv}")
+            if self.secondary_levels is not None and not 0 <= self.secondary_levels <= n_secondary:
                 problems.append(
-                    f"secondary-levels must be in [0, {N_SECONDARY}], got {self.secondary_levels}"
+                    f"secondary-levels must be in [0, {n_secondary}], got {self.secondary_levels}"
                 )
         if self.relax_iterations is not None and self.relax_iterations < 0:
             problems.append(f"relax-iterations must be nonnegative, got {self.relax_iterations}")
@@ -123,8 +128,6 @@ class RunConfig:
             problems.append("sweep-sigma entries must be nonnegative")
         if any(lv < 0 for lv in self.sweep_refine):
             problems.append("sweep-refine entries must be nonnegative")
-        if self.threads is not None and self.threads < 1:
-            problems.append(f"threads must be positive, got {self.threads}")
         return problems
 
     @property
@@ -173,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sweep-refine", type=_int_list, help="comma-separated hertz refine levels")
     ap.add_argument("--vtk", action="store_true", default=None)
     ap.add_argument("--dump-matrix", action="store_true", default=None)
-    ap.add_argument("--threads", type=int, help="cap BLAS thread pools")
     return ap
 
 
@@ -208,13 +210,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {p}", file=sys.stderr)
         return 2
 
-    if config.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(config.threads))
-
-    from .shapes import IllConditionedStencilError
-    from .solve import NonConvergenceError
-
     try:
         run(config)
     except (NonConvergenceError, IllConditionedStencilError) as exc:
@@ -226,129 +221,87 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _user_values(**values) -> dict:
+    """The keyword arguments the user set, i.e. those that are not None."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _merged(default, **values):
+    """A case's default config object with the user-set fields replaced."""
+    values = _user_values(**values)
+    return replace(default, **values) if values else None
+
+
 def run(config: RunConfig) -> None:
     """Execute the configured case; artifacts land in config.outdir."""
-    from . import io
-    from .cases import beam, drilled, hertz
-    from .relax import RelaxConfig
-    from .shapes import BasisSpec, WeightSpec
-    from .solve import SolverConfig
-
+    defaults = CLI_DEFAULTS.get(config.case, {})
+    config = replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
     outdir = config.outdir
     outdir.mkdir(parents=True, exist_ok=True)
-
-    basis = BasisSpec(kind=BASES[config.basis], sigma=config.sigma_b)
-    weight = WeightSpec(sigma=config.sigma_w)
-    support_n = config.n if config.n is not None else DEFAULT_N.get(config.case, 9)
-    tol = config.tol if config.tol is not None else DEFAULT_TOL.get(config.case)
-    solver_args = dict(
-        method=config.solver,
-        tolerance=tol,
-        max_iterations=config.max_iter,
-        fill_factor=config.fill_factor,
-        drop_tol=config.drop_tol,
-    )
-    solver = SolverConfig(**{k: v for k, v in solver_args.items() if v is not None})
-
     if config.case == "refine-demo":
         _run_refine_demo(config, outdir)
         return
 
-    sweep_rows: list[dict] = []
+    case_fn = {"hertz": hertz.hertz_case, "drilled-beam": drilled.drilled_cantilever_case}.get(
+        config.case, beam.cantilever_case
+    )
+    signature = inspect.signature(case_fn).parameters
+    kwargs = _user_values(
+        basis=_merged(signature["basis"].default, kind=BASES.get(config.basis), sigma=config.sigma_b),
+        weight=_merged(signature["weight"].default, sigma=config.sigma_w),
+        solver=_merged(
+            signature["solver"].default,
+            method=config.solver,
+            tolerance=config.tol,
+            max_iterations=config.max_iter,
+            fill_factor=config.fill_factor,
+            drop_tol=config.drop_tol,
+        ),
+        support_n=config.n,
+    )
+    # Keyword overrides of each run of a sweep; one run without a sweep.
+    runs: list[dict] = [{}]
     sweep_key = "N"
-    result = None
 
     if config.case in ("cantilever", "cantilever-perturbed"):
-        perturb = config.perturb_sigma
-        if perturb is None:
-            perturb = 0.1 if config.case == "cantilever-perturbed" else 0.0
-        params = beam.BeamParams()
-
-        def one_run(**overrides):
-            kwargs = dict(
-                params=params,
-                basis=basis,
-                support_n=support_n,
-                weight=weight,
-                solver=solver,
-                perturb_sigma=perturb,
-                seed=config.seed,
-            )
-            kwargs.update(overrides)
-            return beam.cantilever_case(**kwargs)
-
-        spacing = config.spacing
-        if spacing is None and config.n_target is not None:
-            spacing = beam.grid_spacing_for(params, config.n_target)
-        if spacing is None:
-            nx = config.nx if config.nx is not None else 60
-            spacing = params.length / (nx - 1)
-
-        if config.sweep_sigma:
-            sweep_key = "sigma"
-            for sig in config.sweep_sigma:
-                result = one_run(spacing=spacing, perturb_sigma=sig)
-                sweep_rows.append(_sweep_row(result, sigma=sig))
-        elif config.sweep_n:
-            for n_target in config.sweep_n:
-                result = one_run(spacing=None, n_target=n_target)
-                sweep_rows.append(_sweep_row(result))
-        else:
-            result = one_run(spacing=spacing)
-            sweep_rows.append(_sweep_row(result))
-
-    elif config.case == "hertz":
-        params = hertz.HertzParams(half_size=config.hertz_h)
-
-        def one_run(levels: int, secondary: int):
-            return hertz.hertz_case(
-                params,
-                nx=config.nx if config.nx is not None else 69,
-                primary=hertz.PRIMARY_FACTORS[:levels],
-                secondary=hertz.SECONDARY_FACTORS[:secondary],
-                basis=basis,
-                support_n=support_n,
-                weight=weight,
-                solver=solver,
-            )
-
-        secondary = config.secondary_levels if config.secondary_levels is not None else 0
-        if config.sweep_refine:
-            for lv in config.sweep_refine:
-                result = one_run(lv, secondary)
-                sweep_rows.append(_sweep_row(result))
-        else:
-            levels = config.refine_levels if config.refine_levels is not None else N_PRIMARY
-            result = one_run(levels, secondary)
-            sweep_rows.append(_sweep_row(result))
-
-    elif config.case == "drilled-beam":
-        # Flags omitted on the command line fall through to the case
-        # defaults (refine once around the holes, then relax).
-        kwargs = {}
+        kwargs.update(_user_values(perturb_sigma=config.perturb_sigma, seed=config.seed))
         if config.spacing is not None:
             kwargs["spacing"] = config.spacing
+        elif config.n_target is not None:
+            kwargs["n_target"] = config.n_target
+        else:
+            kwargs["spacing"] = signature["params"].default.length / (config.nx - 1)
+        if config.sweep_sigma:
+            sweep_key = "sigma"
+            runs = [{"perturb_sigma": sig} for sig in config.sweep_sigma]
+        elif config.sweep_n:
+            runs = [{"spacing": None, "n_target": n_target} for n_target in config.sweep_n]
+
+    elif config.case == "hertz":
+        kwargs.update(_user_values(nx=config.nx))
+        if config.hertz_h is not None:
+            kwargs["params"] = hertz.HertzParams(half_size=config.hertz_h)
         if config.refine_levels is not None:
-            kwargs["refine_level"] = config.refine_levels
+            kwargs["primary"] = hertz.PRIMARY_FACTORS[: config.refine_levels]
+        if config.secondary_levels is not None:
+            kwargs["secondary"] = hertz.SECONDARY_FACTORS[: config.secondary_levels]
+        if config.sweep_refine:
+            runs = [{"primary": hertz.PRIMARY_FACTORS[:lv]} for lv in config.sweep_refine]
+
+    else:
+        kwargs.update(_user_values(spacing=config.spacing, refine_level=config.refine_levels))
         if config.relax_iterations is not None:
             kwargs["relax_config"] = (
-                RelaxConfig(iterations=config.relax_iterations)
-                if config.relax_iterations > 0
-                else None
+                RelaxConfig(iterations=config.relax_iterations) if config.relax_iterations > 0 else None
             )
-        result = drilled.drilled_cantilever_case(
-            basis=basis,
-            support_n=support_n,
-            weight=weight,
-            solver=solver,
-            **kwargs,
-        )
-        sweep_rows.append(_sweep_row(result))
 
-    assert result is not None
+    sweep_rows: list[dict] = []
+    for overrides in runs:
+        result = case_fn(**{**kwargs, **overrides})
+        sweep_rows.append(_sweep_row(result, sigma=overrides.get("perturb_sigma")))
     io.write_case_outputs(outdir, result, vtk=config.vtk)
     io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key=sweep_key)
-    if config.dump_matrix and "system" in result.extras:
+    if config.dump_matrix:
         result.extras["system"].export_matrix(outdir / "matrix.txt")
 
 
@@ -366,14 +319,7 @@ def _sweep_row(result, sigma: float | None = None) -> dict:
 
 def _run_refine_demo(config: RunConfig, outdir: Path) -> None:
     """Node-positioning showcase: hole refinement plus relaxation, no solve."""
-    from .nodes import Circle, Rect, build_drilled_domain
-    from .refine import RefineRegion, refine_levels
-    from .relax import RelaxConfig, relax
-    from .timing import PhaseTimer
-
-    spacing = config.spacing if config.spacing is not None else 0.5
-    levels = config.refine_levels if config.refine_levels is not None else 4
-    sweeps = config.relax_iterations if config.relax_iterations is not None else 20
+    spacing, levels, sweeps = config.spacing, config.refine_levels, config.relax_iterations
 
     timer = PhaseTimer()
     rect = Rect(0.0, 10.0, 0.0, 10.0)

@@ -65,11 +65,6 @@ class Material:
         """Effective first Lame parameter for the chosen formulation."""
         return lame_parameters(self.E, self.nu, self.formulation)[0]
 
-    @cached_property
-    def lam_base(self) -> float:
-        """Three-dimensional first Lame parameter, before any adjustment."""
-        return self.E * self.nu / ((1.0 + self.nu) * (1.0 - 2.0 * self.nu))
-
 
 @dataclass
 class BoundaryConditions:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .neighbors import build_index, build_supports
+from .neighbors import build_supports
 from .nodes import BOUNDARY, INTERIOR, NodeSet, Rect
 
 
@@ -78,8 +78,8 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     sel = np.nonzero(selected)[0]
     if sel.size == 0:
         return nodes
-    index = build_index(pos)
-    supports = build_supports(nodes, min(config.support_n, nodes.n), index=index, centers=sel)
+    tree = cKDTree(pos)
+    supports = build_supports(nodes, min(config.support_n, nodes.n), tree=tree, centers=sel)
 
     # Candidate midpoints in deterministic order: by node index, then by
     # neighbor rank within the support.
@@ -114,7 +114,7 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     keep &= project | inside
 
     # Reject candidates crowding an existing node, then earlier-accepted ones.
-    d_exist, _ = index.tree.query(final, k=1)
+    d_exist, _ = tree.query(final, k=1)
     keep &= d_exist >= radius
 
     order = np.nonzero(keep)[0]

@@ -51,23 +51,27 @@ class RelaxConfig:
 
 
 def relax_offset(p: np.ndarray, support_positions: np.ndarray, config: RelaxConfig = RelaxConfig()) -> np.ndarray:
-    """Displacement of one node given its neighbor positions (excluding p).
+    """Displacement of nodes given their neighbor positions (excluding p).
 
-    Computes -step_eff * sum_i grad w(p - p_i) with a Gaussian w of width
+    p is one (2,) point with (k, 2) neighbors or an (M, 2) batch with
+    (M, k, 2) neighbors; the result matches p in shape. Computes
+    -step_eff * sum_i grad w(p - p_i) with a Gaussian w of width
     sigma * p_min, where p_min is the distance to the closest neighbor and
     step_eff = step * p_min^2. The offset points away from the neighbors.
     """
     p = np.asarray(p, dtype=float)
-    nbrs = np.atleast_2d(np.asarray(support_positions, dtype=float))
-    diff = p - nbrs
-    d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    nbrs = np.asarray(support_positions, dtype=float)
+    if p.ndim == 1:
+        return relax_offset(p[None], np.atleast_2d(nbrs)[None], config)[0]
+    diff = p[:, None, :] - nbrs
+    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     if np.any(d2 == 0.0):
         raise ValueError("coincident support node in relaxation")
-    p_min2 = float(np.min(d2))
+    p_min2 = d2.min(axis=1)
     c2 = config.sigma * config.sigma * p_min2
-    g = np.exp(-d2 / c2)
-    grad = -2.0 / c2 * (diff * g[:, None]).sum(axis=0)
-    return -config.step * p_min2 * grad
+    g = np.exp(-d2 / c2[:, None])
+    grad = -2.0 / c2[:, None] * (diff * g[..., None]).sum(axis=1)
+    return -config.step * p_min2[:, None] * grad
 
 
 def relax(nodes: NodeSet, config: RelaxConfig = RelaxConfig()) -> NodeSet:
@@ -88,14 +92,7 @@ def relax(nodes: NodeSet, config: RelaxConfig = RelaxConfig()) -> NodeSet:
         tree = cKDTree(positions)
         d, idx = tree.query(positions[interior], k=k)
         # Drop the self column (distance zero, first after sorting).
-        nbr_pos = positions[idx[:, 1:]]
-        diff = positions[interior, None, :] - nbr_pos
-        d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-        p_min2 = d2.min(axis=1)
-        c2 = config.sigma * config.sigma * p_min2
-        g = np.exp(-d2 / c2[:, None])
-        grad = -2.0 / c2[:, None] * (diff * g[..., None]).sum(axis=1)
-        offsets = -config.step * p_min2[:, None] * grad
+        offsets = relax_offset(positions[interior], positions[idx[:, 1:]], config)
 
         proposed = positions[interior] + offsets
         sd = nodes.domain.signed_distance(proposed)

@@ -26,6 +26,10 @@ becomes dependent on the arbitrary minimum-norm choice. The pseudo-inverse
 therefore truncates and proceeds, and each operator row is flagged as
 ambiguous when its operator image has a component in the truncated null
 space. Consumers reject ambiguous rows they actually need.
+
+One batched kernel computes every stencil: build_shape_set runs it over a
+whole cloud, compute_shapes over a single support (optionally evaluated
+off center).
 """
 from __future__ import annotations
 
@@ -160,6 +164,65 @@ def _basis_rows(q: np.ndarray, centers: np.ndarray, basis: BasisSpec, op: str) -
     return _gaussian_rows(q, centers, basis.sigma, op)
 
 
+def _stencils(
+    q: np.ndarray,
+    dist: np.ndarray,
+    p_min: np.ndarray,
+    qe: np.ndarray,
+    basis: BasisSpec,
+    weight_spec: WeightSpec,
+    ops: tuple[str, ...],
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
+    """Stencil rows of N supports in one batched SVD pass.
+
+    q is (N, n, 2), the support points in local coordinates; dist (N, n)
+    their physical distances from the center, p_min (N,) the local unit and
+    qe (N, 2) the local evaluation point of each row. Returns the rows,
+    ranks and ambiguity masks laid out as ShapeSet holds them.
+    """
+    for op in ops:
+        if op not in _OP_ORDER:
+            raise ValueError(f"unknown operator {op!r}")
+    N, n = dist.shape
+    m = basis.m
+    if n < m:
+        raise ValueError(f"support size {n} is below basis size {m}")
+
+    centers = q[:, :m, :]
+    B = _basis_rows(q, centers, basis, "val")
+
+    if n == m:
+        A = B
+        w_sqrt = None
+    else:
+        u = dist / (weight_spec.sigma * p_min[:, None])
+        w_sqrt = np.exp(-0.5 * u * u)
+        A = w_sqrt[..., None] * B
+
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > RCOND * s[:, :1]
+    ranks = np.count_nonzero(keep, axis=1)
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    pinv = (Vt.transpose(0, 2, 1) * s_inv[:, None, :]) @ U.transpose(0, 2, 1)
+    deficient = np.flatnonzero(ranks < m)
+
+    rows: dict[str, np.ndarray] = {}
+    ambiguous: dict[str, np.ndarray] = {}
+    for op in ops:
+        lb = _basis_rows(qe[:, None, :], centers, basis, op)[:, 0, :]
+        row = (lb[:, None, :] @ pinv)[:, 0, :]
+        if w_sqrt is not None:
+            row = row * w_sqrt
+        rows[op] = row / p_min[:, None] ** _OP_ORDER[op]
+        mask = np.zeros(N, dtype=bool)
+        for i in deficient:
+            null = Vt[i, ranks[i]:]
+            scale = float(np.linalg.norm(lb[i]))
+            mask[i] = scale > 0 and np.linalg.norm(null @ lb[i]) > _AMBIG_TOL * scale
+        ambiguous[op] = mask
+    return rows, ranks, ambiguous
+
+
 def compute_shapes(
     support_positions: np.ndarray,
     center: np.ndarray,
@@ -167,68 +230,36 @@ def compute_shapes(
     weight_spec: WeightSpec,
     ops: tuple[str, ...] = OPS,
     eval_point: np.ndarray | None = None,
-    node_indices: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Stencil rows for one support, keyed by operator name.
 
     support_positions is (n, 2) with the center usually its first row;
     eval_point defaults to the center. Row entries align with the support
-    ordering. Raises IllConditionedStencilError when a requested operator
+    ordering. Runs the batched kernel of build_shape_set on this one
+    support. Raises IllConditionedStencilError when a requested operator
     is not determined by a rank-deficient support.
     """
     pos = np.asarray(support_positions, dtype=float)
     center = np.asarray(center, dtype=float)
-    n = pos.shape[0]
-    m = basis.m
-    if n < m:
-        raise ValueError(f"support size {n} is below basis size {m}")
-    for op in ops:
-        if op not in _OP_ORDER:
-            raise ValueError(f"unknown operator {op!r}")
-
     diff = pos - center
     d = np.hypot(diff[:, 0], diff[:, 1])
     zero = d == 0.0
     if np.count_nonzero(zero) > 1:
-        raise IllConditionedStencilError("coincident support nodes", support=node_indices)
+        raise IllConditionedStencilError("coincident support nodes")
     p_min = float(np.min(d[~zero])) if np.any(~zero) else 0.0
     if p_min <= 0:
-        raise IllConditionedStencilError("degenerate support", support=node_indices)
-
-    q = diff / p_min
-    centers = q[:m]
-    B = _basis_rows(q, centers, basis, "val")
-
-    if n == m:
-        A = B
-        w_sqrt = None
-    else:
-        u = d / (weight_spec.sigma * p_min)
-        w_sqrt = np.exp(-0.5 * u * u)
-        A = w_sqrt[:, None] * B
-
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > RCOND * s[0]
-    rank = int(np.count_nonzero(keep))
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    pinv = (Vt.T * s_inv) @ U.T
-    null = Vt[rank:]
+        raise IllConditionedStencilError("degenerate support")
 
     qe = np.zeros(2) if eval_point is None else (np.asarray(eval_point, dtype=float) - center) / p_min
-    rows: dict[str, np.ndarray] = {}
+    rows, ranks, ambiguous = _stencils(
+        (diff / p_min)[None], d[None], np.array([p_min]), qe[None], basis, weight_spec, ops
+    )
     for op in ops:
-        lb = _basis_rows(qe[None, :], centers, basis, op)[0]
-        scale = float(np.linalg.norm(lb))
-        if rank < m and scale > 0 and np.linalg.norm(null @ lb) > _AMBIG_TOL * scale:
+        if ambiguous[op][0]:
             raise IllConditionedStencilError(
-                f"rank-{rank} support does not determine the {op} stencil",
-                support=node_indices,
+                f"rank-{int(ranks[0])} support does not determine the {op} stencil"
             )
-        row = lb @ pinv
-        if w_sqrt is not None:
-            row = row * w_sqrt
-        rows[op] = row / p_min ** _OP_ORDER[op]
-    return rows
+    return {op: row[0] for op, row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -257,10 +288,6 @@ class ShapeSet:
     @property
     def n_support(self) -> int:
         return self.support.n
-
-    @property
-    def ops(self) -> tuple[str, ...]:
-        return tuple(self.rows.keys())
 
     def row(self, i: int, op: str) -> np.ndarray:
         return self.rows[op][i]
@@ -311,59 +338,18 @@ def build_shape_set(
 ) -> ShapeSet:
     """Stencils for all nodes in one batched SVD pass.
 
-    Row values match compute_shapes per node (up to floating-point
-    reassociation in the matrix products) but run orders of magnitude
-    faster. Unlike compute_shapes this never raises on rank-deficient
-    supports; it fills the ambiguity masks and leaves enforcement to
-    ShapeSet.require, since which operators a node must determine depends
-    on how the caller consumes it.
+    Unlike compute_shapes this never raises on rank-deficient supports; it
+    fills the ambiguity masks and leaves enforcement to ShapeSet.require,
+    since which operators a node must determine depends on how the caller
+    consumes it.
     """
-    for op in ops:
-        if op not in _OP_ORDER:
-            raise ValueError(f"unknown operator {op!r}")
     idx = supports.indices
     dist = supports.distances
-    N, n = idx.shape
-    m = basis.m
-    if n < m:
-        raise ValueError(f"support size {n} is below basis size {m}")
-
     p_min = dist[:, 1].copy()
     if np.any(p_min <= 0):
         raise IllConditionedStencilError("degenerate support", node=int(np.argmin(p_min)))
 
     q = (nodes.positions[idx] - nodes.positions[:, None, :]) / p_min[:, None, None]
-    centers = q[:, :m, :]
-    B = _basis_rows(q, centers, basis, "val")
-
-    if n == m:
-        A = B
-        w_sqrt = None
-    else:
-        u = dist / (weight_spec.sigma * p_min[:, None])
-        w_sqrt = np.exp(-0.5 * u * u)
-        A = w_sqrt[..., None] * B
-
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > RCOND * s[:, :1]
-    ranks = np.count_nonzero(keep, axis=1)
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    pinv = (Vt.transpose(0, 2, 1) * s_inv[:, None, :]) @ U.transpose(0, 2, 1)
-    deficient = np.flatnonzero(ranks < m)
-
-    qe = np.zeros((N, 1, 2))
-    rows: dict[str, np.ndarray] = {}
-    ambiguous: dict[str, np.ndarray] = {}
-    for op in ops:
-        lb = _basis_rows(qe, centers, basis, op)[:, 0, :]
-        row = (lb[:, None, :] @ pinv)[:, 0, :]
-        if w_sqrt is not None:
-            row = row * w_sqrt
-        rows[op] = row / p_min[:, None] ** _OP_ORDER[op]
-        mask = np.zeros(N, dtype=bool)
-        for i in deficient:
-            null = Vt[i, ranks[i]:]
-            scale = float(np.linalg.norm(lb[i]))
-            mask[i] = scale > 0 and np.linalg.norm(null @ lb[i]) > _AMBIG_TOL * scale
-        ambiguous[op] = mask
+    qe = np.zeros((idx.shape[0], 2))
+    rows, ranks, ambiguous = _stencils(q, dist, p_min, qe, basis, weight_spec, ops)
     return ShapeSet(supports, rows, p_min, basis, weight_spec, ranks, ambiguous)

@@ -1,12 +1,16 @@
 """Batch runner: exit codes, artifacts, config layering, reproducibility."""
 
+import functools
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
+from mlsm2d.cases import hertz
 from mlsm2d.cli import main
+from mlsm2d.solve import SolverConfig
 
 
 def run_cli(args):
@@ -48,6 +52,59 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_hertz_level_caps_listed_with_other_problems(self, tmp_path, capsys):
+        rc = run_cli(
+            ["--case", "hertz", "--refine-levels", 11, "--sigma-w", -1.0, "--out", tmp_path]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "capped at 10, got 11" in err
+        assert "sigma-w" in err
+
+    def test_threads_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "cantilever", "threads": 1}))
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
+        assert "threads" in capsys.readouterr().err
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.fixture
+def hertz_call(monkeypatch):
+    """Record the arguments the CLI resolves for hertz_case, then stop before solving."""
+    real = hertz.hertz_case
+    calls = []
+
+    @functools.wraps(real)
+    def record(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        raise _Stop
+
+    monkeypatch.setattr(hertz, "hertz_case", record)
+    return calls
+
+
+class TestCaseDefaults:
+    def test_hertz_without_level_flags_runs_the_case_schedule(self, tmp_path, hertz_call):
+        with pytest.raises(_Stop):
+            run_cli(["--case", "hertz", "--out", tmp_path])
+        (args,) = hertz_call
+        assert args["primary"] == hertz.PRIMARY_FACTORS
+        assert args["secondary"] == hertz.SECONDARY_FACTORS
+        assert args["support_n"] == 15
+
+    def test_hertz_solver_flag_keeps_the_case_tolerance(self, tmp_path, hertz_call):
+        with pytest.raises(_Stop):
+            run_cli(["--case", "hertz", "--solver", "bicgstab-ilut", "--out", tmp_path])
+        (args,) = hertz_call
+        assert args["solver"] == SolverConfig(method="bicgstab-ilut", tolerance=1e-8)
 
 
 class TestArtifacts:

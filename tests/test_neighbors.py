@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import perturb_nodes
-from mlsm2d.neighbors import build_index, build_supports, knn, knn_support
+from mlsm2d.neighbors import build_supports, knn
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
 
@@ -59,9 +60,9 @@ def lattices(draw):
 @given(clouds(), st.integers(min_value=2, max_value=5), st.randoms())
 @settings(max_examples=60, deadline=None)
 def test_knn_matches_brute_force(cloud, n, rnd):
-    index = build_index(cloud)
+    tree = cKDTree(cloud)
     p = np.array([rnd.uniform(-10, 10), rnd.uniform(-10, 10)])
-    indices, distances = knn(index, p, min(n, len(cloud)))
+    indices, distances = knn(tree, p, min(n, len(cloud)))
     expected, d_exp = brute_force_knn(cloud, p, min(n, len(cloud)))
     np.testing.assert_array_equal(indices, expected)
     np.testing.assert_array_equal(distances, d_exp)
@@ -103,11 +104,11 @@ def test_batched_knn_equals_per_point_calls(positions, n, seed):
         0.5 * (positions[a] + positions[b]),
         rng.uniform(positions.min(axis=0), positions.max(axis=0), size=(10, 2)),
     ])
-    index = build_index(positions)
-    indices, distances = knn(index, points, n)
+    tree = cKDTree(positions)
+    indices, distances = knn(tree, points, n)
     assert indices.shape == distances.shape == (len(points), n)
     for p, idx, dist in zip(points, indices, distances):
-        one_idx, one_dist = knn(index, p, n)
+        one_idx, one_dist = knn(tree, p, n)
         np.testing.assert_array_equal(idx, one_idx)
         np.testing.assert_array_equal(dist, one_dist)
 
@@ -127,16 +128,19 @@ def test_center_rows_equal_full_cloud_rows(positions, n, seed):
 def test_ties_break_by_node_index():
     # four equidistant neighbors around the center of a 3x3 grid
     nodes = build_rectangle_grid(Rect(0, 1, 0, 1), 0.5)
-    index = build_index(nodes)
     center = int(np.nonzero((nodes.positions == [0.5, 0.5]).all(axis=1))[0][0])
-    sup = knn_support(index, center, 5)
-    assert sup.indices[0] == center
-    side = sorted(sup.indices[1:])
-    assert np.allclose(np.sort(sup.distances[1:]), 0.5)
+    sup = build_supports(nodes, 5, centers=[center])
+    assert sup.indices[0, 0] == center
+    side = sup.indices[0, 1:]
+    np.testing.assert_array_equal(sup.distances[0, 1:], 0.5)
+    np.testing.assert_array_equal(side, np.sort(side))
+    # a support that cuts the tie keeps its smallest indices
+    cut = build_supports(nodes, 3, centers=[center])
+    np.testing.assert_array_equal(cut.indices[0], [center, side[0], side[1]])
     # repeat queries return the identical ordering
-    again = knn_support(index, center, 5)
-    assert np.array_equal(sup.indices, again.indices)
-    assert side == side  # stable set
+    again = build_supports(nodes, 5, centers=[center])
+    np.testing.assert_array_equal(again.indices, sup.indices)
+    np.testing.assert_array_equal(again.distances, sup.distances)
 
 
 def test_support_set_shape_and_self_first():

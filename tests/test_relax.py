@@ -55,12 +55,29 @@ class TestRelaxOffset:
         with pytest.raises(ValueError):
             relax_offset(np.zeros(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(-1, 1, size=(6, 2))
+        nbrs = points[:, None, :] + rng.uniform(-0.5, 0.5, size=(6, 8, 2))
+        batch = relax_offset(points, nbrs)
+        assert batch.shape == (6, 2)
+        for p, nb, offset in zip(points, nbrs, batch):
+            np.testing.assert_array_equal(offset, relax_offset(p, nb))
+
 
 class TestRelax:
     def test_zero_iterations_is_identity(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         out = relax(nodes, RelaxConfig(iterations=0))
         np.testing.assert_array_equal(out.positions, nodes.positions)
+
+    def test_coincident_nodes_stop_a_sweep(self):
+        nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
+        interior = np.nonzero(nodes.interior_mask)[0]
+        positions = nodes.positions.copy()
+        positions[interior[1]] = positions[interior[0]]
+        with pytest.raises(ValueError, match="coincident"):
+            relax(nodes.replace(positions=positions), RelaxConfig(iterations=1))
 
     def test_uniform_grid_is_a_fixed_point(self):
         h = 0.1

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsm2d.cases.beam import perturb_nodes
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.shapes import (
     OPS,
     BasisSpec,
@@ -299,3 +301,35 @@ def test_generic_13_supports_are_full_rank(seed):
     pos = scattered_support(13, rng)
     rows = compute_shapes(pos, pos[0], M9, WeightSpec())
     assert rows["val"].sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def perturbed_cloud():
+    return perturb_nodes(build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), 0.1, seed=3), 13
+
+
+def refined_cloud():
+    base = build_rectangle_grid(Rect(0, 2, 0, 1), 0.125)
+    return refine_levels(base, [RefineRegion(Rect(0.0, 1.0, 0.0, 0.5), 2)]), 15
+
+
+@pytest.mark.parametrize("cloud", [perturbed_cloud, refined_cloud])
+@pytest.mark.parametrize("basis", [M9, G9], ids=["m9", "g9"])
+def test_single_support_rows_equal_batched_rows(cloud, basis):
+    """compute_shapes and build_shape_set agree on every node of a cloud.
+
+    Where a rank-deficient support leaves an operator ambiguous, the batch
+    flags it and the single-support call raises for it.
+    """
+    nodes, n = cloud()
+    supports = build_supports(nodes, n)
+    shapes = build_shape_set(nodes, supports, basis)
+    for i in range(nodes.n):
+        pos = nodes.positions[supports.indices[i]]
+        determined = tuple(op for op in OPS if not shapes.ambiguous[op][i])
+        rows = compute_shapes(pos, nodes.positions[i], basis, WeightSpec(), ops=determined)
+        for op in determined:
+            batched = shapes.rows[op][i]
+            np.testing.assert_allclose(rows[op], batched, rtol=0, atol=1e-12 * np.abs(batched).max())
+        for op in set(OPS) - set(determined):
+            with pytest.raises(IllConditionedStencilError):
+                compute_shapes(pos, nodes.positions[i], basis, WeightSpec(), ops=(op,))
