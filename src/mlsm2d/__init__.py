@@ -27,7 +27,6 @@ from .shapes import (
     WeightSpec,
     build_shape_set,
     compute_shapes,
-    weight,
 )
 from .solve import NonConvergenceError, SolveReport, SolverConfig, solve
 from .timing import PhaseTimer, TimingReport

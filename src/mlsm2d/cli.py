@@ -4,8 +4,10 @@ Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. Configuration comes from flags, optionally layered on top of a
 JSON config file (flags win). A case receives only the values the user
-set; every other default is the case function's own. Exit codes: 0
-success, 2 configuration error, 3 numerical failure.
+set; every other default is the case function's own. A flag the selected
+case ignores, or one that another flag or a sweep overrides, is a
+configuration error. Exit codes: 0 success, 2 configuration error, 3
+numerical failure.
 """
 from __future__ import annotations
 
@@ -38,6 +40,40 @@ CLI_DEFAULTS = {
     "cantilever-perturbed": {"nx": 60, "perturb_sigma": 0.1, "n": 13},
     "refine-demo": {"spacing": 0.5, "refine_levels": 4, "relax_iterations": 20},
 }
+
+# Flags each case reads besides --case, --out and --seed.
+_SOLVE_FLAGS = (
+    "basis", "sigma_b", "n", "sigma_w", "solver", "tol", "max_iter", "fill_factor", "drop_tol", "vtk", "dump_matrix"
+)
+_GRID_FLAGS = _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "sweep_n", "sweep_sigma")
+CASE_FLAGS = {
+    "cantilever": _GRID_FLAGS,
+    "cantilever-perturbed": _GRID_FLAGS,
+    "drilled-beam": _SOLVE_FLAGS + ("spacing", "refine_levels", "relax_iterations"),
+    "hertz": _SOLVE_FLAGS + ("nx", "hertz_h", "refine_levels", "secondary_levels", "sweep_refine"),
+    "refine-demo": ("spacing", "refine_levels", "relax_iterations"),
+}
+# Flags that decide, in every run, what the flags listed for them would.
+OVERRIDES = {
+    "sweep_sigma": ("perturb_sigma", "sweep_n"),
+    "sweep_n": ("nx", "spacing", "n_target"),
+    "sweep_refine": ("refine_levels",),
+    "spacing": ("nx", "n_target"),
+    "n_target": ("nx",),
+}
+
+# Lower bounds of the numeric flags.
+_POSITIVE = ("sigma_w", "sigma_b", "spacing", "hertz_h")
+_NONNEGATIVE = ("drop_tol", "refine_levels", "relax_iterations", "perturb_sigma")
+_AT_LEAST = {"max_iter": 1, "fill_factor": 1, "nx": 2, "n_target": 4}
+
+
+def _dashed(name: str) -> str:
+    return name.replace("_", "-")
+
+
+def _is_set(value) -> bool:
+    return value is not None and value is not False and value != []
 
 
 @dataclass
@@ -87,26 +123,17 @@ class RunConfig:
             problems.append(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.n is not None and self.n < 9:
             problems.append(f"support size n must be at least the basis size 9, got {self.n}")
-        if self.sigma_w is not None and self.sigma_w <= 0:
-            problems.append(f"sigma-w must be positive, got {self.sigma_w}")
-        if self.sigma_b is not None and self.sigma_b <= 0:
-            problems.append(f"sigma-b must be positive, got {self.sigma_b}")
         if self.tol is not None and not 0.0 < self.tol < 1.0:
             problems.append(f"tol must be in (0, 1), got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            problems.append(f"max-iter must be positive, got {self.max_iter}")
-        if self.fill_factor is not None and self.fill_factor < 1:
-            problems.append(f"fill-factor must be at least 1, got {self.fill_factor}")
-        if self.drop_tol is not None and self.drop_tol < 0:
-            problems.append(f"drop-tol must be nonnegative, got {self.drop_tol}")
-        if self.nx is not None and self.nx < 2:
-            problems.append(f"nx must be at least 2, got {self.nx}")
-        if self.spacing is not None and self.spacing <= 0:
-            problems.append(f"spacing must be positive, got {self.spacing}")
-        if self.n_target is not None and self.n_target < 4:
-            problems.append(f"n-target must be at least 4, got {self.n_target}")
-        if self.refine_levels is not None and self.refine_levels < 0:
-            problems.append(f"refine-levels must be nonnegative, got {self.refine_levels}")
+        for name in _POSITIVE:
+            if (value := getattr(self, name)) is not None and value <= 0:
+                problems.append(f"{_dashed(name)} must be positive, got {value}")
+        for name in _NONNEGATIVE:
+            if (value := getattr(self, name)) is not None and value < 0:
+                problems.append(f"{_dashed(name)} must be nonnegative, got {value}")
+        for name, bound in _AT_LEAST.items():
+            if (value := getattr(self, name)) is not None and value < bound:
+                problems.append(f"{_dashed(name)} must be at least {bound}, got {value}")
         if self.case == "hertz":
             n_primary, n_secondary = len(hertz.PRIMARY_FACTORS), len(hertz.SECONDARY_FACTORS)
             for lv in [self.refine_levels] + list(self.sweep_refine):
@@ -116,18 +143,27 @@ class RunConfig:
                 problems.append(
                     f"secondary-levels must be in [0, {n_secondary}], got {self.secondary_levels}"
                 )
-        if self.relax_iterations is not None and self.relax_iterations < 0:
-            problems.append(f"relax-iterations must be nonnegative, got {self.relax_iterations}")
-        if self.perturb_sigma is not None and self.perturb_sigma < 0:
-            problems.append(f"perturb-sigma must be nonnegative, got {self.perturb_sigma}")
-        if self.hertz_h is not None and self.hertz_h <= 0:
-            problems.append(f"hertz-h must be positive, got {self.hertz_h}")
         if any(n < 4 for n in self.sweep_n):
             problems.append("sweep-n entries must be at least 4")
         if any(s < 0 for s in self.sweep_sigma):
             problems.append("sweep-sigma entries must be nonnegative")
         if any(lv < 0 for lv in self.sweep_refine):
             problems.append("sweep-refine entries must be nonnegative")
+        if self.case in CASE_FLAGS:
+            taken = CASE_FLAGS[self.case]
+            given = [f.name for f in dataclass_fields(self) if _is_set(getattr(self, f.name))]
+            problems += [
+                f"--{_dashed(name)} is ignored by case {self.case}"
+                for name in given
+                if name not in ("case", "out", "seed") + taken
+            ]
+            problems += [
+                f"--{_dashed(name)} is ignored next to --{_dashed(flag)}"
+                for flag, overridden in OVERRIDES.items()
+                if flag in given and flag in taken
+                for name in overridden
+                if name in given
+            ]
         return problems
 
     @property
@@ -153,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=str, help="JSON config file; flags override its values")
     ap.add_argument("--case", choices=CASES)
     ap.add_argument("--out", type=str, help=f"output directory (default ${OUT_ENV} or ./mlsm2d-out)")
-    ap.add_argument("--seed", type=int)
+    ap.add_argument("--seed", type=int, help="perturbation seed; accepted by every case, read by the cantilever cases")
     ap.add_argument("--nx", type=int, help="nodes along x for grid cases")
-    ap.add_argument("--spacing", type=float, help="target node spacing (overrides --nx)")
+    ap.add_argument("--spacing", type=float, help="target node spacing (alternative to --nx)")
     ap.add_argument("--n-target", type=int, help="approximate node count (alternative to --nx)")
     ap.add_argument("--basis", choices=sorted(BASES))
     ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")

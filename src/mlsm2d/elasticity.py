@@ -149,7 +149,7 @@ def assemble(
     N = nodes.n
     lam, mu = material.lam, material.mu
     idx = shapes.support.indices
-    n = shapes.n_support
+    n = shapes.support.n
 
     interior = np.nonzero(nodes.interior_mask)[0]
     essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]

@@ -31,10 +31,6 @@ class SupportSet:
     def n(self) -> int:
         return self.indices.shape[1]
 
-    @property
-    def p_min(self) -> np.ndarray:
-        return self.distances[:, 1]
-
 
 def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the n nearest points, ties by index.

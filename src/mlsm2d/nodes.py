@@ -151,14 +151,6 @@ class NodeSet:
     def interior_mask(self) -> np.ndarray:
         return self.kinds == INTERIOR
 
-    @property
-    def n_boundary(self) -> int:
-        return int(np.count_nonzero(self.boundary_mask))
-
-    @property
-    def n_interior(self) -> int:
-        return int(np.count_nonzero(self.interior_mask))
-
     def replace(self, **kwargs) -> "NodeSet":
         return replace(self, **kwargs)
 

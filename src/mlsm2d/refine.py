@@ -124,12 +124,7 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     neighbor_lists = cand_tree.query_ball_point(final[order], r=radius[order])
     accepted = np.zeros(order.size, dtype=bool)
     for local, nbrs in enumerate(neighbor_lists):
-        ok = True
-        for other in nbrs:
-            if other != local and accepted[other] and other < local:
-                ok = False
-                break
-        accepted[local] = ok
+        accepted[local] = not any(accepted[other] for other in nbrs if other < local)
     new = order[accepted]
     if new.size == 0:
         return nodes

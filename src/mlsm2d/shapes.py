@@ -27,9 +27,11 @@ therefore truncates and proceeds, and each operator row is flagged as
 ambiguous when its operator image has a component in the truncated null
 space. Consumers reject ambiguous rows they actually need.
 
-One batched kernel computes every stencil: build_shape_set runs it over a
-whole cloud, compute_shapes over a single support (optionally evaluated
-off center).
+One batched kernel computes every stencil in local units; a row depends
+only on q and on u = |p - p0| / (sigma_w * p_min). build_shape_set runs it
+once per bit-distinct (q, u) key of the cloud and scatters the rows back,
+so every row equals a per-node solve. compute_shapes runs it on a single
+support (optionally evaluated off center).
 """
 from __future__ import annotations
 
@@ -96,18 +98,6 @@ class BasisSpec:
         return 9
 
 
-def weight(p: np.ndarray, p0: np.ndarray, p_min: float, sigma: float) -> float:
-    """Gaussian weight of support node p relative to center p0."""
-    if p_min <= 0:
-        raise ValueError(f"p_min must be positive, got {p_min}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    p = np.asarray(p, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    r = np.hypot(*(p - p0)) / (sigma * p_min)
-    return float(np.exp(-r * r))
-
-
 def _monomial_rows(q: np.ndarray, op: str) -> np.ndarray:
     """Basis-function images under op, evaluated at local points q.
 
@@ -166,24 +156,20 @@ def _basis_rows(q: np.ndarray, centers: np.ndarray, basis: BasisSpec, op: str) -
 
 def _stencils(
     q: np.ndarray,
-    dist: np.ndarray,
-    p_min: np.ndarray,
+    u: np.ndarray,
     qe: np.ndarray,
     basis: BasisSpec,
-    weight_spec: WeightSpec,
     ops: tuple[str, ...],
 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
-    """Stencil rows of N supports in one batched SVD pass.
+    """Stencil rows of N supports in local units, in one batched SVD pass.
 
-    q is (N, n, 2), the support points in local coordinates; dist (N, n)
-    their physical distances from the center, p_min (N,) the local unit and
-    qe (N, 2) the local evaluation point of each row. Returns the rows,
-    ranks and ambiguity masks laid out as ShapeSet holds them.
+    q is (N, n, 2), the support points in local coordinates; u (N, n) their
+    distances from the center in units of sigma_w * p_min, and qe (N, 2) the
+    local evaluation point of each row. Dividing a row by p_min**order of
+    its operator gives the physical row. Returns the rows, ranks and
+    ambiguity masks laid out as ShapeSet holds them.
     """
-    for op in ops:
-        if op not in _OP_ORDER:
-            raise ValueError(f"unknown operator {op!r}")
-    N, n = dist.shape
+    N, n = u.shape
     m = basis.m
     if n < m:
         raise ValueError(f"support size {n} is below basis size {m}")
@@ -195,7 +181,6 @@ def _stencils(
         A = B
         w_sqrt = None
     else:
-        u = dist / (weight_spec.sigma * p_min[:, None])
         w_sqrt = np.exp(-0.5 * u * u)
         A = w_sqrt[..., None] * B
 
@@ -211,9 +196,7 @@ def _stencils(
     for op in ops:
         lb = _basis_rows(qe[:, None, :], centers, basis, op)[:, 0, :]
         row = (lb[:, None, :] @ pinv)[:, 0, :]
-        if w_sqrt is not None:
-            row = row * w_sqrt
-        rows[op] = row / p_min[:, None] ** _OP_ORDER[op]
+        rows[op] = row if w_sqrt is None else row * w_sqrt
         mask = np.zeros(N, dtype=bool)
         for i in deficient:
             null = Vt[i, ranks[i]:]
@@ -251,15 +234,14 @@ def compute_shapes(
         raise IllConditionedStencilError("degenerate support")
 
     qe = np.zeros(2) if eval_point is None else (np.asarray(eval_point, dtype=float) - center) / p_min
-    rows, ranks, ambiguous = _stencils(
-        (diff / p_min)[None], d[None], np.array([p_min]), qe[None], basis, weight_spec, ops
-    )
+    u = d / (weight_spec.sigma * p_min)
+    rows, ranks, ambiguous = _stencils((diff / p_min)[None], u[None], qe[None], basis, ops)
     for op in ops:
         if ambiguous[op][0]:
             raise IllConditionedStencilError(
                 f"rank-{int(ranks[0])} support does not determine the {op} stencil"
             )
-    return {op: row[0] for op, row in rows.items()}
+    return {op: row[0] / p_min ** _OP_ORDER[op] for op, row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -275,22 +257,14 @@ class ShapeSet:
 
     support: SupportSet
     rows: dict[str, np.ndarray]  # op -> (N, n)
-    p_min: np.ndarray  # (N,)
     basis: BasisSpec
-    weight: WeightSpec
     ranks: np.ndarray  # (N,)
     ambiguous: dict[str, np.ndarray]  # op -> (N,) bool
+    n_keys: int  # distinct (q, u) keys, i.e. supports the kernel solved
 
     @property
     def n_nodes(self) -> int:
         return self.support.indices.shape[0]
-
-    @property
-    def n_support(self) -> int:
-        return self.support.n
-
-    def row(self, i: int, op: str) -> np.ndarray:
-        return self.rows[op][i]
 
     def require(self, op: str, node_indices: np.ndarray | None = None) -> None:
         """Raise unless op stencils are well determined at the given nodes.
@@ -317,17 +291,6 @@ class ShapeSet:
         values = np.asarray(values)
         return np.einsum("ij,ij->i", self.rows[op], values[self.support.indices])
 
-    def to_csv(self, path) -> None:
-        """Debug dump: one line per node and operator with the stencil row."""
-        idx = self.support.indices
-        with open(path, "w") as fh:
-            fh.write("node,op,neighbors,coefficients\n")
-            for i in range(self.n_nodes):
-                nbrs = " ".join(str(j) for j in idx[i])
-                for op in self.rows:
-                    coef = " ".join(f"{v:.17g}" for v in self.rows[op][i])
-                    fh.write(f"{i},{op},{nbrs},{coef}\n")
-
 
 def build_shape_set(
     nodes: NodeSet,
@@ -336,7 +299,11 @@ def build_shape_set(
     weight_spec: WeightSpec = WeightSpec(),
     ops: tuple[str, ...] = OPS,
 ) -> ShapeSet:
-    """Stencils for all nodes in one batched SVD pass.
+    """Stencils for all nodes, one batched SVD row per distinct local geometry.
+
+    The kernel runs on the first node of each distinct (q, u) key; its rows,
+    ranks and masks are scattered to every node of the key and the rows
+    divided by p_min**order per node.
 
     Unlike compute_shapes this never raises on rank-deficient supports; it
     fills the ambiguity masks and leaves enforcement to ShapeSet.require,
@@ -350,6 +317,15 @@ def build_shape_set(
         raise IllConditionedStencilError("degenerate support", node=int(np.argmin(p_min)))
 
     q = (nodes.positions[idx] - nodes.positions[:, None, :]) / p_min[:, None, None]
-    qe = np.zeros((idx.shape[0], 2))
-    rows, ranks, ambiguous = _stencils(q, dist, p_min, qe, basis, weight_spec, ops)
-    return ShapeSet(supports, rows, p_min, basis, weight_spec, ranks, ambiguous)
+    u = dist / (weight_spec.sigma * p_min[:, None])
+    # Bytes, not float equality: -0.0 and 0.0 must stay distinct keys.
+    key = np.concatenate([q.reshape(len(q), -1), u], axis=1)
+    _, first, inv = np.unique(
+        key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    rows, ranks, ambiguous = _stencils(q[first], u[first], np.zeros((first.size, 2)), basis, ops)
+    rows = {op: row[inv] / p_min[:, None] ** _OP_ORDER[op] for op, row in rows.items()}
+    ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
+    return ShapeSet(supports, rows, basis, ranks[inv], ambiguous, int(first.size))

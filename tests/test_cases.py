@@ -383,13 +383,6 @@ class TestCaseTimings:
         assert sum(report.phases.values()) <= report.total
         assert sum(report.phases.values()) >= 0.9 * report.total
 
-    def test_large_run_is_dominated_by_shapes_and_solving(self):
-        # the linear-solve phase includes its preconditioner setup
-        result = cantilever_case(n_target=20_000)
-        ph = result.timings.phases
-        core = ph["shapes"] + ph["preconditioner"] + ph["solve"]
-        assert core >= 0.8 * result.timings.total
-
     def test_tiny_run_report_is_well_formed(self):
         result = cantilever_case(spacing=2.5)
         report = result.timings

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from mlsm2d.cases import hertz
-from mlsm2d.cli import main
+from mlsm2d.cli import CASES, RunConfig, main
 from mlsm2d.solve import SolverConfig
 
 
@@ -62,6 +62,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "capped at 10, got 11" in err
         assert "sigma-w" in err
+
+    def test_grid_flags_on_drilled_beam_are_rejected(self, tmp_path, capsys):
+        rc = run_cli(["--case", "drilled-beam", "--nx", 10, "--perturb-sigma", 0.3, "--out", tmp_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--nx is ignored by case drilled-beam" in err
+        assert "--perturb-sigma is ignored by case drilled-beam" in err
+
+    def test_perturb_sigma_on_hertz_is_rejected(self, tmp_path, capsys):
+        assert run_cli(["--case", "hertz", "--perturb-sigma", 0.1, "--out", tmp_path]) == 2
+        assert "--perturb-sigma is ignored by case hertz" in capsys.readouterr().err
+
+    def test_refine_levels_on_cantilever_is_rejected(self, tmp_path, capsys):
+        assert run_cli(["--case", "cantilever", "--refine-levels", 2, "--out", tmp_path]) == 2
+        assert "--refine-levels is ignored by case cantilever" in capsys.readouterr().err
+
+    def test_refine_levels_next_to_a_refine_sweep_is_rejected(self, tmp_path, capsys):
+        rc = run_cli(
+            ["--case", "hertz", "--refine-levels", 4, "--sweep-refine", "2,3", "--out", tmp_path]
+        )
+        assert rc == 2
+        assert "--refine-levels is ignored next to --sweep-refine" in capsys.readouterr().err
+
+    def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
+        assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
+        assert "--nx is ignored next to --spacing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_seed_is_accepted_by_every_case(self, case):
+        assert RunConfig(case=case, seed=3).validate() == []
 
     def test_threads_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -150,7 +150,7 @@ def test_support_set_shape_and_self_first():
     assert np.array_equal(sup.indices[:, 0], np.arange(nodes.n))
     assert np.all(sup.distances[:, 0] == 0.0)
     assert np.all(np.diff(sup.distances, axis=1) >= 0)
-    assert np.allclose(sup.p_min, sup.distances[:, 1])
+    assert np.allclose(sup.distances[:, 1], 0.25)  # p_min is the grid spacing
 
 
 def test_support_larger_than_cloud_rejected():

@@ -68,8 +68,8 @@ class TestRectangleGrid:
     def test_three_by_three(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
         assert nodes.n == 9
-        assert nodes.n_boundary == 8
-        assert nodes.n_interior == 1
+        assert np.count_nonzero(nodes.boundary_mask) == 8
+        assert np.count_nonzero(nodes.interior_mask) == 1
 
     def test_spacing_snaps_to_side_divisor(self):
         nodes = build_rectangle_grid(Rect(0.0, 1.0, 0.0, 0.5), 0.3)

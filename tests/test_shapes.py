@@ -6,7 +6,8 @@ analytic derivatives of polynomial data on arbitrary supports, and the
 invariances (translation, uniform scaling, weight choice at n = m) that the
 construction must respect. Rank-deficient supports exercise the ambiguity
 bookkeeping: operators whose stencil survives the deficiency keep working,
-the rest raise.
+the rest raise. build_shape_set solves once per distinct local geometry;
+its rows, ranks and masks must equal a per-node solve bit for bit.
 """
 
 import numpy as np
@@ -14,23 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsm2d.cases.beam import perturb_nodes
-from mlsm2d.neighbors import build_supports
-from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.cases.beam import BeamParams, grid_spacing_for, perturb_nodes
+from mlsm2d.neighbors import SupportSet, build_supports
+from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
+from mlsm2d.relax import RelaxConfig, relax
 from mlsm2d.shapes import (
     OPS,
     BasisSpec,
     IllConditionedStencilError,
     ShapeSet,
     WeightSpec,
+    _stencils,
     build_shape_set,
     compute_shapes,
-    weight,
 )
 
 M9 = BasisSpec("monomial-9")
 G9 = BasisSpec("gaussian-9")
+ORDERS = {"val": 0, "dx": 1, "dy": 1, "dxx": 2, "dxy": 2, "dyy": 2}
 
 
 def grid_support(h=1.0):
@@ -173,8 +176,7 @@ class TestInvariances:
         s = 0.01
         a = compute_shapes(pos, pos[0], M9, WeightSpec())
         b = compute_shapes(pos * s, pos[0] * s, M9, WeightSpec())
-        orders = {"val": 0, "dx": 1, "dy": 1, "dxx": 2, "dxy": 2, "dyy": 2}
-        for op, k in orders.items():
+        for op, k in ORDERS.items():
             np.testing.assert_allclose(b[op] * s**k, a[op], rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("basis", [M9, G9], ids=["m9", "g9"])
@@ -213,10 +215,21 @@ class TestGaussianBasis:
 
 class TestWeightFunction:
     def test_gaussian_profile(self):
-        p0 = np.array([0.0, 0.0])
-        assert weight(p0, p0, 1.0, 1.0) == pytest.approx(1.0)
-        assert weight(np.array([1.0, 0.0]), p0, 1.0, 1.0) == pytest.approx(np.exp(-1.0))
-        assert weight(np.array([2.0, 0.0]), p0, 2.0, 1.0) == pytest.approx(np.exp(-1.0))
+        # rows are the weighted least-squares fit with the documented weight
+        # w = exp(-(|p - p0| / (sigma * p_min))^2) on the squared residuals
+        rng = np.random.default_rng(8)
+        pos = scattered_support(13, rng)
+        x, y = pos[:, 0], pos[:, 1]
+        r = np.hypot(x, y)
+        B = np.column_stack([np.ones_like(x), x, y, x * x, y * y, x * y, x * x * y, x * y * y, x * x * y * y])
+        for sigma_w in (0.5, 1.0, 2.0):
+            w = np.exp(-((r / (sigma_w * r[1:].min())) ** 2))
+            # monomial coefficients as linear maps of the nodal values
+            fit = np.linalg.lstsq(np.sqrt(w)[:, None] * B, np.diag(np.sqrt(w)), rcond=None)[0]
+            rows = compute_shapes(pos, pos[0], M9, WeightSpec(sigma=sigma_w))
+            np.testing.assert_allclose(rows["val"], fit[0], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rows["dx"], fit[1], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(rows["dxy"], fit[5], rtol=0, atol=1e-10)
 
 
 class TestRankDeficiency:
@@ -280,18 +293,12 @@ class TestShapeSet:
         nodes, shapes = self.build()
         f = np.sin(nodes.positions[:, 0])
         i = nodes.n // 2
-        row = shapes.row(i, "dx")
+        row = shapes.rows["dx"][i]
         assert row @ f[shapes.support.indices[i]] == pytest.approx(shapes.apply("dx", f)[i])
 
     def test_full_rank_on_interior_of_uniform_grid(self):
         nodes, shapes = self.build()
         assert np.all(shapes.ranks[nodes.interior_mask] == 9)
-
-    def test_csv_export(self, tmp_path):
-        _, shapes = self.build()
-        path = tmp_path / "shapes.csv"
-        shapes.to_csv(path)
-        assert path.read_text().startswith("node,op")
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -333,3 +340,83 @@ def test_single_support_rows_equal_batched_rows(cloud, basis):
         for op in set(OPS) - set(determined):
             with pytest.raises(IllConditionedStencilError):
                 compute_shapes(pos, nodes.positions[i], basis, WeightSpec(), ops=(op,))
+
+
+def exact_grid():
+    return build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), 9
+
+
+def relaxed_drilled_cloud():
+    base = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
+    return relax(refine_levels(base, [RefineRegion(Rect(1.2, 2.8, 0.2, 1.8), 1)])), 15
+
+
+def per_node_shapes(nodes, supports, basis, weight_spec):
+    """build_shape_set without deduplication: the kernel on every node."""
+    dist = supports.distances
+    p_min = dist[:, 1]
+    q = (nodes.positions[supports.indices] - nodes.positions[:, None, :]) / p_min[:, None, None]
+    u = dist / (weight_spec.sigma * p_min[:, None])
+    rows, ranks, ambiguous = _stencils(q, u, np.zeros((nodes.n, 2)), basis, OPS)
+    return {op: row / p_min[:, None] ** ORDERS[op] for op, row in rows.items()}, ranks, ambiguous
+
+
+def assert_bit_identical(shapes, reference):
+    rows, ranks, ambiguous = reference
+    assert np.array_equal(shapes.ranks, ranks)
+    for op in OPS:
+        assert np.array_equal(shapes.rows[op], rows[op]), op
+        assert np.array_equal(shapes.ambiguous[op], ambiguous[op]), op
+
+
+class TestDeduplication:
+    """One solve per distinct (q, u) key gives exactly the per-node rows."""
+
+    @pytest.mark.parametrize("sigma_w", [1.0, 0.5])
+    @pytest.mark.parametrize("basis", [M9, G9], ids=["m9", "g9"])
+    @pytest.mark.parametrize("cloud", [exact_grid, perturbed_cloud, refined_cloud, relaxed_drilled_cloud])
+    def test_rows_ranks_and_masks_equal_a_per_node_solve(self, cloud, basis, sigma_w):
+        nodes, n = cloud()
+        supports = build_supports(nodes, n)
+        shapes = build_shape_set(nodes, supports, basis, WeightSpec(sigma_w))
+        assert_bit_identical(shapes, per_node_shapes(nodes, supports, basis, WeightSpec(sigma_w)))
+
+    def test_weight_arguments_are_part_of_the_key(self):
+        # two nodes of the grid interior share their local points q; giving
+        # one of them a far support distance of its own must give it its
+        # own weights, hence its own solve
+        nodes = build_rectangle_grid(Rect(0, 4, 0, 4), 0.25)
+        supports = build_supports(nodes, 13)
+        twin = build_shape_set(nodes, supports)
+        i = int(np.argmin(np.hypot(*(nodes.positions - 2.0).T)))
+        distances = supports.distances.copy()
+        distances[i, -1] *= 1.5
+        moved = SupportSet(supports.indices, distances)
+        shapes = build_shape_set(nodes, moved)
+        assert shapes.n_keys == twin.n_keys + 1
+        assert not np.array_equal(shapes.rows["dxx"][i], twin.rows["dxx"][i])
+        assert_bit_identical(shapes, per_node_shapes(nodes, moved, M9, WeightSpec()))
+
+    def test_require_names_the_node_and_its_support(self):
+        # the scattered masks are per node: the first ambiguous dxy row of
+        # this grid is edge node 1 with its 9-support
+        nodes = build_rectangle_grid(Rect(0, 4, 0, 2), 0.5)
+        shapes = build_shape_set(nodes, build_supports(nodes, 9))
+        assert shapes.n_keys < nodes.n
+        with pytest.raises(IllConditionedStencilError, match="at node 1$") as info:
+            shapes.require("dxy")
+        assert info.value.node == 1
+        assert info.value.support.tolist() == [1, 0, 2, 6, 5, 7, 3, 11, 8]
+        assert np.flatnonzero(shapes.ambiguous["dxy"]).tolist() == [
+            1, 2, 3, 5, 9, 10, 14, 15, 19, 20, 24, 25, 29, 30, 34, 35, 39, 41, 42, 43
+        ]
+
+    def test_large_grid_solves_few_distinct_stencils(self):
+        # the 20k cantilever grid repeats 245 local geometries; a 0.1
+        # perturbation makes every support distinct
+        params = BeamParams()
+        nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, 20_000))
+        assert nodes.n == 20_473
+        assert build_shape_set(nodes, build_supports(nodes, 9)).n_keys == 245
+        perturbed = perturb_nodes(nodes, 0.1, seed=0)
+        assert build_shape_set(perturbed, build_supports(perturbed, 9)).n_keys == perturbed.n
