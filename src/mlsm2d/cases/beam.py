@@ -97,11 +97,9 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
     t1 = sxx * n1 + sxy * n2
     t2 = sxy * n1 + syy * n2
 
-    for k, i in enumerate(bnd):
-        if all_essential or on_right[k]:
-            bcs.set_essential(i, (u_ref[k], v_ref[k]))
-        else:
-            bcs.set_traction(i, (t1[k], t2[k]))
+    essential = on_right | all_essential
+    bcs.set_essential(bnd[essential], np.column_stack([u_ref, v_ref])[essential])
+    bcs.set_traction(bnd[~essential], np.column_stack([t1, t2])[~essential])
     return bcs
 
 

@@ -4,7 +4,8 @@ No closed-form solution exists; the case reports the tip deflection for
 comparison against the solid-beam reference and the location of the von
 Mises maximum, which should sit on a hole boundary where the stress
 concentrates. Node positioning (optional refinement around the holes plus
-relaxation) exercises the irregular-cloud pipeline end to end.
+relaxation) exercises the irregular-cloud pipeline end to end; it is
+`hole_refined_cloud`, which the CLI's refine-demo also runs.
 """
 from __future__ import annotations
 
@@ -46,23 +47,57 @@ def drilled_bcs(nodes: NodeSet, params: DrilledBeamParams) -> BoundaryConditions
     rect = nodes.domain.rect
     bnd = np.nonzero(nodes.boundary_mask)[0]
     x = nodes.positions[bnd, 0]
-    t_left = -params.load / params.height
-    for k, i in enumerate(bnd):
-        if x[k] == rect.x_hi:
-            bcs.set_essential(i, (0.0, 0.0))
-        elif x[k] == rect.x_lo:
-            bcs.set_traction(i, (0.0, t_left))
-        else:
-            bcs.set_traction(i, (0.0, 0.0))
+    clamped = x == rect.x_hi
+    traction = np.zeros((bnd.size, 2))
+    traction[x == rect.x_lo, 1] = -params.load / params.height
+    bcs.set_essential(bnd[clamped], (0.0, 0.0))
+    bcs.set_traction(bnd[~clamped], traction[~clamped])
     return bcs
 
 
-def _snap_to_rect(box: Rect, rect: Rect, margin: float) -> Rect:
-    x_lo = rect.x_lo if box.x_lo - rect.x_lo < margin else box.x_lo
-    x_hi = rect.x_hi if rect.x_hi - box.x_hi < margin else box.x_hi
-    y_lo = rect.y_lo if box.y_lo - rect.y_lo < margin else box.y_lo
-    y_hi = rect.y_hi if rect.y_hi - box.y_hi < margin else box.y_hi
-    return Rect(x_lo, x_hi, y_lo, y_hi)
+def _hole_box(hole: Circle, rect: Rect, margin: float) -> Rect:
+    """The square of half-side 1.6 radii around a hole, snapped to rect.
+
+    A region edge running parallel to a nearby outer boundary leaves the
+    coarse boundary row starved next to refined interior nodes, so each
+    side that comes within margin of the rectangle is extended to it.
+    """
+    span = 1.6 * hole.radius
+    x_lo, x_hi, y_lo, y_hi = hole.cx - span, hole.cx + span, hole.cy - span, hole.cy + span
+    return Rect(
+        rect.x_lo if x_lo - rect.x_lo < margin else x_lo,
+        rect.x_hi if rect.x_hi - x_hi < margin else x_hi,
+        rect.y_lo if y_lo - rect.y_lo < margin else y_lo,
+        rect.y_hi if rect.y_hi - y_hi < margin else y_hi,
+    )
+
+
+def hole_refined_cloud(
+    timer: PhaseTimer,
+    rect: Rect,
+    holes: tuple[Circle, ...],
+    spacing: float,
+    refine_level: int,
+    refine_config: RefineConfig = RefineConfig(),
+    relax_config: RelaxConfig | None = RelaxConfig(),
+) -> NodeSet:
+    """Node positioning on a drilled rectangle: domain, hole refinement, relaxation.
+
+    The box of each hole (`_hole_box`, two spacings of margin) is refined
+    refine_level times (none at 0), then the cloud is relaxed unless
+    relax_config is None. The steps are timed as the domain, refinement
+    and relaxation phases of timer.
+    """
+    with timer.phase("domain"):
+        nodes = build_drilled_domain(rect, holes, spacing)
+    if refine_level > 0:
+        with timer.phase("refinement"):
+            regions = [RefineRegion(_hole_box(h, rect, 2.0 * spacing), refine_level) for h in holes]
+            nodes = refine_levels(nodes, regions, refine_config)
+    if relax_config is not None:
+        with timer.phase("relaxation"):
+            nodes = relax(nodes, relax_config)
+    return nodes
 
 
 def drilled_cantilever_case(
@@ -90,34 +125,9 @@ def drilled_cantilever_case(
     allows in double precision).
     """
     timer = PhaseTimer()
-    with timer.phase("domain"):
-        nodes = build_drilled_domain(params.rect, params.holes, spacing)
-    if refine_level > 0:
-        with timer.phase("refinement"):
-            # A region edge running parallel to a nearby outer boundary leaves
-            # the coarse boundary row starved next to refined interior nodes,
-            # so boxes that come within two spacings of the rectangle are
-            # extended to include it.
-            regions = [
-                RefineRegion(
-                    _snap_to_rect(
-                        Rect(
-                            h.cx - 1.6 * h.radius,
-                            h.cx + 1.6 * h.radius,
-                            h.cy - 1.6 * h.radius,
-                            h.cy + 1.6 * h.radius,
-                        ),
-                        params.rect,
-                        2.0 * spacing,
-                    ),
-                    refine_level,
-                )
-                for h in params.holes
-            ]
-            nodes = refine_levels(nodes, regions, refine_config)
-    if relax_config is not None:
-        with timer.phase("relaxation"):
-            nodes = relax(nodes, relax_config)
+    nodes = hole_refined_cloud(
+        timer, params.rect, params.holes, spacing, refine_level, refine_config, relax_config
+    )
 
     def measure(nodes, u, v, stress):
         tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))

@@ -149,18 +149,20 @@ def refinement_schedule(
 
 
 def hertz_bcs(nodes, pressure_fn) -> BoundaryConditions:
-    """Pressure traction on the top edge, zero displacement elsewhere."""
+    """Pressure traction on the top edge, zero displacement elsewhere.
+
+    pressure_fn maps an array of top-edge x coordinates to their pressures.
+    """
     bcs = BoundaryConditions.empty(nodes.n)
     rect = nodes.domain.rect
     bnd = np.nonzero(nodes.boundary_mask)[0]
     x = nodes.positions[bnd, 0]
     y = nodes.positions[bnd, 1]
     on_top = (y == rect.y_hi) & (x > rect.x_lo) & (x < rect.x_hi)
-    for k, i in enumerate(bnd):
-        if on_top[k]:
-            bcs.set_traction(i, (0.0, -float(pressure_fn(x[k]))))
-        else:
-            bcs.set_essential(i, (0.0, 0.0))
+    traction = np.zeros((on_top.sum(), 2))
+    traction[:, 1] = -pressure_fn(x[on_top])
+    bcs.set_traction(bnd[on_top], traction)
+    bcs.set_essential(bnd[~on_top], (0.0, 0.0))
     return bcs
 
 

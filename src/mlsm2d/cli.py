@@ -2,10 +2,11 @@
 
 Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
-directory. Configuration comes from flags, optionally layered on top of a
-JSON config file (flags win). A case receives only the values the user
-set; every other default is the case function's own. A flag the selected
-case ignores, or one that another flag or a sweep overrides, is a
+directory. The argument parser is the one list of options: a JSON config
+file may set any of them under the flag's name with a value typed like the
+flag, and flags win over file values. A case receives only the values the
+user set; every other default is the case function's own. A flag the
+selected case ignores, or one that another flag or a sweep overrides, is a
 configuration error. Exit codes: 0 success, 2 configuration error, 3
 numerical failure.
 """
@@ -16,14 +17,13 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import io
 from .cases import beam, drilled, hertz
-from .nodes import Circle, Rect, build_drilled_domain
-from .refine import RefineRegion, refine_levels
-from .relax import RelaxConfig, relax
+from .nodes import Circle, Rect
+from .relax import RelaxConfig
 from .shapes import IllConditionedStencilError
 from .solve import NonConvergenceError
 from .timing import PhaseTimer
@@ -38,8 +38,12 @@ OUT_ENV = "MLSM2D_OUT"
 CLI_DEFAULTS = {
     "cantilever": {"nx": 60},
     "cantilever-perturbed": {"nx": 60, "perturb_sigma": 0.1, "n": 13},
-    "refine-demo": {"spacing": 0.5, "refine_levels": 4, "relax_iterations": 20},
+    "refine-demo": {"spacing": 0.5, "refine_levels": 4},
 }
+
+# The refine-demo domain: a square with one hole in the middle.
+DEMO_RECT = Rect(0.0, 10.0, 0.0, 10.0)
+DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
 
 # Flags each case reads besides --case, --out and --seed.
 _SOLVE_FLAGS = (
@@ -76,101 +80,59 @@ def _is_set(value) -> bool:
     return value is not None and value is not False and value != []
 
 
-@dataclass
-class RunConfig:
-    case: str | None = None
-    out: str | None = None
-    seed: int | None = None
-
-    nx: int | None = None
-    spacing: float | None = None
-    n_target: int | None = None
-
-    basis: str | None = None
-    sigma_b: float | None = None
-    n: int | None = None
-    sigma_w: float | None = None
-
-    solver: str | None = None
-    tol: float | None = None
-    max_iter: int | None = None
-    fill_factor: float | None = None
-    drop_tol: float | None = None
-
-    refine_levels: int | None = None
-    secondary_levels: int | None = None
-    relax_iterations: int | None = None
-    perturb_sigma: float | None = None
-    hertz_h: float | None = None
-
-    sweep_n: list[int] = field(default_factory=list)
-    sweep_sigma: list[float] = field(default_factory=list)
-    sweep_refine: list[int] = field(default_factory=list)
-
-    vtk: bool = False
-    dump_matrix: bool = False
-
-    def validate(self) -> list[str]:
-        """Collect every configuration problem instead of stopping at the first."""
-        problems = []
-        if self.case is None:
-            problems.append("no case selected (--case or config file 'case')")
-        elif self.case not in CASES:
-            problems.append(f"unknown case {self.case!r}; choose from {', '.join(CASES)}")
-        if self.basis is not None and self.basis not in BASES:
-            problems.append(f"unknown basis {self.basis!r}; choose from {', '.join(BASES)}")
-        if self.solver is not None and self.solver not in SOLVERS:
-            problems.append(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
-        if self.n is not None and self.n < 9:
-            problems.append(f"support size n must be at least the basis size 9, got {self.n}")
-        if self.tol is not None and not 0.0 < self.tol < 1.0:
-            problems.append(f"tol must be in (0, 1), got {self.tol}")
-        for name in _POSITIVE:
-            if (value := getattr(self, name)) is not None and value <= 0:
-                problems.append(f"{_dashed(name)} must be positive, got {value}")
-        for name in _NONNEGATIVE:
-            if (value := getattr(self, name)) is not None and value < 0:
-                problems.append(f"{_dashed(name)} must be nonnegative, got {value}")
-        for name, bound in _AT_LEAST.items():
-            if (value := getattr(self, name)) is not None and value < bound:
-                problems.append(f"{_dashed(name)} must be at least {bound}, got {value}")
-        if self.case == "hertz":
-            n_primary, n_secondary = len(hertz.PRIMARY_FACTORS), len(hertz.SECONDARY_FACTORS)
-            for lv in [self.refine_levels] + list(self.sweep_refine):
-                if lv is not None and lv > n_primary:
-                    problems.append(f"refine-levels for hertz capped at {n_primary}, got {lv}")
-            if self.secondary_levels is not None and not 0 <= self.secondary_levels <= n_secondary:
-                problems.append(
-                    f"secondary-levels must be in [0, {n_secondary}], got {self.secondary_levels}"
-                )
-        if any(n < 4 for n in self.sweep_n):
-            problems.append("sweep-n entries must be at least 4")
-        if any(s < 0 for s in self.sweep_sigma):
-            problems.append("sweep-sigma entries must be nonnegative")
-        if any(lv < 0 for lv in self.sweep_refine):
-            problems.append("sweep-refine entries must be nonnegative")
-        if self.case in CASE_FLAGS:
-            taken = CASE_FLAGS[self.case]
-            given = [f.name for f in dataclass_fields(self) if _is_set(getattr(self, f.name))]
-            problems += [
-                f"--{_dashed(name)} is ignored by case {self.case}"
-                for name in given
-                if name not in ("case", "out", "seed") + taken
-            ]
-            problems += [
-                f"--{_dashed(name)} is ignored next to --{_dashed(flag)}"
-                for flag, overridden in OVERRIDES.items()
-                if flag in given and flag in taken
-                for name in overridden
-                if name in given
-            ]
-        return problems
-
-    @property
-    def outdir(self) -> Path:
-        if self.out is not None:
-            return Path(self.out)
-        return Path(os.environ.get(OUT_ENV, "mlsm2d-out"))
+def validate(config: argparse.Namespace) -> list[str]:
+    """Collect every configuration problem instead of stopping at the first."""
+    problems = []
+    if config.case is None:
+        problems.append("no case selected (--case or config file 'case')")
+    # argparse checks the choices of flags; these checks catch file values.
+    for name, choices in (("case", CASES), ("basis", BASES), ("solver", SOLVERS)):
+        if (value := getattr(config, name)) is not None and value not in choices:
+            problems.append(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
+    if config.n is not None and config.n < 9:
+        problems.append(f"support size n must be at least the basis size 9, got {config.n}")
+    if config.tol is not None and not 0.0 < config.tol < 1.0:
+        problems.append(f"tol must be in (0, 1), got {config.tol}")
+    for name in _POSITIVE:
+        if (value := getattr(config, name)) is not None and value <= 0:
+            problems.append(f"{_dashed(name)} must be positive, got {value}")
+    for name in _NONNEGATIVE:
+        if (value := getattr(config, name)) is not None and value < 0:
+            problems.append(f"{_dashed(name)} must be nonnegative, got {value}")
+    for name, bound in _AT_LEAST.items():
+        if (value := getattr(config, name)) is not None and value < bound:
+            problems.append(f"{_dashed(name)} must be at least {bound}, got {value}")
+    if config.case == "hertz":
+        n_primary, n_secondary = len(hertz.PRIMARY_FACTORS), len(hertz.SECONDARY_FACTORS)
+        for lv in [config.refine_levels] + list(config.sweep_refine or ()):
+            if lv is not None and lv > n_primary:
+                problems.append(f"refine-levels for hertz capped at {n_primary}, got {lv}")
+        if config.secondary_levels is not None and not 0 <= config.secondary_levels <= n_secondary:
+            problems.append(
+                f"secondary-levels must be in [0, {n_secondary}], got {config.secondary_levels}"
+            )
+    if any(n < 4 for n in config.sweep_n or ()):
+        problems.append("sweep-n entries must be at least 4")
+    if any(s < 0 for s in config.sweep_sigma or ()):
+        problems.append("sweep-sigma entries must be nonnegative")
+    if any(lv < 0 for lv in config.sweep_refine or ()):
+        problems.append("sweep-refine entries must be nonnegative")
+    if config.case in CASE_FLAGS:
+        taken = CASE_FLAGS[config.case]
+        given = [name for name, value in vars(config).items() if _is_set(value)]
+        problems += [
+            f"--{_dashed(name)} is ignored by case {config.case}"
+            for name in given
+            if name not in ("config", "case", "out", "seed") + taken
+        ]
+        problems += [
+            f"--{_dashed(name)} is ignored next to --{_dashed(flag)}"
+            for flag, overridden in OVERRIDES.items()
+            if flag in given and flag in taken
+            for name in overridden
+            if name in given
+        ]
+    return problems
 
 
 def _int_list(text: str) -> list[int]:
@@ -215,32 +177,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config is not None:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        known = {f.name for f in dataclass_fields(RunConfig)}
-        unknown = set(file_values) - known
-        if unknown:
-            raise ValueError(f"unknown config file keys: {', '.join(sorted(unknown))}")
-        values.update(file_values)
-    for f in dataclass_fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    return RunConfig(**values)
+def _read_config_file(parser: argparse.ArgumentParser, config: argparse.Namespace) -> list[str]:
+    """Fill the options that no flag set from the config file; list its problems.
+
+    A file value is typed like its flag: written as flag text (a list joined
+    by commas) it must come back unchanged from the flag's own type.
+    """
+    with open(config.config) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        return [f"config file must hold a JSON object, got {type(values).__name__}"]
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(values) - set(actions))
+    problems = [f"unknown config file keys: {', '.join(unknown)}"] if unknown else []
+    for key, value in values.items():
+        if key in unknown or value is None:  # null leaves the option unset
+            continue
+        action = actions[key]
+        if action.nargs == 0:  # an on/off flag
+            parsed = value if isinstance(value, bool) else None
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            try:
+                parsed = (action.type or str)(text)
+            except ValueError:
+                parsed = None
+        if parsed is None or parsed != value:
+            problems.append(f"config file key {key!r} must be typed like --{_dashed(key)}, got {value!r}")
+        elif getattr(config, key) is None:
+            setattr(config, key, parsed)
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    config = parser.parse_args(argv)
     try:
-        config = build_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        problems = [] if config.config is None else _read_config_file(parser, config)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    problems = config.validate()
+    problems += validate(config)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
@@ -268,14 +246,21 @@ def _merged(default, **values):
     return replace(default, **values) if values else None
 
 
-def run(config: RunConfig) -> None:
-    """Execute the configured case; artifacts land in config.outdir."""
+def run(config: argparse.Namespace) -> None:
+    """Execute the configured case; artifacts land in the output directory."""
     defaults = CLI_DEFAULTS.get(config.case, {})
-    config = replace(config, **{k: v for k, v in defaults.items() if getattr(config, k) is None})
-    outdir = config.outdir
+    config = argparse.Namespace(**{k: defaults.get(k) if v is None else v for k, v in vars(config).items()})
+    outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
     outdir.mkdir(parents=True, exist_ok=True)
+    # Inputs of the drilled beam's node positioning, which refine-demo runs alone.
+    positioning = _user_values(spacing=config.spacing, refine_level=config.refine_levels)
+    if (iterations := config.relax_iterations) is not None:
+        positioning["relax_config"] = RelaxConfig(iterations=iterations) if iterations > 0 else None
     if config.case == "refine-demo":
-        _run_refine_demo(config, outdir)
+        timer = PhaseTimer()
+        nodes = drilled.hole_refined_cloud(timer, DEMO_RECT, DEMO_HOLES, **positioning)
+        nodes.to_csv(outdir / "nodes.csv")
+        timer.report().to_csv(outdir / "timing.csv")
         return
 
     case_fn = {"hertz": hertz.hertz_case, "drilled-beam": drilled.drilled_cantilever_case}.get(
@@ -325,57 +310,14 @@ def run(config: RunConfig) -> None:
             runs = [{"primary": hertz.PRIMARY_FACTORS[:lv]} for lv in config.sweep_refine]
 
     else:
-        kwargs.update(_user_values(spacing=config.spacing, refine_level=config.refine_levels))
-        if config.relax_iterations is not None:
-            kwargs["relax_config"] = (
-                RelaxConfig(iterations=config.relax_iterations) if config.relax_iterations > 0 else None
-            )
+        kwargs.update(positioning)
 
     sweep_rows: list[dict] = []
     for overrides in runs:
         result = case_fn(**{**kwargs, **overrides})
-        sweep_rows.append(_sweep_row(result, sigma=overrides.get("perturb_sigma")))
+        row = {"N": result.n_nodes, "sigma": overrides.get("perturb_sigma"), "t_total": result.timings.total}
+        sweep_rows.append({**result.errors, **row})
     io.write_case_outputs(outdir, result, vtk=config.vtk)
     io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key=sweep_key)
     if config.dump_matrix:
         result.extras["system"].export_matrix(outdir / "matrix.txt")
-
-
-def _sweep_row(result, sigma: float | None = None) -> dict:
-    row = {
-        "N": result.n_nodes,
-        "e_inf_u": result.errors.get("e_inf_u"),
-        "e_inf_sigma": result.errors.get("e_inf_sigma"),
-        "t_total": result.timings.total,
-    }
-    if sigma is not None:
-        row["sigma"] = sigma
-    return row
-
-
-def _run_refine_demo(config: RunConfig, outdir: Path) -> None:
-    """Node-positioning showcase: hole refinement plus relaxation, no solve."""
-    spacing, levels, sweeps = config.spacing, config.refine_levels, config.relax_iterations
-
-    timer = PhaseTimer()
-    rect = Rect(0.0, 10.0, 0.0, 10.0)
-    hole = Circle(5.0, 5.0, 1.0)
-    with timer.phase("domain"):
-        nodes = build_drilled_domain(rect, (hole,), spacing)
-    if levels > 0:
-        with timer.phase("refinement"):
-            span = 1.6 * hole.radius
-            region = RefineRegion(
-                Rect(hole.cx - span, hole.cx + span, hole.cy - span, hole.cy + span),
-                levels,
-            )
-            nodes = refine_levels(nodes, [region])
-    if sweeps > 0:
-        with timer.phase("relaxation"):
-            nodes = relax(nodes, RelaxConfig(iterations=sweeps))
-    nodes.to_csv(outdir / "nodes.csv")
-    timer.report().to_csv(outdir / "timing.csv")
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .io import _table
 from .nodes import NodeSet
 from .shapes import ShapeSet
 
@@ -128,8 +129,7 @@ class SparseSystem:
         """Plain-text coordinate dump: `row col value` per line, 0-based."""
         coo = self.matrix.tocoo()
         with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
+            fh.write(_table([coo.row, coo.col, coo.data], sep=" ", fmt=("%d", "%d", "%.17g")))
 
 
 def assemble(

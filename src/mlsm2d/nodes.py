@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .io import _table
+
 INTERIOR = 0
 BOUNDARY = 1
 
@@ -118,10 +120,6 @@ class DomainShape:
         dists = [np.hypot(*(c - p)) for c in candidates]
         return candidates[int(np.argmin(dists))]
 
-    @property
-    def diagonal(self) -> float:
-        return self.rect.diagonal
-
 
 @dataclass
 class NodeSet:
@@ -154,34 +152,21 @@ class NodeSet:
     def replace(self, **kwargs) -> "NodeSet":
         return replace(self, **kwargs)
 
-    def recompute_spacing(self) -> None:
-        """Refresh the per-node nearest-neighbor distances."""
-        if self.n < 2:
-            raise ValueError("spacing undefined for fewer than 2 nodes")
-        self.spacing = _nearest_distances(self.positions)
-
     def finalize(self) -> None:
-        """recompute_spacing, then validate, sharing one nearest-neighbor query."""
-        self.recompute_spacing()
-        self._check(self.spacing)
-
-    def validate(self) -> None:
-        """Check the structural invariants; raise ValueError on violation."""
-        self._check(_nearest_distances(self.positions) if self.n >= 2 else None)
-
-    def _check(self, nearest: np.ndarray | None) -> None:
-        """validate, given each node's distance to its closest other node."""
+        """Set spacing to each node's nearest-neighbor distance; raise ValueError on a broken invariant."""
         N = self.n
-        if self.kinds.shape != (N,) or self.normals.shape != (N, 2) or self.spacing.shape != (N,):
+        if N < 2:
+            raise ValueError("spacing undefined for fewer than 2 nodes")
+        d, _ = cKDTree(self.positions).query(self.positions, k=2)
+        self.spacing = d[:, 1].copy()
+        if self.kinds.shape != (N,) or self.normals.shape != (N, 2):
             raise ValueError("inconsistent array shapes in NodeSet")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite node positions")
         if not np.all((self.kinds == INTERIOR) | (self.kinds == BOUNDARY)):
             raise ValueError("unknown node kind")
-        if np.any(self.spacing <= 0):
-            raise ValueError("non-positive node spacing")
 
-        tol = BOUNDARY_TOL * self.domain.diagonal
+        tol = BOUNDARY_TOL * self.domain.rect.diagonal
         sd = self.domain.signed_distance(self.positions)
         bnd = self.boundary_mask
         if np.any(np.abs(sd[bnd]) > tol):
@@ -195,26 +180,17 @@ class NodeSet:
         if np.any(self.normals[~bnd] != 0.0):
             raise ValueError("interior node carries a normal")
 
-        if nearest is not None and np.min(nearest) <= 1e-12 * self.domain.diagonal:
+        if np.min(self.spacing) <= 1e-12 * self.domain.rect.diagonal:
             raise ValueError("coincident nodes")
 
     def to_csv(self, path) -> None:
         """Write `x,y,kind,nx,ny` rows; normals are empty for interior nodes."""
+        bnd = self.boundary_mask
+        kind = np.where(bnd, "boundary", "interior")
+        normals = np.where(bnd[:, None], self.normals, None)
         with open(path, "w") as fh:
             fh.write("x,y,kind,nx,ny\n")
-            for i in range(self.n):
-                x, y = self.positions[i]
-                if self.kinds[i] == BOUNDARY:
-                    nx, ny = self.normals[i]
-                    fh.write(f"{x:.17g},{y:.17g},boundary,{nx:.17g},{ny:.17g}\n")
-                else:
-                    fh.write(f"{x:.17g},{y:.17g},interior,,\n")
-
-
-def _nearest_distances(positions: np.ndarray) -> np.ndarray:
-    """Distance from each point to its closest other point."""
-    d, _ = cKDTree(positions).query(positions, k=2)
-    return d[:, 1].copy()
+            fh.write(_table([*self.positions.T, kind, *normals.T]))
 
 
 def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:

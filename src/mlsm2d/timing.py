@@ -5,6 +5,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from .io import _table
+
 PHASES = (
     "domain",
     "relaxation",
@@ -32,15 +34,12 @@ class TimingReport:
             raise ValueError("total below the largest phase")
 
     def to_csv(self, path) -> None:
+        # PHASES order first, then any other phases in the order they ran.
+        seconds = {name: self.phases[name] for name in PHASES if name in self.phases}
+        seconds = {**seconds, **self.phases, "total": self.total}
         with open(path, "w") as fh:
             fh.write("phase,seconds\n")
-            for name in PHASES:
-                if name in self.phases:
-                    fh.write(f"{name},{self.phases[name]:.6f}\n")
-            for name in self.phases:
-                if name not in PHASES:
-                    fh.write(f"{name},{self.phases[name]:.6f}\n")
-            fh.write(f"total,{self.total:.6f}\n")
+            fh.write(_table([list(seconds), list(seconds.values())], fmt="%.6f"))
 
 
 class PhaseTimer:

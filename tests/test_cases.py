@@ -14,9 +14,10 @@ from mlsm2d.cases.beam import (
     timoshenko_displacement,
     timoshenko_stress,
 )
-from mlsm2d.cases.drilled import DrilledBeamParams, drilled_cantilever_case
+from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_cantilever_case
 from mlsm2d.cases.hertz import (
     HertzParams,
+    hertz_bcs,
     hertz_case,
     hertz_geometry,
     hertz_pressure,
@@ -24,8 +25,8 @@ from mlsm2d.cases.hertz import (
     refinement_schedule,
 )
 from mlsm2d.cases.metrics import error_einf_displacement, error_einf_stress
-from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, Material, StressField
-from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
+from mlsm2d.nodes import Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.solve import SolverConfig
 from mlsm2d.timing import PHASES, PhaseTimer, TimingReport
 
@@ -146,6 +147,66 @@ class TestCantileverBCs:
         params, nodes = self.build()
         bcs = cantilever_bcs(nodes, params, all_essential=True)
         assert np.all(bcs.kind[nodes.boundary_mask] == BC_ESSENTIAL)
+
+
+class TestBoundaryConditionsMatchPerNodeLoops:
+    """The vectorized condition builders against the per-node loops they replaced."""
+
+    @staticmethod
+    def same_bits(bcs, ref):
+        return bcs.kind.tobytes() == ref.kind.tobytes() and bcs.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("all_essential", [False, True])
+    def test_cantilever(self, all_essential):
+        params = BeamParams()
+        nodes = build_rectangle_grid(params.rect, 0.5)
+        ref = BoundaryConditions.empty(nodes.n)
+        bnd = np.nonzero(nodes.boundary_mask)[0]
+        x, y = nodes.positions[bnd, 0], nodes.positions[bnd, 1]
+        u_ref, v_ref = timoshenko_displacement(x, y, params)
+        sxx, syy, sxy = timoshenko_stress(x, y, params)
+        n1, n2 = nodes.normals[bnd, 0], nodes.normals[bnd, 1]
+        t1, t2 = sxx * n1 + sxy * n2, sxy * n1 + syy * n2
+        for k, i in enumerate(bnd):
+            if all_essential or x[k] == params.rect.x_hi:
+                ref.set_essential(i, (u_ref[k], v_ref[k]))
+            else:
+                ref.set_traction(i, (t1[k], t2[k]))
+        assert self.same_bits(cantilever_bcs(nodes, params, all_essential), ref)
+
+    def test_hertz(self):
+        geom = hertz_geometry()
+        b = geom.half_width
+        nodes = build_rectangle_grid(Rect(-2.0 * b, 2.0 * b, -2.0 * b, 0.0), b / 8.0)
+        pressure = lambda xx: hertz_pressure(xx, b, geom.peak_pressure)  # noqa: E731
+        ref = BoundaryConditions.empty(nodes.n)
+        rect = nodes.domain.rect
+        bnd = np.nonzero(nodes.boundary_mask)[0]
+        x, y = nodes.positions[bnd, 0], nodes.positions[bnd, 1]
+        on_top = (y == rect.y_hi) & (x > rect.x_lo) & (x < rect.x_hi)
+        for k, i in enumerate(bnd):
+            if on_top[k]:
+                ref.set_traction(i, (0.0, -float(pressure(x[k]))))
+            else:
+                ref.set_essential(i, (0.0, 0.0))
+        assert np.count_nonzero(ref.values[:, 1]) > 10
+        assert self.same_bits(hertz_bcs(nodes, pressure), ref)
+
+    def test_drilled(self):
+        params = DrilledBeamParams()
+        nodes = build_drilled_domain(params.rect, params.holes, 0.5)
+        ref = BoundaryConditions.empty(nodes.n)
+        rect = nodes.domain.rect
+        bnd = np.nonzero(nodes.boundary_mask)[0]
+        x = nodes.positions[bnd, 0]
+        for k, i in enumerate(bnd):
+            if x[k] == rect.x_hi:
+                ref.set_essential(i, (0.0, 0.0))
+            elif x[k] == rect.x_lo:
+                ref.set_traction(i, (0.0, -params.load / params.height))
+            else:
+                ref.set_traction(i, (0.0, 0.0))
+        assert self.same_bits(drilled_bcs(nodes, params), ref)
 
 
 class TestPerturbNodes:

@@ -1,4 +1,4 @@
-"""Batch runner: exit codes, artifacts, config layering, reproducibility."""
+"""Batch runner: exit codes, artifacts and their bytes, config layering, reproducibility."""
 
 import functools
 import inspect
@@ -6,11 +6,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from mlsm2d import cli, io
 from mlsm2d.cases import hertz
-from mlsm2d.cli import CASES, RunConfig, main
+from mlsm2d.cli import CASES, main
+from mlsm2d.elasticity import SparseSystem, StressField
+from mlsm2d.nodes import BOUNDARY, INTERIOR, DomainShape, NodeSet, Rect
 from mlsm2d.solve import SolverConfig
+from mlsm2d.timing import PHASES, TimingReport
 
 
 def run_cli(args):
@@ -91,13 +97,57 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", CASES)
     def test_seed_is_accepted_by_every_case(self, case):
-        assert RunConfig(case=case, seed=3).validate() == []
+        config = cli._build_parser().parse_args(["--case", case, "--seed", "3"])
+        assert cli.validate(config) == []
 
     def test_threads_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"case": "cantilever", "threads": 1}))
         assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
         assert "threads" in capsys.readouterr().err
+
+
+class TestConfigFileTypes:
+    """Config-file values are typed like the flags; a wrong type exits 2."""
+
+    def run_file(self, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        return run_cli(["--config", cfg, "--out", tmp_path])
+
+    def test_string_for_an_integer_flag(self, tmp_path, capsys):
+        assert self.run_file(tmp_path, {"case": "cantilever", "nx": "31"}) == 2
+        assert "config error: config file key 'nx' must be typed like --nx" in capsys.readouterr().err
+
+    def test_number_for_a_list_flag(self, tmp_path, capsys):
+        assert self.run_file(tmp_path, {"case": "cantilever", "sweep_n": 500}) == 2
+        assert "config error: config file key 'sweep_n' must be typed like --sweep-n" in capsys.readouterr().err
+
+    def test_top_level_list(self, tmp_path, capsys):
+        assert self.run_file(tmp_path, ["case", "cantilever"]) == 2
+        assert "config error: config file must hold a JSON object, got list" in capsys.readouterr().err
+
+    def test_typed_values_are_read_like_flags(self, tmp_path):
+        values = {"case": "cantilever", "sweep_n": [500, 900], "spacing": 1, "vtk": False, "seed": None}
+        parser = cli._build_parser()
+        config = parser.parse_args(["--config", str(tmp_path / "run.json")])
+        (tmp_path / "run.json").write_text(json.dumps(values))
+        assert cli._read_config_file(parser, config) == []
+        assert config.sweep_n == [500, 900]
+        assert config.spacing == 1.0 and isinstance(config.spacing, float)
+        assert config.vtk is False
+        assert config.seed is None  # null leaves the option unset
+
+
+def test_cli_tables_name_real_flags():
+    """A misspelt name in a table would silently skip its check."""
+    options = {a.dest for a in cli._build_parser()._actions} - {"help"}
+    names = set(cli.CASE_FLAGS) | set(cli.CLI_DEFAULTS)  # case names
+    assert names <= set(CASES)
+    tables = [*cli.CASE_FLAGS.values(), *cli.CLI_DEFAULTS.values(), cli.OVERRIDES, *cli.OVERRIDES.values()]
+    tables += [cli._POSITIVE, cli._NONNEGATIVE, cli._AT_LEAST]
+    for table in tables:
+        assert set(table) <= options, set(table) - options
 
 
 class _Stop(Exception):
@@ -204,6 +254,118 @@ class TestArtifacts:
         assert rc == 0
         header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
         assert header.startswith("sigma,")
+
+
+class TestWriterBytes:
+    """Every writer's bytes against per-row f-string references on a hand-made cloud."""
+
+    V = (-0.0, 0.1, 1.0 / 3.0, 1e-300, 1.7e308)
+
+    @pytest.fixture
+    def cloud(self):
+        a, b, c, d, e = self.V
+        positions = np.array([[a, b], [c, d], [e, a], [b, c], [d, e], [0.5, -c]])
+        kinds = np.array([BOUNDARY, INTERIOR, BOUNDARY, INTERIOR, BOUNDARY, INTERIOR], dtype=np.uint8)
+        normals = np.zeros((6, 2))
+        normals[[0, 2, 4]] = [[a, -1.0], [c, e], [d, b]]
+        nodes = NodeSet(positions, kinds, normals, np.ones(6), DomainShape(Rect(0.0, 1.0, 0.0, 1.0)))
+        u = np.array([e, a, b, c, d, -e])
+        v = np.array([d, c, b, a, -b, 2.0])
+        stress = StressField(
+            np.array([a, b, c, d, 7.0, -c]), np.array([c, d, a, b, -0.5, 3.0]), np.array([d, a, 1.0, b, c, a])
+        )
+        return nodes, u, v, stress
+
+    def test_nodes_csv(self, tmp_path, cloud):
+        nodes = cloud[0]
+        nodes.to_csv(tmp_path / "nodes.csv")
+        ref = "x,y,kind,nx,ny\n"
+        for i in range(nodes.n):
+            x, y = nodes.positions[i]
+            if nodes.kinds[i] == BOUNDARY:
+                nx, ny = nodes.normals[i]
+                ref += f"{x:.17g},{y:.17g},boundary,{nx:.17g},{ny:.17g}\n"
+            else:
+                ref += f"{x:.17g},{y:.17g},interior,,\n"
+        assert (tmp_path / "nodes.csv").read_text() == ref
+        assert "-0,0.10000000000000001,boundary,-0,-1\n" in ref
+        assert "1.6999999999999999e+308" in ref and "1e-300" in ref
+
+    def test_fields_csv(self, tmp_path, cloud):
+        nodes, u, v, stress = cloud
+        io.write_fields_csv(tmp_path / "fields.csv", nodes, u, v, stress)
+        svm = stress.von_mises
+        ref = "x,y,u,v,sxx,syy,sxy,svm\n"
+        for i in range(nodes.n):
+            ref += (
+                f"{nodes.positions[i, 0]:.17g},{nodes.positions[i, 1]:.17g},"
+                f"{u[i]:.17g},{v[i]:.17g},"
+                f"{stress.sxx[i]:.17g},{stress.syy[i]:.17g},{stress.sxy[i]:.17g},"
+                f"{svm[i]:.17g}\n"
+            )
+        assert (tmp_path / "fields.csv").read_text() == ref
+
+    def test_vtk(self, tmp_path, cloud):
+        nodes, u, v, stress = cloud
+        io.write_vtk(tmp_path / "fields.vtk", nodes, u, v, stress)
+        n = nodes.n
+        ref = f"# vtk DataFile Version 3.0\nmlsm2d fields\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n"
+        for p in nodes.positions:
+            ref += f"{p[0]:.17g} {p[1]:.17g} 0\n"
+        ref += f"VERTICES {n} {2 * n}\n"
+        for i in range(n):
+            ref += f"1 {i}\n"
+        ref += f"POINT_DATA {n}\nVECTORS displacement double\n"
+        for i in range(n):
+            ref += f"{u[i]:.17g} {v[i]:.17g} 0\n"
+        for name, arr in (("sxx", stress.sxx), ("syy", stress.syy), ("sxy", stress.sxy), ("svm", stress.von_mises)):
+            ref += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+            for x in arr:
+                ref += f"{x:.17g}\n"
+        assert (tmp_path / "fields.vtk").read_text() == ref
+
+    def test_sweep_csv_with_an_empty_error_cell(self, tmp_path):
+        rows = [
+            {"N": 6, "e_inf_u": self.V[1], "e_inf_sigma": self.V[4], "t_total": 1.0 / 3.0},
+            {"N": 12, "e_inf_u": None, "e_inf_sigma": -0.0, "t_total": 2.5, "sigma": 0.1},
+            {"N": 1000003, "e_inf_u": 1e-300, "e_inf_sigma": None, "t_total": 1e-7},
+        ]
+        io.write_sweep_csv(tmp_path / "sweep.csv", rows)
+        ref = "N,e_inf_u,e_inf_sigma,t_total\n"
+        for row in rows:
+            e_u = row.get("e_inf_u")
+            e_s = row.get("e_inf_sigma")
+            ref += (
+                f"{row['N']:.17g},"
+                f"{'' if e_u is None else format(e_u, '.17g')},"
+                f"{'' if e_s is None else format(e_s, '.17g')},"
+                f"{row['t_total']:.6f}\n"
+            )
+        assert (tmp_path / "sweep.csv").read_text() == ref
+        assert "12,,-0,2.500000\n" in ref
+
+    def test_matrix_txt(self, tmp_path):
+        rows, cols = [0, 0, 1, 3, 5, 4], [0, 5, 2, 3, 1, 4]
+        data = [-0.0, 0.1, 1.0 / 3.0, 1e-300, 1.7e308, -2.0]
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(6, 6))
+        SparseSystem(matrix, np.zeros(6), n_nodes=3, n_support=2).export_matrix(tmp_path / "matrix.txt")
+        coo = matrix.tocoo()
+        ref = "".join(f"{r} {c} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
+        assert (tmp_path / "matrix.txt").read_text() == ref
+        assert "0 0 -0\n" in ref
+
+    def test_timing_csv(self, tmp_path):
+        report = TimingReport(phases={"solve": 1.0 / 3.0, "output": 1e-300, "domain": 0.1}, total=2.0)
+        report.to_csv(tmp_path / "timing.csv")
+        ref = "phase,seconds\n"
+        for name in PHASES:
+            if name in report.phases:
+                ref += f"{name},{report.phases[name]:.6f}\n"
+        for name in report.phases:
+            if name not in PHASES:
+                ref += f"{name},{report.phases[name]:.6f}\n"
+        ref += f"total,{report.total:.6f}\n"
+        assert (tmp_path / "timing.csv").read_text() == ref
 
 
 class TestConfigLayering:

@@ -148,8 +148,8 @@ class TestAssembly:
         normals = np.zeros((m, 2))
         normals[0] = (-1.0, 0.0)
         normals[m - 1] = (1.0, 0.0)
-        nodes = grid.replace(positions=positions, kinds=kinds, normals=normals)
-        nodes.recompute_spacing()
+        # not a valid domain cloud, so spacing is set here instead of by finalize
+        nodes = grid.replace(positions=positions, kinds=kinds, normals=normals, spacing=np.full(m, 0.25))
         shapes = build_shape_set(nodes, build_supports(nodes, 9))
         mat = Material(E=1.0, nu=0.3)
         bcs = BoundaryConditions.empty(m)

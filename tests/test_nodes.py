@@ -134,24 +134,30 @@ class TestDrilledDomain:
 
 
 class TestNodeSet:
-    def test_validate_catches_unnormalized_boundary_normal(self):
+    def test_finalize_catches_unnormalized_boundary_normal(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
         normals = nodes.normals.copy()
         normals[0] *= 2.0
-        with pytest.raises(ValueError):
-            nodes.replace(normals=normals).validate()
+        with pytest.raises(ValueError, match="unit length"):
+            nodes.replace(normals=normals).finalize()
 
-    @pytest.mark.parametrize("check", ["validate", "finalize"])
-    def test_coincident_nodes_rejected(self, check):
+    def test_coincident_nodes_rejected(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
         positions = nodes.positions.copy()
         positions[7] = positions[6]  # two interior nodes
-        with pytest.raises(ValueError, match="coincident|non-positive"):
-            getattr(nodes.replace(positions=positions), check)()
+        with pytest.raises(ValueError, match="coincident"):
+            nodes.replace(positions=positions).finalize()
 
-    def test_recompute_spacing_is_nearest_neighbor_distance(self):
+    def test_finalize_sets_nearest_neighbor_spacing(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
         assert np.allclose(nodes.spacing, 0.5)
+        positions = nodes.positions.copy()
+        positions[4] += 0.1  # the center node, toward the top-right corner
+        moved = nodes.replace(positions=positions)
+        moved.finalize()
+        d = np.hypot(*(positions[:, None, :] - positions[None, :, :]).T)
+        np.fill_diagonal(d, np.inf)
+        np.testing.assert_allclose(moved.spacing, d.min(axis=0), rtol=1e-14)
 
     def test_csv_round_trip_layout(self, tmp_path):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
