@@ -18,8 +18,8 @@ from .elasticity import (
 )
 from .neighbors import SupportSet, build_supports, knn
 from .nodes import Circle, DomainShape, NodeSet, Rect, build_drilled_domain, build_rectangle_grid
-from .refine import RefineConfig, RefineRegion, refine_levels, refine_once
-from .relax import RelaxConfig, relax, relax_offset
+from .refine import RefineRegion, refine_levels, refine_once
+from .relax import relax, relax_offset
 from .shapes import (
     BasisSpec,
     IllConditionedStencilError,

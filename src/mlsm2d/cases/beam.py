@@ -116,7 +116,7 @@ def perturb_nodes(nodes: NodeSet, sigma: float, seed: int = 0) -> NodeSet:
     interior = np.nonzero(nodes.interior_mask)[0]
     shift = sigma * rng.uniform(0.0, 1.0, size=(interior.size, 2)) * nodes.spacing[interior, None]
     positions[interior] += shift
-    out = nodes.replace(positions=positions, spacing=nodes.spacing.copy())
+    out = nodes.replace(positions=positions)
     out.finalize()
     return out
 

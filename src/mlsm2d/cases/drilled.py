@@ -15,30 +15,22 @@ from dataclasses import dataclass
 
 from ..elasticity import BoundaryConditions, Material
 from ..nodes import Circle, NodeSet, Rect, build_drilled_domain
-from ..refine import RefineConfig, RefineRegion, refine_levels
-from ..relax import RelaxConfig, relax
+from ..refine import RefineRegion, refine_levels
+from ..relax import ITERATIONS, relax
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
+from .beam import BeamParams
 from .metrics import CaseResult, solve_on_cloud
 
 
 @dataclass(frozen=True)
-class DrilledBeamParams:
-    length: float = 30.0
-    height: float = 5.0
-    E: float = 72.1e9
-    nu: float = 0.33
-    load: float = 1000.0
+class DrilledBeamParams(BeamParams):
     holes: tuple[Circle, ...] = (
         Circle(8.0, 0.5, 1.5),
         Circle(15.0, -0.6, 1.0),
         Circle(22.0, 0.4, 1.25),
     )
-
-    @property
-    def rect(self) -> Rect:
-        return Rect(0.0, self.length, -self.height / 2.0, self.height / 2.0)
 
 
 def drilled_bcs(nodes: NodeSet, params: DrilledBeamParams) -> BoundaryConditions:
@@ -78,25 +70,24 @@ def hole_refined_cloud(
     holes: tuple[Circle, ...],
     spacing: float,
     refine_level: int,
-    refine_config: RefineConfig = RefineConfig(),
-    relax_config: RelaxConfig | None = RelaxConfig(),
+    relax_iterations: int = ITERATIONS,
 ) -> NodeSet:
     """Node positioning on a drilled rectangle: domain, hole refinement, relaxation.
 
     The box of each hole (`_hole_box`, two spacings of margin) is refined
-    refine_level times (none at 0), then the cloud is relaxed unless
-    relax_config is None. The steps are timed as the domain, refinement
-    and relaxation phases of timer.
+    refine_level times, then the cloud is relaxed for relax_iterations
+    sweeps; either step is skipped at 0. The steps are timed as the
+    domain, refinement and relaxation phases of timer.
     """
     with timer.phase("domain"):
         nodes = build_drilled_domain(rect, holes, spacing)
     if refine_level > 0:
         with timer.phase("refinement"):
             regions = [RefineRegion(_hole_box(h, rect, 2.0 * spacing), refine_level) for h in holes]
-            nodes = refine_levels(nodes, regions, refine_config)
-    if relax_config is not None:
+            nodes = refine_levels(nodes, regions)
+    if relax_iterations > 0:
         with timer.phase("relaxation"):
-            nodes = relax(nodes, relax_config)
+            nodes = relax(nodes, relax_iterations)
     return nodes
 
 
@@ -109,8 +100,7 @@ def drilled_cantilever_case(
     weight: WeightSpec = WeightSpec(),
     solver: SolverConfig = SolverConfig(tolerance=1e-8),
     refine_level: int = 1,
-    refine_config: RefineConfig = RefineConfig(),
-    relax_config: RelaxConfig | None = RelaxConfig(),
+    relax_iterations: int = ITERATIONS,
 ) -> CaseResult:
     """Solve the drilled cantilever, refining and relaxing around the holes.
 
@@ -125,9 +115,7 @@ def drilled_cantilever_case(
     allows in double precision).
     """
     timer = PhaseTimer()
-    nodes = hole_refined_cloud(
-        timer, params.rect, params.holes, spacing, refine_level, refine_config, relax_config
-    )
+    nodes = hole_refined_cloud(timer, params.rect, params.holes, spacing, refine_level, relax_iterations)
 
     def measure(nodes, u, v, stress):
         tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))

@@ -33,8 +33,7 @@ import numpy as np
 
 from ..elasticity import BoundaryConditions, Material
 from ..nodes import Rect, build_rectangle_grid
-from ..refine import RefineConfig, RefineRegion, refine_levels
-from ..relax import RelaxConfig, relax
+from ..refine import RefineRegion, refine_levels
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
@@ -176,8 +175,6 @@ def hertz_case(
     support_n: int = 15,
     weight: WeightSpec = WeightSpec(),
     solver: SolverConfig = SolverConfig(tolerance=1e-8),
-    refine_config: RefineConfig = RefineConfig(),
-    relax_config: RelaxConfig | None = None,
 ) -> CaseResult:
     """Solve the contact benchmark on a refined half-plane square.
 
@@ -202,10 +199,7 @@ def hertz_case(
         nodes = build_rectangle_grid(rect, 2.0 * H / (nx - 1))
     with timer.phase("refinement"):
         regions = refinement_schedule(geom.half_width, primary, secondary)
-        nodes = refine_levels(nodes, regions, refine_config)
-    if relax_config is not None:
-        with timer.phase("relaxation"):
-            nodes = relax(nodes, relax_config)
+        nodes = refine_levels(nodes, regions)
 
     def measure(nodes, u, v, stress):
         x, y = nodes.positions[:, 0], nodes.positions[:, 1]

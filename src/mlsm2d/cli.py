@@ -23,7 +23,6 @@ from pathlib import Path
 from . import io
 from .cases import beam, drilled, hertz
 from .nodes import Circle, Rect
-from .relax import RelaxConfig
 from .shapes import IllConditionedStencilError
 from .solve import NonConvergenceError
 from .timing import PhaseTimer
@@ -253,9 +252,9 @@ def run(config: argparse.Namespace) -> None:
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
     outdir.mkdir(parents=True, exist_ok=True)
     # Inputs of the drilled beam's node positioning, which refine-demo runs alone.
-    positioning = _user_values(spacing=config.spacing, refine_level=config.refine_levels)
-    if (iterations := config.relax_iterations) is not None:
-        positioning["relax_config"] = RelaxConfig(iterations=iterations) if iterations > 0 else None
+    positioning = _user_values(
+        spacing=config.spacing, refine_level=config.refine_levels, relax_iterations=config.relax_iterations
+    )
     if config.case == "refine-demo":
         timer = PhaseTimer()
         nodes = drilled.hole_refined_cloud(timer, DEMO_RECT, DEMO_HOLES, **positioning)

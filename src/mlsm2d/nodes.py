@@ -9,7 +9,7 @@ stencils, assembly) works on the arrays stored here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -100,25 +100,29 @@ class DomainShape:
         return self.signed_distance(p) < 0.0
 
     def project_to_boundary(self, p: np.ndarray) -> np.ndarray:
-        """Closest point on the boundary (rectangle edges or hole circles)."""
+        """Closest boundary point (rectangle edges or hole circles) to each row of an (M, 2) array."""
         p = np.asarray(p, dtype=float)
         r = self.rect
+        x = np.clip(p[:, 0], r.x_lo, r.x_hi)
+        y = np.clip(p[:, 1], r.y_lo, r.y_hi)
         candidates = [
-            np.array([r.x_lo, min(max(p[1], r.y_lo), r.y_hi)]),
-            np.array([r.x_hi, min(max(p[1], r.y_lo), r.y_hi)]),
-            np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_lo]),
-            np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_hi]),
+            np.column_stack([np.full_like(y, r.x_lo), y]),
+            np.column_stack([np.full_like(y, r.x_hi), y]),
+            np.column_stack([x, np.full_like(x, r.y_lo)]),
+            np.column_stack([x, np.full_like(x, r.y_hi)]),
         ]
         for hole in self.holes:
             d = p - hole.center
-            nrm = np.hypot(d[0], d[1])
-            if nrm == 0.0:
-                # Center of the hole: any radial direction is closest.
-                candidates.append(hole.center + np.array([hole.radius, 0.0]))
-            else:
-                candidates.append(hole.center + d * (hole.radius / nrm))
-        dists = [np.hypot(*(c - p)) for c in candidates]
-        return candidates[int(np.argmin(dists))]
+            nrm = np.hypot(d[:, 0], d[:, 1])
+            # Center of the hole: any radial direction is closest.
+            center = nrm == 0.0
+            d[center] = (1.0, 0.0)
+            nrm[center] = 1.0
+            candidates.append(hole.center + d * (hole.radius / nrm)[:, None])
+        c = np.stack(candidates, axis=1)
+        diff = c - p[:, None, :]
+        best = np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
+        return c[np.arange(len(p)), best]
 
 
 @dataclass
@@ -128,14 +132,14 @@ class NodeSet:
     positions : (N, 2) float
     kinds     : (N,) int, INTERIOR or BOUNDARY
     normals   : (N, 2) float, outward unit normals; zero rows for interior
-    spacing   : (N,) float, distance to the nearest other node
+    spacing   : (N,) float, distance to the nearest other node, set by finalize
     """
 
     positions: np.ndarray
     kinds: np.ndarray
     normals: np.ndarray
-    spacing: np.ndarray
     domain: DomainShape
+    spacing: np.ndarray | None = field(default=None, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -228,8 +232,7 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     lengths = np.hypot(normals[:, 0], normals[:, 1])
     normals[bnd] /= lengths[bnd, None]
 
-    spacing = np.full(positions.shape[0], min(rect.width / (nx - 1), rect.height / (ny - 1)))
-    nodes = NodeSet(positions, kinds, normals, spacing, DomainShape(rect))
+    nodes = NodeSet(positions, kinds, normals, DomainShape(rect))
     nodes.finalize()
     return nodes
 
@@ -275,8 +278,7 @@ def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h
         [grid.kinds[keep]] + [np.full(len(p), BOUNDARY, dtype=np.uint8) for p in new_pos]
     )
     normals = np.vstack([grid.normals[keep]] + new_norm)
-    spacing = np.ones(len(positions))
 
-    nodes = NodeSet(positions, kinds, normals, spacing, DomainShape(rect, holes))
+    nodes = NodeSet(positions, kinds, normals, DomainShape(rect, holes))
     nodes.finalize()
     return nodes

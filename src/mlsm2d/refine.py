@@ -19,6 +19,11 @@ from scipy.spatial import cKDTree
 from .neighbors import build_supports
 from .nodes import BOUNDARY, INTERIOR, NodeSet, Rect
 
+# Rejection radius of a candidate midpoint, in units of the halved spacing.
+PROXIMITY = 0.75
+# Support size whose neighbors give a selected node's midpoints.
+SUPPORT_N = 9
+
 
 @dataclass(frozen=True)
 class RefineRegion:
@@ -30,26 +35,12 @@ class RefineRegion:
             raise ValueError(f"refinement level must be at least 1, got {self.level}")
 
 
-@dataclass(frozen=True)
-class RefineConfig:
-    """proximity is the rejection radius in units of the halved spacing."""
-
-    proximity: float = 0.75
-    support_n: int = 9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.proximity < 1.0:
-            raise ValueError(f"proximity must be in (0, 1), got {self.proximity}")
-        if self.support_n < 2:
-            raise ValueError(f"support size must be at least 2, got {self.support_n}")
-
-
-def refine_once(nodes: NodeSet, region: Rect, config: RefineConfig = RefineConfig()) -> NodeSet:
+def refine_once(nodes: NodeSet, region: Rect) -> NodeSet:
     """Single halving pass over one rectangular region."""
-    return _finished(nodes, _refine_pass(nodes, [region], config))
+    return _finished(nodes, _refine_pass(nodes, [region]))
 
 
-def refine_levels(nodes: NodeSet, regions: list[RefineRegion], config: RefineConfig = RefineConfig()) -> NodeSet:
+def refine_levels(nodes: NodeSet, regions: list[RefineRegion]) -> NodeSet:
     """Run the multi-level schedule described by the regions' levels."""
     if not regions:
         return nodes
@@ -57,7 +48,7 @@ def refine_levels(nodes: NodeSet, regions: list[RefineRegion], config: RefineCon
     out = nodes
     for pass_no in range(1, max_level + 1):
         active = [r.rect for r in regions if r.level >= pass_no]
-        out = _refine_pass(out, active, config)
+        out = _refine_pass(out, active)
     return _finished(nodes, out)
 
 
@@ -68,8 +59,8 @@ def _finished(before: NodeSet, after: NodeSet) -> NodeSet:
     return after
 
 
-def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> NodeSet:
-    """One halving pass; the result's spacing is stale until _finished."""
+def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
+    """One halving pass; the result is unchecked until _finished."""
     pos = nodes.positions
 
     selected = np.zeros(nodes.n, dtype=bool)
@@ -79,7 +70,7 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     if sel.size == 0:
         return nodes
     tree = cKDTree(pos)
-    supports = build_supports(nodes, min(config.support_n, nodes.n), tree=tree, centers=sel)
+    supports = build_supports(nodes, min(SUPPORT_N, nodes.n), tree=tree, centers=sel)
 
     # Candidate midpoints in deterministic order: by node index, then by
     # neighbor rank within the support.
@@ -87,11 +78,12 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     k = nbr.shape[1]
     mids = 0.5 * (pos[sel, None, :] + pos[nbr])
     p_min = supports.distances[:, 1]
-    radius = np.repeat(config.proximity * p_min / 2.0, k)
-    near_boundary = np.repeat(config.proximity * p_min, k)
+    radius = np.repeat(PROXIMITY * p_min / 2.0, k)
+    near_boundary = np.repeat(PROXIMITY * p_min, k)
     src = np.repeat(sel, k)
+    dst = nbr.reshape(-1)
     mids = mids.reshape(-1, 2)
-    both_boundary = (nodes.kinds[src] == BOUNDARY) & (nodes.kinds[nbr.reshape(-1)] == BOUNDARY)
+    both_boundary = (nodes.kinds[src] == BOUNDARY) & (nodes.kinds[dst] == BOUNDARY)
 
     # Classify candidates and settle final positions before proximity checks.
     sd = nodes.domain.signed_distance(mids)
@@ -101,15 +93,16 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     keep = np.ones(len(mids), dtype=bool)
 
     project = both_boundary & (np.abs(sd) <= near_boundary)
-    for c in np.nonzero(project)[0]:
-        n_sum = nodes.normals[src[c]] + nodes.normals[nbr.reshape(-1)[c]]
-        norm = np.hypot(n_sum[0], n_sum[1])
-        if norm < 1e-8:
-            keep[c] = False
-            continue
-        final[c] = nodes.domain.project_to_boundary(mids[c])
-        kinds[c] = BOUNDARY
-        normals[c] = n_sum / norm
+    c = np.nonzero(project)[0]
+    n_sum = nodes.normals[src[c]] + nodes.normals[dst[c]]
+    norm = np.hypot(n_sum[:, 0], n_sum[:, 1])
+    # Opposite normals leave no direction to interpolate: drop the candidate.
+    opposite = norm < 1e-8
+    keep[c[opposite]] = False
+    c, n_sum, norm = c[~opposite], n_sum[~opposite], norm[~opposite]
+    final[c] = nodes.domain.project_to_boundary(mids[c])
+    kinds[c] = BOUNDARY
+    normals[c] = n_sum / norm[:, None]
     inside = nodes.domain.contains(final)
     keep &= project | inside
 
@@ -132,5 +125,4 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect], config: RefineConfig) -> Nod
     positions = np.vstack([pos, final[new]])
     kinds_all = np.concatenate([nodes.kinds, kinds[new]])
     normals_all = np.vstack([nodes.normals, normals[new]])
-    spacing_all = np.concatenate([nodes.spacing, np.full(new.size, 1.0)])
-    return nodes.replace(positions=positions, kinds=kinds_all, normals=normals_all, spacing=spacing_all)
+    return NodeSet(positions, kinds_all, normals_all, nodes.domain)

@@ -9,120 +9,99 @@ not depend on node ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .nodes import NodeSet
 
+# Sweeps of a relaxation run.
+ITERATIONS = 20
+# Move per sweep, dimensionless: the actual step is STEP * p_min^2 times the
+# potential gradient, so it shrinks with the local spacing.
+STEP = 0.05
+# Gaussian width in units of p_min.
+SIGMA = 1.0
+# Nodes in the potential, excluding the node itself: the complete first
+# shell of a grid, so a uniform grid is an exact fixed point (an odd count
+# would grab one arbitrary member of the tied 2h shell and drift).
+NEIGHBORS = 8
 # Fraction of the local spacing kept clear of the boundary when a step is
 # clamped.
 _ESCAPE_MARGIN = 1e-3
 
 
-@dataclass(frozen=True)
-class RelaxConfig:
-    """Parameters of the relaxation sweep.
-
-    step scales the move per sweep (dimensionless; the actual step is
-    step * p_min^2 times the potential gradient, so it shrinks with the
-    local spacing). neighbors counts the nodes in the potential, excluding
-    the node itself; the default 8 is the complete first shell of a grid,
-    so a uniform grid is an exact fixed point (an odd count would grab one
-    arbitrary member of the tied 2h shell and drift). sigma is the
-    Gaussian width in units of p_min.
-    """
-
-    iterations: int = 20
-    step: float = 0.05
-    neighbors: int = 8
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be nonnegative, got {self.iterations}")
-        if self.step < 0:
-            raise ValueError(f"step must be nonnegative, got {self.step}")
-        if self.neighbors < 2:
-            raise ValueError(f"neighbors must be at least 2, got {self.neighbors}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-def relax_offset(p: np.ndarray, support_positions: np.ndarray, config: RelaxConfig = RelaxConfig()) -> np.ndarray:
+def relax_offset(p: np.ndarray, support_positions: np.ndarray) -> np.ndarray:
     """Displacement of nodes given their neighbor positions (excluding p).
 
     p is one (2,) point with (k, 2) neighbors or an (M, 2) batch with
     (M, k, 2) neighbors; the result matches p in shape. Computes
     -step_eff * sum_i grad w(p - p_i) with a Gaussian w of width
-    sigma * p_min, where p_min is the distance to the closest neighbor and
-    step_eff = step * p_min^2. The offset points away from the neighbors.
+    SIGMA * p_min, where p_min is the distance to the closest neighbor and
+    step_eff = STEP * p_min^2. The offset points away from the neighbors.
     """
     p = np.asarray(p, dtype=float)
     nbrs = np.asarray(support_positions, dtype=float)
     if p.ndim == 1:
-        return relax_offset(p[None], np.atleast_2d(nbrs)[None], config)[0]
+        return relax_offset(p[None], np.atleast_2d(nbrs)[None])[0]
     diff = p[:, None, :] - nbrs
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     if np.any(d2 == 0.0):
         raise ValueError("coincident support node in relaxation")
     p_min2 = d2.min(axis=1)
-    c2 = config.sigma * config.sigma * p_min2
+    c2 = SIGMA * SIGMA * p_min2
     g = np.exp(-d2 / c2[:, None])
     grad = -2.0 / c2[:, None] * (diff * g[..., None]).sum(axis=1)
-    return -config.step * p_min2[:, None] * grad
+    return -STEP * p_min2[:, None] * grad
 
 
-def relax(nodes: NodeSet, config: RelaxConfig = RelaxConfig()) -> NodeSet:
+def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
     """Run Jacobi relaxation sweeps over the interior nodes.
 
     Returns a new NodeSet; the input is left untouched. Interior nodes that
     would step outside the domain are clamped to sit just inside the
     boundary crossing.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations}")
     positions = nodes.positions.copy()
     interior = np.nonzero(nodes.interior_mask)[0]
-    if interior.size == 0 or config.iterations == 0:
-        out = nodes.replace(positions=positions, spacing=nodes.spacing.copy())
-        return out
+    if interior.size == 0 or iterations == 0:
+        return nodes.replace(positions=positions)
 
-    k = min(config.neighbors + 1, nodes.n)
-    for _ in range(config.iterations):
+    k = min(NEIGHBORS + 1, nodes.n)
+    for _ in range(iterations):
         tree = cKDTree(positions)
         d, idx = tree.query(positions[interior], k=k)
         # Drop the self column (distance zero, first after sorting).
-        offsets = relax_offset(positions[interior], positions[idx[:, 1:]], config)
+        offsets = relax_offset(positions[interior], positions[idx[:, 1:]])
 
         proposed = positions[interior] + offsets
         sd = nodes.domain.signed_distance(proposed)
         escaped = np.nonzero(sd >= 0.0)[0]
-        for j in escaped:
-            i = interior[j]
-            proposed[j] = _clamp_step(nodes.domain, positions[i], offsets[j], nodes.spacing[i])
+        if escaped.size:
+            i = interior[escaped]
+            proposed[escaped] = _clamp_step(nodes.domain, positions[i], offsets[escaped], nodes.spacing[i])
         positions[interior] = proposed
 
-    out = nodes.replace(positions=positions, spacing=nodes.spacing.copy())
+    out = nodes.replace(positions=positions)
     out.finalize()
     return out
 
 
-def _clamp_step(domain, start: np.ndarray, offset: np.ndarray, spacing: float) -> np.ndarray:
-    """Shorten an escaping step to end just inside the boundary."""
-    lo, hi = 0.0, 1.0
-    # start is strictly inside, start + offset is not: bisect the crossing.
+def _clamp_step(domain, start: np.ndarray, offset: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Shorten escaping steps, one per row, to end just inside the boundary."""
+    lo = np.zeros(len(start))
+    hi = np.ones(len(start))
+    # Each start is strictly inside, start + offset is not (so the offset is
+    # nonzero): bisect the crossing.
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if domain.signed_distance(start + mid * offset) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    step = np.linalg.norm(offset)
-    if step == 0.0:
-        return start.copy()
+        inside = domain.signed_distance(start + mid[:, None] * offset) < 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    # Row-wise dot products, summed as np.linalg.norm sums a single row.
+    step = np.sqrt(offset[:, None, :] @ offset[:, :, None]).ravel()
     back = _ESCAPE_MARGIN * spacing / step
-    t = max(lo - back, 0.0)
-    candidate = start + t * offset
-    if domain.signed_distance(candidate) >= 0.0:
-        return start.copy()
-    return candidate
+    candidate = start + np.maximum(lo - back, 0.0)[:, None] * offset
+    stays = domain.signed_distance(candidate) < 0.0
+    return np.where(stays[:, None], candidate, start)

@@ -24,8 +24,8 @@ from mlsm2d.cases.metrics import error_einf_displacement
 from mlsm2d.elasticity import Material, assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
-from mlsm2d.refine import RefineConfig, RefineRegion, refine_levels
-from mlsm2d.relax import RelaxConfig, relax
+from mlsm2d.refine import RefineRegion, refine_levels
+from mlsm2d.relax import relax
 from mlsm2d.shapes import (
     OPS,
     BasisSpec,
@@ -319,7 +319,7 @@ def test_criterion_11_refinement_relaxation_invariants():
 
     counts = [nodes.n]
     for k in (1, 2, 3):
-        out = refine_levels(nodes, [RefineRegion(region, level=k)], RefineConfig())
+        out = refine_levels(nodes, [RefineRegion(region, level=k)])
         counts.append(out.n)
         np.testing.assert_array_equal(out.positions[: nodes.n], nodes.positions)
         inside = np.array([region.contains(p) for p in out.positions])
@@ -331,13 +331,13 @@ def test_criterion_11_refinement_relaxation_invariants():
     jitter = 0.3 * h * np.random.default_rng(3).uniform(0, 1, size=(nodes.n, 2))
     jitter[nodes.boundary_mask] = 0.0
     jittered = nodes.replace(positions=nodes.positions + jitter)
-    relaxed = relax(jittered, RelaxConfig(iterations=10))
+    relaxed = relax(jittered, iterations=10)
     np.testing.assert_array_equal(
         relaxed.positions[nodes.boundary_mask], jittered.positions[nodes.boundary_mask]
     )
     assert relaxed.n == jittered.n
 
-    fixed = relax(nodes, RelaxConfig(iterations=10))
+    fixed = relax(nodes, iterations=10)
     assert np.abs(fixed.positions - nodes.positions).max() <= 1e-9 * h
 
     elapsed = time.perf_counter() - t0

@@ -268,7 +268,7 @@ class TestWriterBytes:
         kinds = np.array([BOUNDARY, INTERIOR, BOUNDARY, INTERIOR, BOUNDARY, INTERIOR], dtype=np.uint8)
         normals = np.zeros((6, 2))
         normals[[0, 2, 4]] = [[a, -1.0], [c, e], [d, b]]
-        nodes = NodeSet(positions, kinds, normals, np.ones(6), DomainShape(Rect(0.0, 1.0, 0.0, 1.0)))
+        nodes = NodeSet(positions, kinds, normals, DomainShape(Rect(0.0, 1.0, 0.0, 1.0)))
         u = np.array([e, a, b, c, d, -e])
         v = np.array([d, c, b, a, -b, 2.0])
         stress = StressField(

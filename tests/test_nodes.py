@@ -60,8 +60,51 @@ class TestDomainShape:
 
     def test_projection_lands_on_boundary(self):
         domain = DomainShape(UNIT_SQUARE, (Circle(0.5, 0.5, 0.2),))
-        p = domain.project_to_boundary(np.array([0.5, 0.66]))
-        assert abs(domain.signed_distance(p[None, :])[0]) < 1e-9
+        p = domain.project_to_boundary(np.array([[0.5, 0.66]]))
+        assert p.shape == (1, 2)
+        assert abs(domain.signed_distance(p)[0]) < 1e-9
+
+    def test_batched_projection_matches_the_scalar_formula(self):
+        domain = DomainShape(Rect(-1.0, 3.0, 0.0, 2.0), (Circle(0.5, 1.0, 0.4), Circle(2.0, 0.9, 0.3)))
+
+        def scalar(p):
+            # One point at a time: the nearest of the four clamped edge
+            # points and the radial points on each hole, first on ties.
+            r = domain.rect
+            candidates = [
+                np.array([r.x_lo, min(max(p[1], r.y_lo), r.y_hi)]),
+                np.array([r.x_hi, min(max(p[1], r.y_lo), r.y_hi)]),
+                np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_lo]),
+                np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_hi]),
+            ]
+            for hole in domain.holes:
+                d = p - hole.center
+                nrm = np.hypot(d[0], d[1])
+                if nrm == 0.0:
+                    candidates.append(hole.center + np.array([hole.radius, 0.0]))
+                else:
+                    candidates.append(hole.center + d * (hole.radius / nrm))
+            dists = [np.hypot(*(c - p)) for c in candidates]
+            return candidates[int(np.argmin(dists))]
+
+        rng = np.random.default_rng(21)
+        corners = np.array([[-1.0, 0.0], [-1.0, 2.0], [3.0, 0.0], [3.0, 2.0]])
+        along = rng.uniform(0.0, 1.0, 100)
+        across = rng.normal(scale=1e-2, size=100)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 50)
+        points = np.vstack([
+            corners[rng.integers(0, 4, 200)] + rng.normal(scale=1e-3, size=(200, 2)),
+            np.column_stack([-1.0 + 4.0 * along, rng.choice([0.0, 2.0], 100) + across]),  # near the long edges
+            np.column_stack([rng.choice([-1.0, 3.0], 100) + across, 2.0 * along]),  # near the short edges
+            rng.uniform([-3.0, -2.0], [5.0, 4.0], size=(200, 2)),  # many outside the domain
+            [0.5, 1.0] + rng.uniform(0.3, 0.5, (50, 1)) * np.column_stack([np.cos(theta), np.sin(theta)]),
+            [[0.5, 1.0], [2.0, 0.9]],  # the hole centers
+            [[-0.0, -0.0], [-1.0, -0.0], [-0.5, 0.5]],  # signed zeros; ties between two edges
+        ])
+        batched = domain.project_to_boundary(points)
+        assert batched.shape == points.shape
+        expected = np.array([scalar(p) for p in points])
+        assert batched.tobytes() == expected.tobytes()
 
 
 class TestRectangleGrid:

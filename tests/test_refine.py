@@ -8,8 +8,8 @@ from scipy.spatial import cKDTree
 
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
-from mlsm2d.refine import RefineConfig, RefineRegion, refine_levels, refine_once
-from mlsm2d.relax import RelaxConfig, relax
+from mlsm2d.refine import PROXIMITY, RefineRegion, refine_levels, refine_once
+from mlsm2d.relax import relax
 
 
 def min_spacing_inside(nodes, rect):
@@ -23,26 +23,17 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             RefineRegion(Rect(0, 1, 0, 1), level=0)
 
-    @pytest.mark.parametrize("rho", [0.0, 1.0, -0.2])
-    def test_proximity_must_be_a_fraction(self, rho):
-        with pytest.raises(ValueError):
-            RefineConfig(proximity=rho)
-
-    def test_support_floor(self):
-        with pytest.raises(ValueError):
-            RefineConfig(support_n=1)
-
 
 class TestRefineOnce:
     def test_region_missing_all_nodes_is_identity(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
-        out = refine_once(nodes, Rect(5, 6, 5, 6), RefineConfig())
+        out = refine_once(nodes, Rect(5, 6, 5, 6))
         assert out.n == nodes.n
         np.testing.assert_array_equal(out.positions, nodes.positions)
 
     def test_existing_nodes_are_kept_in_place(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
-        out = refine_once(nodes, Rect(0.4, 1.6, 0.2, 0.8), RefineConfig())
+        out = refine_once(nodes, Rect(0.4, 1.6, 0.2, 0.8))
         assert out.n > nodes.n
         np.testing.assert_array_equal(out.positions[: nodes.n], nodes.positions)
         np.testing.assert_array_equal(out.kinds[: nodes.n], nodes.kinds)
@@ -51,13 +42,13 @@ class TestRefineOnce:
         h = 0.25
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), h)
         region = Rect(0.5, 1.5, 0.25, 0.75)
-        out = refine_once(nodes, region, RefineConfig())
+        out = refine_once(nodes, region)
         assert 0.9 * h / 2 <= min_spacing_inside(out, region) <= 1.1 * h / 2
 
     def test_shared_midpoints_are_deduplicated(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         region = Rect(0.4, 1.6, 0.2, 0.8)
-        out = refine_once(nodes, region, RefineConfig())
+        out = refine_once(nodes, region)
         d = build_supports(out, 2).distances[:, 1]
         assert d.min() > 0.25 * 0.75 / 4
 
@@ -67,7 +58,7 @@ class TestRefineOnce:
         ring_before = np.sum(
             np.isclose(np.hypot(*(nodes.positions - hole.center).T), hole.radius, atol=1e-9)
         )
-        out = refine_once(nodes, Rect(1.2, 2.8, 0.2, 1.8), RefineConfig())
+        out = refine_once(nodes, Rect(1.2, 2.8, 0.2, 1.8))
         r = np.hypot(*(out.positions - hole.center).T)
         ring_after = np.sum(np.isclose(r, hole.radius, atol=1e-9))
         assert ring_after > ring_before
@@ -76,10 +67,20 @@ class TestRefineOnce:
         sd = np.abs(out.domain.signed_distance(new_pos))
         np.testing.assert_allclose(sd, 0.0, atol=1e-9)
 
+    def test_midpoints_between_opposite_normals_are_dropped(self):
+        # Across the 0.1-wide ligament above the hole, a ring node and the
+        # top-edge node facing it have opposite normals; their midpoint has
+        # no normal to interpolate and must not join the top edge.
+        nodes = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.6, 0.3)], 0.25)
+        out = refine_once(nodes, Rect(1.0, 3.0, 0.5, 2.0))
+        new_top = out.positions[nodes.n :, 1] == 2.0
+        assert new_top.sum() == 9
+        np.testing.assert_array_equal(out.normals[nodes.n :][new_top], [[0.0, 1.0]] * 9)
+
     def test_no_nodes_created_inside_the_hole(self):
         hole = Circle(2.0, 1.0, 0.5)
         nodes = build_drilled_domain(Rect(0, 4, 0, 2), [hole], 0.25)
-        out = refine_once(nodes, Rect(1.2, 2.8, 0.2, 1.8), RefineConfig())
+        out = refine_once(nodes, Rect(1.2, 2.8, 0.2, 1.8))
         r = np.hypot(*(out.positions - hole.center).T)
         assert np.all(r >= hole.radius - 1e-9)
 
@@ -90,15 +91,15 @@ class TestRefineLevels:
         h = 0.25
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), h)
         region = Rect(0.5, 1.5, 0.25, 0.75)
-        out = refine_levels(nodes, [RefineRegion(region, level=k)], RefineConfig())
+        out = refine_levels(nodes, [RefineRegion(region, level=k)])
         target = h / 2**k
         assert 0.9 * target <= min_spacing_inside(out, region) <= 1.1 * target
 
     def test_level_one_equals_refine_once(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         region = Rect(0.5, 1.5, 0.25, 0.75)
-        a = refine_levels(nodes, [RefineRegion(region, level=1)], RefineConfig())
-        b = refine_once(nodes, region, RefineConfig())
+        a = refine_levels(nodes, [RefineRegion(region, level=1)])
+        b = refine_once(nodes, region)
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_schedule_equals_chained_single_passes(self):
@@ -124,7 +125,6 @@ class TestRefineLevels:
         out = refine_levels(
             nodes,
             [RefineRegion(outer, level=1), RefineRegion(inner, level=2)],
-            RefineConfig(),
         )
         assert min_spacing_inside(out, inner) < min_spacing_inside(
             out, Rect(0.3, 0.6, 0.3, 0.7)
@@ -135,7 +135,7 @@ class TestRefineLevels:
         region = Rect(0.5, 1.5, 0.25, 0.75)
         counts = [nodes.n]
         for k in (1, 2, 3):
-            out = refine_levels(nodes, [RefineRegion(region, level=k)], RefineConfig())
+            out = refine_levels(nodes, [RefineRegion(region, level=k)])
             counts.append(out.n)
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
@@ -149,7 +149,7 @@ def test_spacing_grades_monotonically_away_from_a_refined_hole():
         RefineRegion(Rect(5 - w, 5 + w, 5 - w, 5 + w), level=lvl)
         for lvl, w in ((1, 3.2), (2, 2.4), (3, 1.8), (4, 1.4))
     ]
-    out = relax(refine_levels(nodes, regions, RefineConfig()), RelaxConfig())
+    out = relax(refine_levels(nodes, regions))
     d = build_supports(out, 2).distances[:, 1]
     r = np.hypot(*(out.positions - hole.center).T)
     edges = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
@@ -161,15 +161,12 @@ def test_spacing_grades_monotonically_away_from_a_refined_hole():
     assert all(b >= a for a, b in zip(means, means[1:]))
 
 
-@given(
-    st.floats(min_value=0.3, max_value=0.9),
-    st.floats(min_value=0.55, max_value=0.95),
-)
+@given(st.floats(min_value=0.3, max_value=0.9))
 @settings(max_examples=10, deadline=None)
-def test_refinement_respects_the_proximity_floor(x_lo, rho):
+def test_refinement_respects_the_proximity_floor(x_lo):
     nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
     region = Rect(x_lo, x_lo + 0.7, 0.2, 0.8)
-    out = refine_once(nodes, region, RefineConfig(proximity=rho))
+    out = refine_once(nodes, region)
     assert out.n >= nodes.n
     d = build_supports(out, 2).distances[:, 1]
-    assert d.min() >= rho * 0.125 / 2 * 0.99
+    assert d.min() >= PROXIMITY * 0.125 / 2 * 0.99

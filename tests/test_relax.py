@@ -1,5 +1,7 @@
 """Repulsive node relaxation."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,32 +9,26 @@ from hypothesis import strategies as st
 
 from mlsm2d.cases.beam import perturb_nodes
 from mlsm2d.neighbors import build_supports
-from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
-from mlsm2d.relax import RelaxConfig, relax, relax_offset
+from mlsm2d.nodes import INTERIOR, Circle, Rect, build_drilled_domain, build_rectangle_grid
+from mlsm2d.relax import ITERATIONS, NEIGHBORS, relax, relax_offset
+
+# The package re-exports the relax function under the module's name.
+relax_module = importlib.import_module("mlsm2d.relax")
 
 
 def nn_distances(nodes):
     return build_supports(nodes, 2).distances[:, 1]
 
 
-class TestRelaxConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"iterations": -1},
-            {"step": -0.1},
-            {"neighbors": 1},
-            {"sigma": 0.0},
-        ],
-    )
-    def test_invalid_config_rejected(self, kwargs):
+class TestRelaxSettings:
+    def test_negative_iterations_rejected(self):
+        nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         with pytest.raises(ValueError):
-            RelaxConfig(**kwargs)
+            relax(nodes, -1)
 
     def test_defaults(self):
-        config = RelaxConfig()
-        assert config.iterations == 20
-        assert config.neighbors == 8
+        assert ITERATIONS == 20
+        assert NEIGHBORS == 8
 
 
 class TestRelaxOffset:
@@ -45,11 +41,6 @@ class TestRelaxOffset:
         offset = relax_offset(np.zeros(2), np.array([[0.5, 0.0]]))
         assert offset[0] < 0.0
         assert offset[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_step_is_zero(self):
-        nbrs = np.array([[0.5, 0.1], [-0.2, 0.4]])
-        offset = relax_offset(np.zeros(2), nbrs, RelaxConfig(step=0.0))
-        np.testing.assert_allclose(offset, 0.0)
 
     def test_coincident_neighbor_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +59,7 @@ class TestRelaxOffset:
 class TestRelax:
     def test_zero_iterations_is_identity(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
-        out = relax(nodes, RelaxConfig(iterations=0))
+        out = relax(nodes, 0)
         np.testing.assert_array_equal(out.positions, nodes.positions)
 
     def test_coincident_nodes_stop_a_sweep(self):
@@ -77,12 +68,12 @@ class TestRelax:
         positions = nodes.positions.copy()
         positions[interior[1]] = positions[interior[0]]
         with pytest.raises(ValueError, match="coincident"):
-            relax(nodes.replace(positions=positions), RelaxConfig(iterations=1))
+            relax(nodes.replace(positions=positions), 1)
 
     def test_uniform_grid_is_a_fixed_point(self):
         h = 0.1
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), h)
-        out = relax(nodes, RelaxConfig(iterations=10))
+        out = relax(nodes, 10)
         assert np.abs(out.positions - nodes.positions).max() <= 1e-9 * h
 
     def test_boundary_nodes_never_move(self):
@@ -97,15 +88,42 @@ class TestRelax:
     def test_perturbed_grid_spacing_spread_decreases(self):
         nodes = build_rectangle_grid(Rect(0, 4, 0, 2), 0.2)
         nodes = perturb_nodes(nodes, 0.3, seed=1)
-        out = relax(nodes, RelaxConfig(iterations=50))
+        out = relax(nodes, 50)
         assert nn_distances(out).std() < nn_distances(nodes).std()
 
     def test_nodes_stay_inside_domain(self):
         domain_nodes = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2, 1, 0.5)], 0.2)
         jittered = perturb_nodes(domain_nodes, 0.4, seed=9)
-        out = relax(jittered, RelaxConfig(iterations=30, step=0.2))
+        out = relax(jittered, 30)
         interior = out.positions[out.interior_mask]
         assert np.all(out.domain.signed_distance(interior) < 0.0)
+
+    def test_escaping_step_is_clamped_inside(self, monkeypatch):
+        # (0.125, 0.001) sits 0.04 below (0.125, 0.041), which pushes it
+        # through the bottom edge in one sweep; the clamp stops it a margin
+        # of 1e-3 of its spacing inside.
+        grid = build_rectangle_grid(Rect(0, 1, 0, 1), 0.25)
+        extra = np.array([[0.125, 0.001], [0.125, 0.041]])
+        nodes = grid.replace(
+            positions=np.vstack([grid.positions, extra]),
+            kinds=np.concatenate([grid.kinds, [INTERIOR, INTERIOR]]).astype(np.uint8),
+            normals=np.vstack([grid.normals, np.zeros((2, 2))]),
+        )
+        nodes.finalize()
+        clamped = []
+        clamp = relax_module._clamp_step
+
+        def spy(domain, start, offset, spacing):
+            out = clamp(domain, start, offset, spacing)
+            clamped.append(out)
+            return out
+
+        monkeypatch.setattr(relax_module, "_clamp_step", spy)
+        out = relax(nodes, 1)
+        assert len(clamped) == 1 and clamped[0].shape == (1, 2)
+        np.testing.assert_array_equal(out.positions[-2], clamped[0][0])
+        assert out.positions[-2, 0] == pytest.approx(0.125, abs=1e-12)
+        assert out.positions[-2, 1] == pytest.approx(1e-3 * 0.04, rel=1e-6)
 
     def test_input_left_untouched(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.2)
@@ -120,7 +138,7 @@ class TestRelax:
 def test_relax_preserves_count_and_boundary(seed, sigma):
     nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
     jittered = perturb_nodes(nodes, sigma, seed=seed)
-    out = relax(jittered, RelaxConfig(iterations=5))
+    out = relax(jittered, 5)
     assert out.n == jittered.n
     np.testing.assert_array_equal(
         out.positions[jittered.boundary_mask], jittered.positions[jittered.boundary_mask]

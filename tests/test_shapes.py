@@ -19,7 +19,7 @@ from mlsm2d.cases.beam import BeamParams, grid_spacing_for, perturb_nodes
 from mlsm2d.neighbors import SupportSet, build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
-from mlsm2d.relax import RelaxConfig, relax
+from mlsm2d.relax import relax
 from mlsm2d.shapes import (
     OPS,
     BasisSpec,
