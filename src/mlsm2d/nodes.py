@@ -179,7 +179,8 @@ class NodeSet:
             raise ValueError("interior node not strictly inside the domain")
 
         nrm = np.hypot(self.normals[bnd, 0], self.normals[bnd, 1])
-        if np.any(np.abs(nrm - 1.0) > 1e-12):
+        # Written as "not within" so that a NaN normal fails too.
+        if not np.all(np.abs(nrm - 1.0) <= 1e-12):
             raise ValueError("boundary normal not unit length")
         if np.any(self.normals[~bnd] != 0.0):
             raise ValueError("interior node carries a normal")

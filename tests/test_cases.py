@@ -14,7 +14,13 @@ from mlsm2d.cases.beam import (
     timoshenko_displacement,
     timoshenko_stress,
 )
-from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_cantilever_case
+from mlsm2d.cases.drilled import (
+    DrilledBeamParams,
+    _hole_box,
+    drilled_bcs,
+    drilled_cantilever_case,
+    hole_refined_cloud,
+)
 from mlsm2d.cases.hertz import (
     HertzParams,
     hertz_bcs,
@@ -26,7 +32,9 @@ from mlsm2d.cases.hertz import (
 )
 from mlsm2d.cases.metrics import error_einf_displacement, error_einf_stress
 from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
-from mlsm2d.nodes import Rect, build_drilled_domain, build_rectangle_grid
+from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
+from mlsm2d.refine import RefineRegion, refine_levels
+from mlsm2d.relax import relax
 from mlsm2d.solve import SolverConfig
 from mlsm2d.timing import PHASES, PhaseTimer, TimingReport
 
@@ -401,6 +409,41 @@ class TestDrilledCase:
     def test_holes_soften_the_beam(self, default_run):
         tip_ref = timoshenko_displacement(0.0, 0.0)[1]
         assert default_run.errors["tip_deflection"] < tip_ref < 0.0
+
+
+class TestDrilledBeamParams:
+    def test_adds_holes_to_the_beam_params(self):
+        params = DrilledBeamParams(holes=(), load=0.0)
+        assert isinstance(params, BeamParams)
+        assert (params.length, params.height, params.E, params.nu) == (30.0, 5.0, 72.1e9, 0.33)
+        assert params.rect == BeamParams().rect
+        assert len(DrilledBeamParams().holes) == 3
+
+    def test_dimensions_are_checked_like_the_beam(self):
+        with pytest.raises(ValueError, match="positive"):
+            DrilledBeamParams(height=0.0)
+
+
+class TestHoleRefinedCloud:
+    RECT = Rect(0, 4, 0, 2)
+    # The hole's box ends 0.52 from the top and bottom edges: just outside
+    # the snapping margin of two spacings.
+    HOLES = (Circle(2.0, 1.0, 0.3),)
+
+    def test_zero_counts_skip_refinement_and_relaxation(self):
+        timer = PhaseTimer()
+        nodes = hole_refined_cloud(timer, self.RECT, self.HOLES, 0.25, 0, 0)
+        plain = build_drilled_domain(self.RECT, self.HOLES, 0.25)
+        assert nodes.positions.tobytes() == plain.positions.tobytes()
+        assert list(timer.report().phases) == ["domain"]
+
+    def test_refines_each_hole_box_then_relaxes(self):
+        timer = PhaseTimer()
+        nodes = hole_refined_cloud(timer, self.RECT, self.HOLES, 0.25, 2, 3)
+        regions = [RefineRegion(_hole_box(h, self.RECT, 0.5), 2) for h in self.HOLES]
+        expected = relax(refine_levels(build_drilled_domain(self.RECT, self.HOLES, 0.25), regions), 3)
+        assert nodes.positions.tobytes() == expected.positions.tobytes()
+        assert list(timer.report().phases) == ["domain", "refinement", "relaxation"]
 
 
 class TestTimingReport:

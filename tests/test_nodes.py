@@ -64,6 +64,12 @@ class TestDomainShape:
         assert p.shape == (1, 2)
         assert abs(domain.signed_distance(p)[0]) < 1e-9
 
+    def test_projection_of_no_points_is_empty(self):
+        # A refinement pass with no boundary candidates projects nothing.
+        domain = DomainShape(UNIT_SQUARE, (Circle(0.5, 0.5, 0.2),))
+        p = domain.project_to_boundary(np.zeros((0, 2)))
+        assert p.shape == (0, 2)
+
     def test_batched_projection_matches_the_scalar_formula(self):
         domain = DomainShape(Rect(-1.0, 3.0, 0.0, 2.0), (Circle(0.5, 1.0, 0.4), Circle(2.0, 0.9, 0.3)))
 
@@ -184,6 +190,13 @@ class TestNodeSet:
         with pytest.raises(ValueError, match="unit length"):
             nodes.replace(normals=normals).finalize()
 
+    def test_finalize_catches_nan_boundary_normal(self):
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
+        normals = nodes.normals.copy()
+        normals[0, 0] = np.nan
+        with pytest.raises(ValueError, match="unit length"):
+            nodes.replace(normals=normals).finalize()
+
     def test_coincident_nodes_rejected(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
         positions = nodes.positions.copy()
@@ -201,6 +214,26 @@ class TestNodeSet:
         d = np.hypot(*(positions[:, None, :] - positions[None, :, :]).T)
         np.fill_diagonal(d, np.inf)
         np.testing.assert_allclose(moved.spacing, d.min(axis=0), rtol=1e-14)
+
+    def test_every_cloud_builder_leaves_nearest_neighbor_spacing(self):
+        # Spacing is derived only by finalize, which each builder ends with.
+        from mlsm2d.cases.beam import perturb_nodes
+        from mlsm2d.refine import refine_once
+        from mlsm2d.relax import relax
+
+        drilled = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
+        refined = refine_once(drilled, Rect(1.2, 2.8, 0.2, 1.8))
+        clouds = [
+            build_rectangle_grid(Rect(0, 2, 0, 1), 0.25),
+            drilled,
+            refined,
+            relax(refined, 2),
+            perturb_nodes(drilled, 0.3, seed=5),
+        ]
+        for nodes in clouds:
+            d = np.hypot(*(nodes.positions[:, None, :] - nodes.positions[None, :, :]).T)
+            np.fill_diagonal(d, np.inf)
+            np.testing.assert_allclose(nodes.spacing, d.min(axis=0), rtol=1e-14)
 
     def test_csv_round_trip_layout(self, tmp_path):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)

@@ -125,6 +125,46 @@ class TestRelax:
         assert out.positions[-2, 0] == pytest.approx(0.125, abs=1e-12)
         assert out.positions[-2, 1] == pytest.approx(1e-3 * 0.04, rel=1e-6)
 
+    def test_batched_clamp_matches_the_scalar_bisection(self):
+        domain = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2, 1, 0.5)], 0.2).domain
+        margin = relax_module._ESCAPE_MARGIN
+
+        def scalar(start, offset, spacing):
+            # One row at a time: bisect the crossing, back off a margin of
+            # the spacing, and stay put if that still lands outside.
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if domain.signed_distance(start + mid * offset) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            step = np.linalg.norm(offset)
+            back = margin * spacing / step
+            candidate = start + max(lo - back, 0.0) * offset
+            if domain.signed_distance(candidate) >= 0.0:
+                return start.copy()
+            return candidate
+
+        rng = np.random.default_rng(17)
+        start = rng.uniform([0.0, 0.0], [4.0, 2.0], size=(4000, 2))
+        offset = rng.normal(scale=0.3, size=(4000, 2))
+        spacing = rng.uniform(0.01, 0.5, 4000)
+        spacing[:50] = 1e3  # backing off past the start keeps the start
+        escaping = (domain.signed_distance(start) < 0.0) & (
+            domain.signed_distance(start + offset) >= 0.0
+        )
+        start, offset, spacing = start[escaping], offset[escaping], spacing[escaping]
+        assert len(start) > 500
+        batched = relax_module._clamp_step(domain, start, offset, spacing)
+        expected = np.array([scalar(*row) for row in zip(start, offset, spacing)])
+        assert batched.tobytes() == expected.tobytes()
+
+    def test_default_sweep_count_is_iterations(self):
+        nodes = perturb_nodes(build_rectangle_grid(Rect(0, 2, 0, 1), 0.2), 0.3, seed=6)
+        assert relax(nodes).positions.tobytes() == relax(nodes, ITERATIONS).positions.tobytes()
+        assert relax(nodes).positions.tobytes() != relax(nodes, ITERATIONS - 1).positions.tobytes()
+
     def test_input_left_untouched(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.2)
         jittered = perturb_nodes(nodes, 0.3, seed=2)
