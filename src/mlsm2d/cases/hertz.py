@@ -174,17 +174,14 @@ def hertz_case(
     basis: BasisSpec = BasisSpec(),
     support_n: int = 15,
     weight: WeightSpec = WeightSpec(),
-    solver: SolverConfig = SolverConfig(tolerance=1e-8),
+    solver: SolverConfig = SolverConfig(),
 ) -> CaseResult:
     """Solve the contact benchmark on a refined half-plane square.
 
     The defaults are a desk-scale budget of roughly 3e4 nodes: a coarse
     69-point base grid refined ten primary levels toward the contact plus
     two secondary levels toward its edges. support_n = 15 keeps the
-    refinement-interface supports full rank, and the 1e-8 solver tolerance
-    sits above the attainable accuracy of the preconditioned iteration on
-    these strongly graded clouds while staying far below the
-    discretization error.
+    refinement-interface supports full rank.
     """
     if nx < 3:
         raise ValueError(f"nx must be at least 3, got {nx}")

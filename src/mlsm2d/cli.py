@@ -46,7 +46,7 @@ DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
 
 # Flags each case reads besides --case, --out and --seed.
 _SOLVE_FLAGS = (
-    "basis", "sigma_b", "n", "sigma_w", "solver", "tol", "max_iter", "fill_factor", "drop_tol", "vtk", "dump_matrix"
+    "basis", "sigma_b", "n", "sigma_w", "solver", "tol", "vtk", "dump_matrix"
 )
 _GRID_FLAGS = _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "sweep_n", "sweep_sigma")
 CASE_FLAGS = {
@@ -67,8 +67,8 @@ OVERRIDES = {
 
 # Lower bounds of the numeric flags.
 _POSITIVE = ("sigma_w", "sigma_b", "spacing", "hertz_h")
-_NONNEGATIVE = ("drop_tol", "refine_levels", "relax_iterations", "perturb_sigma")
-_AT_LEAST = {"max_iter": 1, "fill_factor": 1, "nx": 2, "n_target": 4}
+_NONNEGATIVE = ("refine_levels", "relax_iterations", "perturb_sigma")
+_AT_LEAST = {"nx": 2, "n_target": 4}
 
 
 def _dashed(name: str) -> str:
@@ -160,9 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
     ap.add_argument("--solver", choices=SOLVERS, help="direct (default): LU ordered on A^T+A with diagonal pivots; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
-    ap.add_argument("--max-iter", type=int)
-    ap.add_argument("--fill-factor", type=float, help="ILUT fill factor; hertz fails as exactly singular at 10")
-    ap.add_argument("--drop-tol", type=float, help="ILUT drop tolerance")
     ap.add_argument("--refine-levels", type=int)
     ap.add_argument("--secondary-levels", type=int, help="hertz edge-refinement levels")
     ap.add_argument("--relax-iterations", type=int)
@@ -228,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergenceError, IllConditionedStencilError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # an unwritable output, or a value a case rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -269,14 +266,7 @@ def run(config: argparse.Namespace) -> None:
     kwargs = _user_values(
         basis=_merged(signature["basis"].default, kind=BASES.get(config.basis), sigma=config.sigma_b),
         weight=_merged(signature["weight"].default, sigma=config.sigma_w),
-        solver=_merged(
-            signature["solver"].default,
-            method=config.solver,
-            tolerance=config.tol,
-            max_iterations=config.max_iter,
-            fill_factor=config.fill_factor,
-            drop_tol=config.drop_tol,
-        ),
+        solver=_merged(signature["solver"].default, method=config.solver, tolerance=config.tol),
         support_n=config.n,
     )
     # Keyword overrides of each run of a sweep; one run without a sweep.

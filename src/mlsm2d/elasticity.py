@@ -111,7 +111,6 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_nodes: int
-    n_support: int
 
     @property
     def dim(self) -> int:
@@ -209,7 +208,7 @@ def assemble(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(2 * N, 2 * N),
     ).tocsr()
-    return SparseSystem(matrix=matrix, rhs=rhs, n_nodes=N, n_support=n)
+    return SparseSystem(matrix=matrix, rhs=rhs, n_nodes=N)
 
 
 @dataclass(frozen=True)

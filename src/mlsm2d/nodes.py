@@ -99,18 +99,24 @@ class DomainShape:
         """Strict interior membership: signed distance < 0."""
         return self.signed_distance(p) < 0.0
 
-    def project_to_boundary(self, p: np.ndarray) -> np.ndarray:
-        """Closest boundary point (rectangle edges or hole circles) to each row of an (M, 2) array."""
+    def project_to_boundary(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closest boundary point to each row of an (M, 2) array, and its outward normal.
+
+        The point is the nearest of the clamped points on the four
+        rectangle edges and the radial points on the hole circles; the
+        normal is that of the edge or circle the point lies on.
+        """
         p = np.asarray(p, dtype=float)
         r = self.rect
         x = np.clip(p[:, 0], r.x_lo, r.x_hi)
         y = np.clip(p[:, 1], r.y_lo, r.y_hi)
-        candidates = [
+        points = [
             np.column_stack([np.full_like(y, r.x_lo), y]),
             np.column_stack([np.full_like(y, r.x_hi), y]),
             np.column_stack([x, np.full_like(x, r.y_lo)]),
             np.column_stack([x, np.full_like(x, r.y_hi)]),
         ]
+        normals = [np.broadcast_to(n, p.shape) for n in ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))]
         for hole in self.holes:
             d = p - hole.center
             nrm = np.hypot(d[:, 0], d[:, 1])
@@ -118,11 +124,13 @@ class DomainShape:
             center = nrm == 0.0
             d[center] = (1.0, 0.0)
             nrm[center] = 1.0
-            candidates.append(hole.center + d * (hole.radius / nrm)[:, None])
-        c = np.stack(candidates, axis=1)
+            points.append(hole.center + d * (hole.radius / nrm)[:, None])
+            normals.append(-d / nrm[:, None])  # the material lies outside the circle
+        c = np.stack(points, axis=1)
         diff = c - p[:, None, :]
         best = np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=1)
-        return c[np.arange(len(p)), best]
+        rows = np.arange(len(p))
+        return c[rows, best], np.stack(normals, axis=1)[rows, best]
 
 
 @dataclass

@@ -3,11 +3,11 @@
 One refinement pass inserts the midpoints between each selected node and
 its support neighbors, discarding candidates that would crowd an existing
 or already-accepted node. Midpoints of two boundary nodes that land near
-the boundary curve are projected onto it and become boundary nodes with an
-interpolated normal; everything else stays interior. Multi-level schedules
-apply passes outermost region first: a region at level k participates in
-the first k passes, so nested regions telescope the spacing down by powers
-of two.
+the boundary curve are projected onto it and become boundary nodes with
+the normal of the boundary piece they land on; everything else stays
+interior. Multi-level schedules apply passes outermost region first: a
+region at level k participates in the first k passes, so nested regions
+telescope the spacing down by powers of two.
 """
 from __future__ import annotations
 
@@ -95,14 +95,13 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
     project = both_boundary & (np.abs(sd) <= near_boundary)
     c = np.nonzero(project)[0]
     n_sum = nodes.normals[src[c]] + nodes.normals[dst[c]]
-    norm = np.hypot(n_sum[:, 0], n_sum[:, 1])
-    # Opposite normals leave no direction to interpolate: drop the candidate.
-    opposite = norm < 1e-8
+    # Parents with opposite normals face each other across the material, so
+    # their midpoint belongs to neither boundary piece: drop the candidate.
+    opposite = np.hypot(n_sum[:, 0], n_sum[:, 1]) < 1e-8
     keep[c[opposite]] = False
-    c, n_sum, norm = c[~opposite], n_sum[~opposite], norm[~opposite]
-    final[c] = nodes.domain.project_to_boundary(mids[c])
+    c = c[~opposite]
+    final[c], normals[c] = nodes.domain.project_to_boundary(mids[c])
     kinds[c] = BOUNDARY
-    normals[c] = n_sum / norm[:, None]
     inside = nodes.domain.contains(final)
     keep &= project | inside
 

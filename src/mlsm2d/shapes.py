@@ -157,17 +157,16 @@ def _basis_rows(q: np.ndarray, centers: np.ndarray, basis: BasisSpec, op: str) -
 def _stencils(
     q: np.ndarray,
     u: np.ndarray,
-    qe: np.ndarray,
     basis: BasisSpec,
     ops: tuple[str, ...],
 ) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, np.ndarray]]:
     """Stencil rows of N supports in local units, in one batched SVD pass.
 
-    q is (N, n, 2), the support points in local coordinates; u (N, n) their
-    distances from the center in units of sigma_w * p_min, and qe (N, 2) the
-    local evaluation point of each row. Dividing a row by p_min**order of
-    its operator gives the physical row. Returns the rows, ranks and
-    ambiguity masks laid out as ShapeSet holds them.
+    q is (N, n, 2), the support points in local coordinates, and u (N, n)
+    their distances from the center in units of sigma_w * p_min. Rows are
+    evaluated at the center; dividing a row by p_min**order of its operator
+    gives the physical row. Returns the rows, ranks and ambiguity masks
+    laid out as ShapeSet holds them.
     """
     N, n = u.shape
     m = basis.m
@@ -191,10 +190,11 @@ def _stencils(
     pinv = (Vt.transpose(0, 2, 1) * s_inv[:, None, :]) @ U.transpose(0, 2, 1)
     deficient = np.flatnonzero(ranks < m)
 
+    origin = np.zeros((N, 1, 2))
     rows: dict[str, np.ndarray] = {}
     ambiguous: dict[str, np.ndarray] = {}
     for op in ops:
-        lb = _basis_rows(qe[:, None, :], centers, basis, op)[:, 0, :]
+        lb = _basis_rows(origin, centers, basis, op)[:, 0, :]
         row = (lb[:, None, :] @ pinv)[:, 0, :]
         rows[op] = row if w_sqrt is None else row * w_sqrt
         mask = np.zeros(N, dtype=bool)
@@ -212,15 +212,14 @@ def compute_shapes(
     basis: BasisSpec,
     weight_spec: WeightSpec,
     ops: tuple[str, ...] = OPS,
-    eval_point: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Stencil rows for one support, keyed by operator name.
+    """Stencil rows at the center of one support, keyed by operator name.
 
-    support_positions is (n, 2) with the center usually its first row;
-    eval_point defaults to the center. Row entries align with the support
-    ordering. Runs the batched kernel of build_shape_set on this one
-    support. Raises IllConditionedStencilError when a requested operator
-    is not determined by a rank-deficient support.
+    support_positions is (n, 2) with the center usually its first row. Row
+    entries align with the support ordering. Runs the batched kernel of
+    build_shape_set on this one support. Raises IllConditionedStencilError
+    when a requested operator is not determined by a rank-deficient
+    support.
     """
     pos = np.asarray(support_positions, dtype=float)
     center = np.asarray(center, dtype=float)
@@ -233,9 +232,8 @@ def compute_shapes(
     if p_min <= 0:
         raise IllConditionedStencilError("degenerate support")
 
-    qe = np.zeros(2) if eval_point is None else (np.asarray(eval_point, dtype=float) - center) / p_min
     u = d / (weight_spec.sigma * p_min)
-    rows, ranks, ambiguous = _stencils((diff / p_min)[None], u[None], qe[None], basis, ops)
+    rows, ranks, ambiguous = _stencils((diff / p_min)[None], u[None], basis, ops)
     for op in ops:
         if ambiguous[op][0]:
             raise IllConditionedStencilError(
@@ -325,7 +323,7 @@ def build_shape_set(
         return_index=True,
         return_inverse=True,
     )
-    rows, ranks, ambiguous = _stencils(q[first], u[first], np.zeros((first.size, 2)), basis, ops)
+    rows, ranks, ambiguous = _stencils(q[first], u[first], basis, ops)
     rows = {op: row[inv] / p_min[:, None] ** _OP_ORDER[op] for op, row in rows.items()}
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
     return ShapeSet(supports, rows, basis, ranks[inv], ambiguous, int(first.size))

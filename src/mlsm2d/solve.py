@@ -14,9 +14,12 @@ of the column. Any threshold above 0 lets partial pivoting break the
 ordering and multiplies time and fill (1e-2 already does on the 1e5-node
 cantilever); a factor spoiled by a tiny pivot is caught by the
 true-residual check and mended by the refinement restarts.
-"bicgstab-ilut" is a threshold incomplete LU, the memory-bounded
-alternative; at fill 10 it fails with "Factor is exactly singular" on the
-Hertz and 1e5-node cantilever systems, so it is kept as an oracle.
+"bicgstab-ilut" is a threshold incomplete LU at fixed settings, the
+memory-bounded alternative, kept as an oracle for the direct solve.
+Callers choose only the method and the tolerance; the iteration budget
+is 10 sqrt(dim) + 1000, and an iterate that stops improving short of the
+tolerance raises NonConvergenceError as a stall, or as a breakdown if it
+is no longer finite.
 
 Collocation rows mix wildly different scales: interior rows carry
 E / spacing^2 while essential rows are unit diagonals, which puts the raw
@@ -45,25 +48,23 @@ class NonConvergenceError(RuntimeError):
         self.residuals = residuals or []
 
 
+# ILUT settings. ILUT is the oracle that the direct solve is checked
+# against, so it must factor every benchmark system: at fill 10 it fails as
+# "exactly singular" on the Hertz and 1e5-node cantilever systems.
+ILUT_FILL_FACTOR = 40.0
+ILUT_DROP_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "direct"  # or "bicgstab-ilut"
     tolerance: float = 1e-10
-    max_iterations: int | None = None  # default 10 sqrt(dim) + 1000
-    fill_factor: float = 40.0
-    drop_tol: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.method not in ("bicgstab-ilut", "direct"):
             raise ValueError(f"unknown solver method {self.method!r}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.fill_factor < 1.0:
-            raise ValueError(f"fill_factor must be at least 1, got {self.fill_factor}")
-        if self.drop_tol < 0:
-            raise ValueError(f"drop_tol must be nonnegative, got {self.drop_tol}")
 
 
 @dataclass
@@ -105,9 +106,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     matrix, rhs = _equilibrate(system)
     report = SolveReport(config.method, 0, np.inf, 0.0, 0.0)
     dim = matrix.shape[0]
-    maxiter = config.max_iterations
-    if maxiter is None:
-        maxiter = int(10.0 * np.sqrt(dim)) + 1000
+    maxiter = int(10.0 * np.sqrt(dim)) + 1000
     try:
         if config.method == "direct":
             factor = spla.splu(
@@ -119,8 +118,8 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         else:
             factor = spla.spilu(
                 matrix.tocsc(),
-                fill_factor=config.fill_factor,
-                drop_tol=config.drop_tol,
+                fill_factor=ILUT_FILL_FACTOR,
+                drop_tol=ILUT_DROP_TOL,
             )
     except RuntimeError as exc:
         name = (
@@ -145,11 +144,10 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
 
     t0 = time.perf_counter()
     x = np.zeros(dim)
-    info = maxiter
     x0 = None
     best = np.inf
     while report.iterations < maxiter:
-        x, info = spla.bicgstab(
+        x, _ = spla.bicgstab(
             matrix,
             rhs,
             rtol=config.tolerance,
@@ -174,7 +172,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     report.t_iterations = time.perf_counter() - t0
     report.residual = _relative_residual(matrix, rhs, x)
 
-    if not np.all(np.isfinite(x)) or (info < 0 and report.residual > config.tolerance):
+    if not np.all(np.isfinite(x)):
         raise NonConvergenceError(
             "BiCGSTAB broke down (singular or indefinite system?)",
             residuals=report.residual_history,

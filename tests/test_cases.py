@@ -1,5 +1,6 @@
 """Benchmark cases: closed-form fields, error metrics, case drivers, timing."""
 
+import inspect
 import time
 
 import numpy as np
@@ -396,6 +397,9 @@ class TestDrilledCase:
         assert default_run.solve_report.residual <= 1e-8
         assert np.all(np.isfinite(default_run.stress.von_mises))
 
+    def test_default_solve_reaches_the_library_tolerance(self, default_run):
+        assert default_run.solve_report.residual <= SolverConfig().tolerance == 1e-10
+
     def test_peak_stress_sits_at_a_hole(self, default_run):
         nodes = default_run.nodes
         peak = nodes.positions[int(default_run.extras["peak_vm_node"])]
@@ -409,6 +413,11 @@ class TestDrilledCase:
     def test_holes_soften_the_beam(self, default_run):
         tip_ref = timoshenko_displacement(0.0, 0.0)[1]
         assert default_run.errors["tip_deflection"] < tip_ref < 0.0
+
+
+@pytest.mark.parametrize("case", [cantilever_case, hertz_case, drilled_cantilever_case])
+def test_every_case_solves_at_the_library_default(case):
+    assert inspect.signature(case).parameters["solver"].default == SolverConfig()
 
 
 class TestDrilledBeamParams:

@@ -3,13 +3,16 @@
 import functools
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mlsm2d
 from mlsm2d import cli, io
 from mlsm2d.cases import hertz
 from mlsm2d.cli import CASES, main
@@ -94,6 +97,36 @@ class TestExitCodes:
     def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
         assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
         assert "--nx is ignored next to --spacing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--case", "hertz", "--nx", 2], "nx must be at least 3, got 2"),
+            (["--case", "cantilever", "--spacing", 10], "spacing 10.0 exceeds a rectangle side"),
+            (["--case", "cantilever", "--nx", 2], "exceeds a rectangle side"),
+        ],
+        ids=["hertz-nx", "cantilever-spacing", "cantilever-nx"],
+    )
+    def test_value_the_case_rejects_is_a_config_error(self, tmp_path, capsys, args, message):
+        # these pass validate; the case function itself raises ValueError
+        assert run_cli(args + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--max-iter", "--fill-factor", "--drop-tol"])
+    def test_fixed_solver_settings_are_not_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["--case", "cantilever", flag, 10, "--out", tmp_path])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_fixed_solver_settings_are_not_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "cantilever", "max_iter": 5, "fill_factor": 10.0, "drop_tol": 0.0}))
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
+        assert "unknown config file keys: drop_tol, fill_factor, max_iter" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", CASES)
     def test_seed_is_accepted_by_every_case(self, case):
@@ -184,7 +217,7 @@ class TestCaseDefaults:
         with pytest.raises(_Stop):
             run_cli(["--case", "hertz", "--solver", "bicgstab-ilut", "--out", tmp_path])
         (args,) = hertz_call
-        assert args["solver"] == SolverConfig(method="bicgstab-ilut", tolerance=1e-8)
+        assert args["solver"] == SolverConfig(method="bicgstab-ilut")
 
 
 class TestArtifacts:
@@ -348,7 +381,7 @@ class TestWriterBytes:
         rows, cols = [0, 0, 1, 3, 5, 4], [0, 5, 2, 3, 1, 4]
         data = [-0.0, 0.1, 1.0 / 3.0, 1e-300, 1.7e308, -2.0]
         matrix = sp.csr_matrix((data, (rows, cols)), shape=(6, 6))
-        SparseSystem(matrix, np.zeros(6), n_nodes=3, n_support=2).export_matrix(tmp_path / "matrix.txt")
+        SparseSystem(matrix, np.zeros(6), n_nodes=3).export_matrix(tmp_path / "matrix.txt")
         coo = matrix.tocoo()
         ref = "".join(f"{r} {c} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
         assert (tmp_path / "matrix.txt").read_text() == ref
@@ -407,6 +440,10 @@ class TestReproducibility:
 
 
 def test_module_entry_point(tmp_path):
+    # The subprocess must import the same package as this test, whether the
+    # package is installed or only put on sys.path by the test runner.
+    source = str(Path(mlsm2d.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "mlsm2d",
@@ -416,6 +453,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fields.csv").exists()

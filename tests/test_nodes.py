@@ -60,22 +60,25 @@ class TestDomainShape:
 
     def test_projection_lands_on_boundary(self):
         domain = DomainShape(UNIT_SQUARE, (Circle(0.5, 0.5, 0.2),))
-        p = domain.project_to_boundary(np.array([[0.5, 0.66]]))
-        assert p.shape == (1, 2)
+        p, normal = domain.project_to_boundary(np.array([[0.5, 0.66]]))
+        assert p.shape == normal.shape == (1, 2)
         assert abs(domain.signed_distance(p)[0]) < 1e-9
+        # the hole's outward normal points from the material into the hole
+        np.testing.assert_allclose(normal, [[0.0, -1.0]], atol=1e-15)
 
     def test_projection_of_no_points_is_empty(self):
         # A refinement pass with no boundary candidates projects nothing.
         domain = DomainShape(UNIT_SQUARE, (Circle(0.5, 0.5, 0.2),))
-        p = domain.project_to_boundary(np.zeros((0, 2)))
-        assert p.shape == (0, 2)
+        p, normal = domain.project_to_boundary(np.zeros((0, 2)))
+        assert p.shape == normal.shape == (0, 2)
 
     def test_batched_projection_matches_the_scalar_formula(self):
         domain = DomainShape(Rect(-1.0, 3.0, 0.0, 2.0), (Circle(0.5, 1.0, 0.4), Circle(2.0, 0.9, 0.3)))
 
         def scalar(p):
             # One point at a time: the nearest of the four clamped edge
-            # points and the radial points on each hole, first on ties.
+            # points and the radial points on each hole, first on ties,
+            # with the outward normal of its edge or hole.
             r = domain.rect
             candidates = [
                 np.array([r.x_lo, min(max(p[1], r.y_lo), r.y_hi)]),
@@ -83,15 +86,19 @@ class TestDomainShape:
                 np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_lo]),
                 np.array([min(max(p[0], r.x_lo), r.x_hi), r.y_hi]),
             ]
+            normals = [np.array(n) for n in ([-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0])]
             for hole in domain.holes:
                 d = p - hole.center
                 nrm = np.hypot(d[0], d[1])
                 if nrm == 0.0:
                     candidates.append(hole.center + np.array([hole.radius, 0.0]))
+                    normals.append(np.array([-1.0, -0.0]))
                 else:
                     candidates.append(hole.center + d * (hole.radius / nrm))
+                    normals.append(-(d / nrm))
             dists = [np.hypot(*(c - p)) for c in candidates]
-            return candidates[int(np.argmin(dists))]
+            best = int(np.argmin(dists))
+            return candidates[best], normals[best]
 
         rng = np.random.default_rng(21)
         corners = np.array([[-1.0, 0.0], [-1.0, 2.0], [3.0, 0.0], [3.0, 2.0]])
@@ -107,10 +114,11 @@ class TestDomainShape:
             [[0.5, 1.0], [2.0, 0.9]],  # the hole centers
             [[-0.0, -0.0], [-1.0, -0.0], [-0.5, 0.5]],  # signed zeros; ties between two edges
         ])
-        batched = domain.project_to_boundary(points)
-        assert batched.shape == points.shape
-        expected = np.array([scalar(p) for p in points])
+        batched, batched_normals = domain.project_to_boundary(points)
+        assert batched.shape == batched_normals.shape == points.shape
+        expected, expected_normals = (np.array(a) for a in zip(*(scalar(p) for p in points)))
         assert batched.tobytes() == expected.tobytes()
+        assert batched_normals.tobytes() == expected_normals.tobytes()
 
 
 class TestRectangleGrid:

@@ -77,6 +77,25 @@ class TestRefineOnce:
         assert new_top.sum() == 9
         np.testing.assert_array_equal(out.normals[nodes.n :][new_top], [[0.0, 1.0]] * 9)
 
+    def test_projected_midpoints_take_the_normal_of_their_boundary_piece(self):
+        # A ring node next to the ligament pairs with a top-edge node whose
+        # normal is not opposite to its own; the midpoint lands on the ring
+        # at (1.732, 1.734) and (2.268, 1.734), where the ring's normal is
+        # (+-0.894, -0.447), not the parents' average (+-0.707, 0.707).
+        hole = Circle(2.0, 1.6, 0.3)
+        nodes = build_drilled_domain(Rect(0, 4, 0, 2), [hole], 0.25)
+        out = refine_once(nodes, Rect(1.0, 3.0, 0.5, 2.0))
+        pos = out.positions[nodes.n :][out.boundary_mask[nodes.n :]]
+        normals = out.normals[nodes.n :][out.boundary_mask[nodes.n :]]
+        on_ring = np.isclose(np.hypot(*(pos - hole.center).T), hole.radius, atol=1e-9)
+        np.testing.assert_allclose(normals[on_ring], (hole.center - pos[on_ring]) / hole.radius, atol=1e-12)
+        on_top = pos[:, 1] == 2.0
+        np.testing.assert_array_equal(normals[on_top], [[0.0, 1.0]] * int(on_top.sum()))
+        assert np.all(on_ring | on_top)
+        shoulders = np.isclose(pos[:, 1], 1.734, atol=1e-3)
+        np.testing.assert_allclose(pos[shoulders], [[1.732, 1.734], [2.268, 1.734]], atol=1e-3)
+        np.testing.assert_allclose(normals[shoulders], [[0.894, -0.447], [-0.894, -0.447]], atol=1e-3)
+
     def test_no_nodes_created_inside_the_hole(self):
         hole = Circle(2.0, 1.0, 0.5)
         nodes = build_drilled_domain(Rect(0, 4, 0, 2), [hole], 0.25)
