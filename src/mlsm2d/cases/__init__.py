@@ -1,22 +1,4 @@
-from .beam import BeamParams, cantilever_case, perturb_nodes, timoshenko_displacement, timoshenko_stress
-from .drilled import DrilledBeamParams, drilled_cantilever_case
-from .hertz import HertzParams, hertz_case, hertz_geometry, hertz_pressure, hertz_stress
-from .metrics import CaseResult, error_einf_displacement, error_einf_stress
-
-__all__ = [
-    "BeamParams",
-    "CaseResult",
-    "DrilledBeamParams",
-    "HertzParams",
-    "cantilever_case",
-    "drilled_cantilever_case",
-    "error_einf_displacement",
-    "error_einf_stress",
-    "hertz_case",
-    "hertz_geometry",
-    "hertz_pressure",
-    "hertz_stress",
-    "perturb_nodes",
-    "timoshenko_displacement",
-    "timoshenko_stress",
-]
+"""Benchmark drivers: the cantilever (`beam`), the drilled cantilever
+(`drilled`) and Hertz contact (`hertz`), each run through the shared
+pipeline and error norms of `metrics`.
+"""

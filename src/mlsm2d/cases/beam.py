@@ -150,7 +150,7 @@ def cantilever_case(
     timer = PhaseTimer()
     with timer.phase("domain"):
         nodes = build_rectangle_grid(params.rect, spacing)
-        if perturb_sigma > 0.0:
+        if perturb_sigma != 0.0:
             nodes = perturb_nodes(nodes, perturb_sigma, seed)
 
     def measure(nodes, u, v, stress):

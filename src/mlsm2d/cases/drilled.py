@@ -76,16 +76,17 @@ def hole_refined_cloud(
 
     The box of each hole (`_hole_box`, two spacings of margin) is refined
     refine_level times, then the cloud is relaxed for relax_iterations
-    sweeps; either step is skipped at 0. The steps are timed as the
-    domain, refinement and relaxation phases of timer.
+    sweeps; either step is skipped at exactly 0, and a negative setting
+    raises ValueError. The steps are timed as the domain, refinement and
+    relaxation phases of timer.
     """
     with timer.phase("domain"):
         nodes = build_drilled_domain(rect, holes, spacing)
-    if refine_level > 0:
+    if refine_level != 0:
         with timer.phase("refinement"):
             regions = [RefineRegion(_hole_box(h, rect, 2.0 * spacing), refine_level) for h in holes]
             nodes = refine_levels(nodes, regions)
-    if relax_iterations > 0:
+    if relax_iterations != 0:
         with timer.phase("relaxation"):
             nodes = relax(nodes, relax_iterations)
     return nodes

@@ -24,12 +24,11 @@ from . import io
 from .cases import beam, drilled, hertz
 from .nodes import Circle, Rect
 from .shapes import IllConditionedStencilError
-from .solve import NonConvergenceError
+from .solve import METHODS, NonConvergenceError
 from .timing import PhaseTimer
 
 CASES = ("cantilever", "cantilever-perturbed", "drilled-beam", "hertz", "refine-demo")
 BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
-SOLVERS = ("bicgstab-ilut", "direct")
 OUT_ENV = "MLSM2D_OUT"
 
 # Defaults of the inputs that only the CLI defines: the cantilever grid,
@@ -85,7 +84,7 @@ def validate(config: argparse.Namespace) -> list[str]:
     if config.case is None:
         problems.append("no case selected (--case or config file 'case')")
     # argparse checks the choices of flags; these checks catch file values.
-    for name, choices in (("case", CASES), ("basis", BASES), ("solver", SOLVERS)):
+    for name, choices in (("case", CASES), ("basis", BASES), ("solver", METHODS)):
         if (value := getattr(config, name)) is not None and value not in choices:
             problems.append(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
     if config.n is not None and config.n < 9:
@@ -158,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")
     ap.add_argument("--n", type=int, help="support size")
     ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
-    ap.add_argument("--solver", choices=SOLVERS, help="direct (default): LU ordered on A^T+A with diagonal pivots; bicgstab-ilut: memory-bounded ILUT")
+    ap.add_argument("--solver", choices=METHODS, help="direct (default): LU ordered on A^T+A with diagonal pivots; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
     ap.add_argument("--refine-levels", type=int)
     ap.add_argument("--secondary-levels", type=int, help="hertz edge-refinement levels")

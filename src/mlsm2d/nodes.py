@@ -1,10 +1,10 @@
 """Point-cloud discretizations of 2D domains.
 
 Domains are axis-aligned rectangles, optionally with circular holes drilled
-out. A discretization is a flat set of nodes, each either interior or
-boundary; boundary nodes carry an outward unit normal. Nodes are the only
-geometric entity the solver ever sees, so everything downstream (supports,
-stencils, assembly) works on the arrays stored here.
+out. A discretization is a flat set of nodes; the boundary nodes are the
+nodes with an outward unit normal, and every other node is interior. Nodes
+are the only geometric entity the solver ever sees, so everything
+downstream (supports, stencils, assembly) works on the arrays stored here.
 """
 from __future__ import annotations
 
@@ -15,9 +15,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .io import _table
-
-INTERIOR = 0
-BOUNDARY = 1
 
 # Relative tolerance for "sits on the boundary", in units of the domain
 # diagonal.
@@ -138,13 +135,13 @@ class NodeSet:
     """Flat arrays describing one point-cloud discretization.
 
     positions : (N, 2) float
-    kinds     : (N,) int, INTERIOR or BOUNDARY
-    normals   : (N, 2) float, outward unit normals; zero rows for interior
+    normals   : (N, 2) float, outward unit normal of each boundary node and a
+                zero row for each interior node: a node is a boundary node
+                iff its normal row is nonzero
     spacing   : (N,) float, distance to the nearest other node, set by finalize
     """
 
     positions: np.ndarray
-    kinds: np.ndarray
     normals: np.ndarray
     domain: DomainShape
     spacing: np.ndarray | None = field(default=None, kw_only=True)
@@ -155,11 +152,11 @@ class NodeSet:
 
     @property
     def boundary_mask(self) -> np.ndarray:
-        return self.kinds == BOUNDARY
+        return (self.normals[:, 0] != 0.0) | (self.normals[:, 1] != 0.0)
 
     @property
     def interior_mask(self) -> np.ndarray:
-        return self.kinds == INTERIOR
+        return ~self.boundary_mask
 
     def replace(self, **kwargs) -> "NodeSet":
         return replace(self, **kwargs)
@@ -171,12 +168,10 @@ class NodeSet:
             raise ValueError("spacing undefined for fewer than 2 nodes")
         d, _ = cKDTree(self.positions).query(self.positions, k=2)
         self.spacing = d[:, 1].copy()
-        if self.kinds.shape != (N,) or self.normals.shape != (N, 2):
+        if self.normals.shape != (N, 2):
             raise ValueError("inconsistent array shapes in NodeSet")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite node positions")
-        if not np.all((self.kinds == INTERIOR) | (self.kinds == BOUNDARY)):
-            raise ValueError("unknown node kind")
 
         tol = BOUNDARY_TOL * self.domain.rect.diagonal
         sd = self.domain.signed_distance(self.positions)
@@ -190,8 +185,6 @@ class NodeSet:
         # Written as "not within" so that a NaN normal fails too.
         if not np.all(np.abs(nrm - 1.0) <= 1e-12):
             raise ValueError("boundary normal not unit length")
-        if np.any(self.normals[~bnd] != 0.0):
-            raise ValueError("interior node carries a normal")
 
         if np.min(self.spacing) <= 1e-12 * self.domain.rect.diagonal:
             raise ValueError("coincident nodes")
@@ -232,7 +225,6 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     on_top = y == rect.y_hi
     bnd = on_left | on_right | on_bottom | on_top
 
-    kinds = np.where(bnd, BOUNDARY, INTERIOR).astype(np.uint8)
     normals = np.zeros_like(positions)
     normals[on_left, 0] -= 1.0
     normals[on_right, 0] += 1.0
@@ -241,7 +233,7 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     lengths = np.hypot(normals[:, 0], normals[:, 1])
     normals[bnd] /= lengths[bnd, None]
 
-    nodes = NodeSet(positions, kinds, normals, DomainShape(rect))
+    nodes = NodeSet(positions, normals, DomainShape(rect))
     nodes.finalize()
     return nodes
 
@@ -283,11 +275,8 @@ def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h
         new_norm.append((hole.center - ring) / hole.radius)
 
     positions = np.vstack([grid.positions[keep]] + new_pos)
-    kinds = np.concatenate(
-        [grid.kinds[keep]] + [np.full(len(p), BOUNDARY, dtype=np.uint8) for p in new_pos]
-    )
     normals = np.vstack([grid.normals[keep]] + new_norm)
 
-    nodes = NodeSet(positions, kinds, normals, DomainShape(rect, holes))
+    nodes = NodeSet(positions, normals, DomainShape(rect, holes))
     nodes.finalize()
     return nodes

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .neighbors import build_supports
-from .nodes import BOUNDARY, INTERIOR, NodeSet, Rect
+from .nodes import NodeSet, Rect
 
 # Rejection radius of a candidate midpoint, in units of the halved spacing.
 PROXIMITY = 0.75
@@ -83,12 +83,12 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
     src = np.repeat(sel, k)
     dst = nbr.reshape(-1)
     mids = mids.reshape(-1, 2)
-    both_boundary = (nodes.kinds[src] == BOUNDARY) & (nodes.kinds[dst] == BOUNDARY)
+    bnd = nodes.boundary_mask
+    both_boundary = bnd[src] & bnd[dst]
 
     # Classify candidates and settle final positions before proximity checks.
     sd = nodes.domain.signed_distance(mids)
     final = mids.copy()
-    kinds = np.full(len(mids), INTERIOR, dtype=np.uint8)
     normals = np.zeros_like(mids)
     keep = np.ones(len(mids), dtype=bool)
 
@@ -101,7 +101,6 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
     keep[c[opposite]] = False
     c = c[~opposite]
     final[c], normals[c] = nodes.domain.project_to_boundary(mids[c])
-    kinds[c] = BOUNDARY
     inside = nodes.domain.contains(final)
     keep &= project | inside
 
@@ -122,6 +121,5 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
         return nodes
 
     positions = np.vstack([pos, final[new]])
-    kinds_all = np.concatenate([nodes.kinds, kinds[new]])
     normals_all = np.vstack([nodes.normals, normals[new]])
-    return NodeSet(positions, kinds_all, normals_all, nodes.domain)
+    return NodeSet(positions, normals_all, nodes.domain)

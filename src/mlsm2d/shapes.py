@@ -295,7 +295,6 @@ def build_shape_set(
     supports: SupportSet,
     basis: BasisSpec = BasisSpec(),
     weight_spec: WeightSpec = WeightSpec(),
-    ops: tuple[str, ...] = OPS,
 ) -> ShapeSet:
     """Stencils for all nodes, one batched SVD row per distinct local geometry.
 
@@ -323,7 +322,7 @@ def build_shape_set(
         return_index=True,
         return_inverse=True,
     )
-    rows, ranks, ambiguous = _stencils(q[first], u[first], basis, ops)
+    rows, ranks, ambiguous = _stencils(q[first], u[first], basis, OPS)
     rows = {op: row[inv] / p_min[:, None] ** _OP_ORDER[op] for op, row in rows.items()}
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
     return ShapeSet(supports, rows, basis, ranks[inv], ambiguous, int(first.size))

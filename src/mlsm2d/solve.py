@@ -55,13 +55,17 @@ ILUT_FILL_FACTOR = 40.0
 ILUT_DROP_TOL = 1e-5
 
 
+# The solve methods, named once for SolverConfig and the CLI.
+METHODS = ("bicgstab-ilut", "direct")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "direct"  # or "bicgstab-ilut"
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.method not in ("bicgstab-ilut", "direct"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
         if self.tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")

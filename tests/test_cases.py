@@ -264,6 +264,10 @@ class TestCantileverCase:
         assert result.errors["e_inf_sigma"] < 0.2
         assert result.solve_report.residual <= 1e-10
 
+    def test_negative_perturbation_is_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            cantilever_case(n_target=500, perturb_sigma=-0.3)
+
     def test_all_essential_mode_is_more_accurate(self):
         free = cantilever_case(n_target=1000)
         pinned = cantilever_case(n_target=1000, all_essential=True)
@@ -445,6 +449,14 @@ class TestHoleRefinedCloud:
         plain = build_drilled_domain(self.RECT, self.HOLES, 0.25)
         assert nodes.positions.tobytes() == plain.positions.tobytes()
         assert list(timer.report().phases) == ["domain"]
+
+    @pytest.mark.parametrize(
+        "refine_level,relax_iterations,message",
+        [(-1, 0, "refinement level"), (0, -3, "iterations must be nonnegative"), (-1, -3, "refinement level")],
+    )
+    def test_negative_counts_are_rejected(self, refine_level, relax_iterations, message):
+        with pytest.raises(ValueError, match=message):
+            hole_refined_cloud(PhaseTimer(), self.RECT, self.HOLES, 0.5, refine_level, relax_iterations)
 
     def test_refines_each_hole_box_then_relaxes(self):
         timer = PhaseTimer()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from mlsm2d import cli, io
 from mlsm2d.cases import hertz
 from mlsm2d.cli import CASES, main
 from mlsm2d.elasticity import SparseSystem, StressField
-from mlsm2d.nodes import BOUNDARY, INTERIOR, DomainShape, NodeSet, Rect
-from mlsm2d.solve import SolverConfig
+from mlsm2d.nodes import DomainShape, NodeSet, Rect
+from mlsm2d.solve import METHODS, SolverConfig
 from mlsm2d.timing import PHASES, TimingReport
 
 
@@ -155,6 +156,12 @@ class TestConfigFileTypes:
     def test_number_for_a_list_flag(self, tmp_path, capsys):
         assert self.run_file(tmp_path, {"case": "cantilever", "sweep_n": 500}) == 2
         assert "config error: config file key 'sweep_n' must be typed like --sweep-n" in capsys.readouterr().err
+
+    def test_unknown_solver_lists_the_solve_methods(self, tmp_path, capsys):
+        solver = next(a for a in cli._build_parser()._actions if a.dest == "solver")
+        assert tuple(solver.choices) == METHODS
+        assert self.run_file(tmp_path, {"case": "cantilever", "solver": "gmres"}) == 2
+        assert f"unknown solver 'gmres'; choose from {', '.join(METHODS)}" in capsys.readouterr().err
 
     def test_top_level_list(self, tmp_path, capsys):
         assert self.run_file(tmp_path, ["case", "cantilever"]) == 2
@@ -298,10 +305,10 @@ class TestWriterBytes:
     def cloud(self):
         a, b, c, d, e = self.V
         positions = np.array([[a, b], [c, d], [e, a], [b, c], [d, e], [0.5, -c]])
-        kinds = np.array([BOUNDARY, INTERIOR, BOUNDARY, INTERIOR, BOUNDARY, INTERIOR], dtype=np.uint8)
+        # Rows 0, 2 and 4 carry normals, so they are the boundary nodes.
         normals = np.zeros((6, 2))
         normals[[0, 2, 4]] = [[a, -1.0], [c, e], [d, b]]
-        nodes = NodeSet(positions, kinds, normals, DomainShape(Rect(0.0, 1.0, 0.0, 1.0)))
+        nodes = NodeSet(positions, normals, DomainShape(Rect(0.0, 1.0, 0.0, 1.0)))
         u = np.array([e, a, b, c, d, -e])
         v = np.array([d, c, b, a, -b, 2.0])
         stress = StressField(
@@ -315,7 +322,7 @@ class TestWriterBytes:
         ref = "x,y,kind,nx,ny\n"
         for i in range(nodes.n):
             x, y = nodes.positions[i]
-            if nodes.kinds[i] == BOUNDARY:
+            if i in (0, 2, 4):
                 nx, ny = nodes.normals[i]
                 ref += f"{x:.17g},{y:.17g},boundary,{nx:.17g},{ny:.17g}\n"
             else:
@@ -437,6 +444,17 @@ class TestReproducibility:
         assert run_cli(base + ["--seed", 7, "--out", out_a]) == 0
         assert run_cli(base + ["--seed", 8, "--out", out_b]) == 0
         assert (out_a / "nodes.csv").read_bytes() != (out_b / "nodes.csv").read_bytes()
+
+
+def test_package_names_leave_submodules_reachable():
+    import mlsm2d.relax
+    import mlsm2d.solve
+
+    assert isinstance(mlsm2d.relax, types.ModuleType)
+    assert isinstance(mlsm2d.solve, types.ModuleType)
+    assert mlsm2d.relax.ITERATIONS > 0
+    assert mlsm2d.solve.ILUT_FILL_FACTOR > 0
+    assert mlsm2d.__version__ == "0.1.0"
 
 
 def test_module_entry_point(tmp_path):

@@ -143,13 +143,11 @@ class TestAssembly:
         grid = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         m = 9
         positions = np.column_stack([np.linspace(0, 2, m), np.zeros(m)])
-        kinds = np.zeros(m, dtype=grid.kinds.dtype)
-        kinds[[0, m - 1]] = 1
         normals = np.zeros((m, 2))
         normals[0] = (-1.0, 0.0)
         normals[m - 1] = (1.0, 0.0)
         # not a valid domain cloud, so spacing is set here instead of by finalize
-        nodes = grid.replace(positions=positions, kinds=kinds, normals=normals, spacing=np.full(m, 0.25))
+        nodes = grid.replace(positions=positions, normals=normals, spacing=np.full(m, 0.25))
         shapes = build_shape_set(nodes, build_supports(nodes, 9))
         mat = Material(E=1.0, nu=0.3)
         bcs = BoundaryConditions.empty(m)

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from mlsm2d.nodes import (
-    BOUNDARY,
-    INTERIOR,
     Circle,
     DomainShape,
     NodeSet,
@@ -138,7 +136,7 @@ class TestRectangleGrid:
         for i in range(nodes.n):
             x, y = nodes.positions[i]
             nrm = nodes.normals[i]
-            if nodes.kinds[i] == INTERIOR:
+            if 0.0 < x < 1.0 and 0.0 < y < 1.0:
                 assert np.all(nrm == 0.0)
                 continue
             assert np.hypot(*nrm) == pytest.approx(1.0)
@@ -158,7 +156,7 @@ class TestDrilledDomain:
         plain = build_rectangle_grid(UNIT_SQUARE, 0.25)
         drilled = build_drilled_domain(UNIT_SQUARE, (), 0.25)
         assert np.array_equal(plain.positions, drilled.positions)
-        assert np.array_equal(plain.kinds, drilled.kinds)
+        assert np.array_equal(plain.normals, drilled.normals)
 
     def test_ring_count_and_normals(self):
         # circumference sampling at the ambient spacing: ceil(2 pi r / h)
@@ -171,7 +169,7 @@ class TestDrilledDomain:
         assert np.allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0)
         # normals point from the ring toward the hole center
         assert np.allclose(nrm, -ring / r, atol=1e-12)
-        assert np.all(nodes.kinds[on_ring] == BOUNDARY)
+        assert np.all(nodes.boundary_mask[on_ring])
 
     def test_grid_nodes_near_circle_are_culled(self):
         r, h = 1.0, 0.25
@@ -204,6 +202,29 @@ class TestNodeSet:
         normals[0, 0] = np.nan
         with pytest.raises(ValueError, match="unit length"):
             nodes.replace(normals=normals).finalize()
+
+    @pytest.mark.parametrize("normal", [(1.0, 0.0), (np.nan, 0.0)])
+    def test_finalize_catches_normal_on_interior_point(self, normal):
+        # A nonzero (or NaN) normal makes the center node a boundary node.
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
+        normals = nodes.normals.copy()
+        normals[4] = normal
+        with pytest.raises(ValueError, match="off the boundary curve"):
+            nodes.replace(normals=normals).finalize()
+
+    def test_finalize_catches_zero_normal_on_boundary_point(self):
+        # A zero normal makes the left-edge node (0, 0.5) an interior node.
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
+        normals = nodes.normals.copy()
+        normals[1] = 0.0
+        with pytest.raises(ValueError, match="not strictly inside"):
+            nodes.replace(normals=normals).finalize()
+
+    def test_masks_read_the_normals(self):
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
+        nonzero = np.any(nodes.normals != 0.0, axis=1)
+        np.testing.assert_array_equal(nodes.boundary_mask, nonzero)
+        np.testing.assert_array_equal(nodes.interior_mask, ~nonzero)
 
     def test_coincident_nodes_rejected(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)

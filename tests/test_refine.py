@@ -36,7 +36,7 @@ class TestRefineOnce:
         out = refine_once(nodes, Rect(0.4, 1.6, 0.2, 0.8))
         assert out.n > nodes.n
         np.testing.assert_array_equal(out.positions[: nodes.n], nodes.positions)
-        np.testing.assert_array_equal(out.kinds[: nodes.n], nodes.kinds)
+        np.testing.assert_array_equal(out.normals[: nodes.n], nodes.normals)
 
     def test_midpoints_halve_the_spacing(self):
         h = 0.25
@@ -131,7 +131,6 @@ class TestRefineLevels:
             chained = refine_once(chained, rect)
         assert out.n > nodes.n
         np.testing.assert_array_equal(out.positions, chained.positions)
-        np.testing.assert_array_equal(out.kinds, chained.kinds)
         np.testing.assert_array_equal(out.normals, chained.normals)
         d, _ = cKDTree(out.positions).query(out.positions, k=2)
         np.testing.assert_array_equal(out.spacing, d[:, 1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mlsm2d.cases.beam import perturb_nodes
 from mlsm2d.neighbors import build_supports
-from mlsm2d.nodes import INTERIOR, Circle, Rect, build_drilled_domain, build_rectangle_grid
+from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.relax import ITERATIONS, NEIGHBORS, relax, relax_offset
 
 # The package re-exports the relax function under the module's name.
@@ -106,7 +106,6 @@ class TestRelax:
         extra = np.array([[0.125, 0.001], [0.125, 0.041]])
         nodes = grid.replace(
             positions=np.vstack([grid.positions, extra]),
-            kinds=np.concatenate([grid.kinds, [INTERIOR, INTERIOR]]).astype(np.uint8),
             normals=np.vstack([grid.normals, np.zeros((2, 2))]),
         )
         nodes.finalize()
