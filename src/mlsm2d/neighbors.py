@@ -35,17 +35,16 @@ class SupportSet:
 def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the n nearest points, ties by index.
 
-    points is one (2,) point or an (M, 2) array of them; the result has
-    shape (n,) or (M, n) to match, distances nondecreasing along each row.
-    Requires n >= 2 so that the near-neighbor distance p_min is defined.
+    points is an (M, 2) array; the result has shape (M, n), distances
+    nondecreasing along each row. Requires n >= 2 so that the near-neighbor
+    distance p_min is defined.
     """
     N = tree.n
     if n < 2:
         raise ValueError(f"support size must be at least 2, got {n}")
     if n > N:
         raise ValueError(f"support size {n} exceeds point count {N}")
-    points = np.asarray(points, dtype=float)
-    pts = np.atleast_2d(points)
+    pts = np.asarray(points, dtype=float)
     out_idx = np.empty((len(pts), n), dtype=np.intp)
     out_dist = np.empty((len(pts), n))
 
@@ -65,8 +64,6 @@ def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
         # the k-th candidate; such rows ask again for twice as many.
         rows = rows[(k < N) & (dist[:, n - 1] >= dist[:, -1] * (1.0 - _TIE_EPS))]
         k = min(N, 2 * k)
-    if points.ndim == 1:
-        return out_idx[0], out_dist[0]
     return out_idx, out_dist
 
 

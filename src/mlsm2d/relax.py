@@ -33,16 +33,13 @@ _ESCAPE_MARGIN = 1e-3
 def relax_offset(p: np.ndarray, support_positions: np.ndarray) -> np.ndarray:
     """Displacement of nodes given their neighbor positions (excluding p).
 
-    p is one (2,) point with (k, 2) neighbors or an (M, 2) batch with
-    (M, k, 2) neighbors; the result matches p in shape. Computes
-    -step_eff * sum_i grad w(p - p_i) with a Gaussian w of width
+    p is an (M, 2) batch with (M, k, 2) neighbors; the result is (M, 2).
+    Computes -step_eff * sum_i grad w(p - p_i) with a Gaussian w of width
     SIGMA * p_min, where p_min is the distance to the closest neighbor and
     step_eff = STEP * p_min^2. The offset points away from the neighbors.
     """
     p = np.asarray(p, dtype=float)
     nbrs = np.asarray(support_positions, dtype=float)
-    if p.ndim == 1:
-        return relax_offset(p[None], np.atleast_2d(nbrs)[None])[0]
     diff = p[:, None, :] - nbrs
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     if np.any(d2 == 0.0):

@@ -2,20 +2,23 @@
 
 Given a support of n nodes around a center p0, a basis of m functions and a
 Gaussian weight, the local approximant is the WLS fit of nodal values over
-the support. Applying a linear operator L to the fit and evaluating at p0
-collapses to a stencil row
+the support. Applying a derivative L = d^a/dx^a d^b/dy^b (OPS names it by
+its orders (a, b)) to the fit and evaluating at p0 gives a stencil row
 
     chi_L = (L b)(p0)^T (W B)^+ W,
 
 where B is the n-by-m matrix of basis values at the support nodes and W the
-diagonal square-root-weight matrix. The pseudo-inverse is computed by SVD
-with singular values below RCOND * s_max truncated.
+diagonal square-root-weight matrix. Each basis has one rule for its image
+L b: monomial-9 is a list of powers x^p y^r, and a Gaussian's image is a
+factor in x times a factor in y times the Gaussian. The pseudo-inverse is
+computed by SVD with singular values below RCOND * s_max truncated.
 
 All internal algebra runs in local coordinates q = (p - p0) / p_min, where
 p_min is the distance from the center to its nearest support node. That
 keeps the basis matrix well scaled regardless of the physical spacing; the
-chain rule restores physical units on the way out. With n == m the fit is
-plain interpolation and the weight drops out entirely, so W is skipped.
+chain rule divides a row of orders (a, b) by p_min**(a + b) on the way out.
+With n == m the fit is plain interpolation and the weight drops out
+entirely, so W is skipped.
 
 Rank deficiency needs care rather than a blanket error: structured supports
 can be honestly singular while still defining most stencils. The canonical
@@ -29,12 +32,12 @@ space. Consumers reject ambiguous rows they actually need.
 
 One batched kernel computes every stencil in local units; a row depends
 only on q and on u = |p - p0| / (sigma_w * p_min). build_shape_set runs it
-once per bit-distinct (q, u) key of the cloud and scatters the rows back,
-so every row equals a per-node solve. compute_shapes runs it on a single
-support (optionally evaluated off center).
+once per bit-distinct (q, u) key and scatters the rows back, so every row
+equals a per-node solve. compute_shapes runs it on a single support.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +45,11 @@ import numpy as np
 from .neighbors import SupportSet
 from .nodes import NodeSet
 
-OPS = ("val", "dx", "dy", "dxx", "dxy", "dyy")
+# Derivative orders (a, b) of each operator d^a/dx^a d^b/dy^b.
+OPS = {"val": (0, 0), "dx": (1, 0), "dy": (0, 1), "dxx": (2, 0), "dxy": (1, 1), "dyy": (0, 2)}
 
-# Order of each operator: physical stencils scale as p_min**-order.
-_OP_ORDER = {"val": 0, "dx": 1, "dy": 1, "dxx": 2, "dxy": 2, "dyy": 2}
+# Powers (p, r) of the monomial-9 basis functions x^p y^r.
+_MONOMIAL_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2))
 
 # Singular values below RCOND * s_max count as rank loss.
 RCOND = 1e-12
@@ -79,9 +83,9 @@ class WeightSpec:
 class BasisSpec:
     """Local approximation basis.
 
-    kind "monomial-9": tensor monomials {1, x, y, x^2, y^2, xy, x^2 y,
-    x y^2, x^2 y^2}. kind "gaussian-9": Gaussians centered at the first 9
-    support nodes with shape parameter sigma (in units of p_min).
+    kind "monomial-9": the tensor monomials x^p y^r, p, r <= 2, in the order
+    of _MONOMIAL_POWERS. kind "gaussian-9": Gaussians centered at the first
+    9 support nodes with shape parameter sigma (in units of p_min).
     """
 
     kind: str = "monomial-9"
@@ -98,60 +102,41 @@ class BasisSpec:
         return 9
 
 
-def _monomial_rows(q: np.ndarray, op: str) -> np.ndarray:
-    """Basis-function images under op, evaluated at local points q.
+def _monomial_rows(q: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Images of the monomial-9 basis under d^a/dx^a d^b/dy^b at points q.
 
-    q has shape (..., 2); the result appends an axis of length 9.
+    q is (..., 2) and the result appends an axis of 9: perm(p, a) perm(r, b)
+    x^(p-a) y^(r-b) for x^p y^r, multiplied one factor at a time, x's first.
     """
     x, y = q[..., 0], q[..., 1]
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    if op == "val":
-        cols = (one, x, y, x * x, y * y, x * y, x * x * y, x * y * y, x * x * y * y)
-    elif op == "dx":
-        cols = (zero, one, zero, 2 * x, zero, y, 2 * x * y, y * y, 2 * x * y * y)
-    elif op == "dy":
-        cols = (zero, zero, one, zero, 2 * y, x, x * x, 2 * x * y, 2 * x * x * y)
-    elif op == "dxx":
-        cols = (zero, zero, zero, 2 * one, zero, zero, 2 * y, zero, 2 * y * y)
-    elif op == "dxy":
-        cols = (zero, zero, zero, zero, zero, one, 2 * x, 2 * y, 4 * x * y)
-    elif op == "dyy":
-        cols = (zero, zero, zero, zero, 2 * one, zero, zero, 2 * x, 2 * x * x)
-    else:
-        raise ValueError(f"unknown operator {op!r}")
+    cols = []
+    for p, r in _MONOMIAL_POWERS:
+        c = math.perm(p, a) * math.perm(r, b)
+        factors = (x,) * (p - a) + (y,) * (r - b) if c else ()
+        cols.append(math.prod(factors, start=np.full_like(x, c)))
     return np.stack(cols, axis=-1)
 
 
-def _gaussian_rows(q: np.ndarray, centers: np.ndarray, sigma: float, op: str) -> np.ndarray:
-    """Images of Gaussian basis functions centered at `centers` under op.
+def _gaussian_rows(q: np.ndarray, centers: np.ndarray, sigma: float, a: int, b: int) -> np.ndarray:
+    """Images of Gaussians centered at `centers` under d^a/dx^a d^b/dy^b.
 
-    q: (..., k, 2) evaluation points, centers: (..., m, 2). Result is
-    (..., k, m).
+    q: (..., k, 2) evaluation points, centers: (..., m, 2), result (..., k, m).
     """
     d = q[..., :, None, :] - centers[..., None, :, :]
     dx, dy = d[..., 0], d[..., 1]
     s2 = sigma * sigma
     g = np.exp(-(dx * dx + dy * dy) / s2)
-    if op == "val":
-        return g
-    if op == "dx":
-        return -2.0 * dx / s2 * g
-    if op == "dy":
-        return -2.0 * dy / s2 * g
-    if op == "dxx":
-        return (4.0 * dx * dx / (s2 * s2) - 2.0 / s2) * g
-    if op == "dyy":
-        return (4.0 * dy * dy / (s2 * s2) - 2.0 / s2) * g
-    if op == "dxy":
-        return 4.0 * dx * dy / (s2 * s2) * g
-    raise ValueError(f"unknown operator {op!r}")
+    # The k-th derivative of exp(-t^2 / s2) over itself: 1, -2t / s2 or
+    # 4t^2 / s2^2 - 2 / s2; only the factors of nonzero order are formed.
+    factors = [-2.0 * t / s2 if k == 1 else 4.0 * t * t / (s2 * s2) - 2.0 / s2
+               for t, k in ((dx, a), (dy, b)) if k]
+    return math.prod(factors + [g])
 
 
 def _basis_rows(q: np.ndarray, centers: np.ndarray, basis: BasisSpec, op: str) -> np.ndarray:
     if basis.kind == "monomial-9":
-        return _monomial_rows(q, op)
-    return _gaussian_rows(q, centers, basis.sigma, op)
+        return _monomial_rows(q, *OPS[op])
+    return _gaussian_rows(q, centers, basis.sigma, *OPS[op])
 
 
 def _stencils(
@@ -164,9 +149,9 @@ def _stencils(
 
     q is (N, n, 2), the support points in local coordinates, and u (N, n)
     their distances from the center in units of sigma_w * p_min. Rows are
-    evaluated at the center; dividing a row by p_min**order of its operator
-    gives the physical row. Returns the rows, ranks and ambiguity masks
-    laid out as ShapeSet holds them.
+    evaluated at the center; dividing a row by p_min**(a + b), with (a, b)
+    its operator's orders, gives the physical row. Returns the rows, ranks
+    and ambiguity masks laid out as ShapeSet holds them.
     """
     N, n = u.shape
     m = basis.m
@@ -188,7 +173,8 @@ def _stencils(
     ranks = np.count_nonzero(keep, axis=1)
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     pinv = (Vt.transpose(0, 2, 1) * s_inv[:, None, :]) @ U.transpose(0, 2, 1)
-    deficient = np.flatnonzero(ranks < m)
+    # The rows of Vt past each rank span that support's truncated null space.
+    past_rank = np.arange(m) >= ranks[:, None]
 
     origin = np.zeros((N, 1, 2))
     rows: dict[str, np.ndarray] = {}
@@ -197,12 +183,8 @@ def _stencils(
         lb = _basis_rows(origin, centers, basis, op)[:, 0, :]
         row = (lb[:, None, :] @ pinv)[:, 0, :]
         rows[op] = row if w_sqrt is None else row * w_sqrt
-        mask = np.zeros(N, dtype=bool)
-        for i in deficient:
-            null = Vt[i, ranks[i]:]
-            scale = float(np.linalg.norm(lb[i]))
-            mask[i] = scale > 0 and np.linalg.norm(null @ lb[i]) > _AMBIG_TOL * scale
-        ambiguous[op] = mask
+        null = np.where(past_rank, (Vt @ lb[:, :, None])[:, :, 0], 0.0)
+        ambiguous[op] = np.linalg.norm(null, axis=1) > _AMBIG_TOL * np.linalg.norm(lb, axis=1)
     return rows, ranks, ambiguous
 
 
@@ -211,7 +193,7 @@ def compute_shapes(
     center: np.ndarray,
     basis: BasisSpec,
     weight_spec: WeightSpec,
-    ops: tuple[str, ...] = OPS,
+    ops: tuple[str, ...] = tuple(OPS),
 ) -> dict[str, np.ndarray]:
     """Stencil rows at the center of one support, keyed by operator name.
 
@@ -219,8 +201,10 @@ def compute_shapes(
     entries align with the support ordering. Runs the batched kernel of
     build_shape_set on this one support. Raises IllConditionedStencilError
     when a requested operator is not determined by a rank-deficient
-    support.
+    support, and ValueError for an operator name that OPS does not hold.
     """
+    if unknown := sorted(set(ops) - OPS.keys()):
+        raise ValueError(f"unknown operators {unknown}")
     pos = np.asarray(support_positions, dtype=float)
     center = np.asarray(center, dtype=float)
     diff = pos - center
@@ -239,7 +223,7 @@ def compute_shapes(
             raise IllConditionedStencilError(
                 f"rank-{int(ranks[0])} support does not determine the {op} stencil"
             )
-    return {op: row[0] / p_min ** _OP_ORDER[op] for op, row in rows.items()}
+    return {op: row[0] / p_min ** sum(OPS[op]) for op, row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -323,6 +307,6 @@ def build_shape_set(
         return_inverse=True,
     )
     rows, ranks, ambiguous = _stencils(q[first], u[first], basis, OPS)
-    rows = {op: row[inv] / p_min[:, None] ** _OP_ORDER[op] for op, row in rows.items()}
+    rows = {op: row[inv] / p_min[:, None] ** sum(OPS[op]) for op, row in rows.items()}
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
     return ShapeSet(supports, rows, basis, ranks[inv], ambiguous, int(first.size))

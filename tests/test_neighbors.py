@@ -62,7 +62,8 @@ def lattices(draw):
 def test_knn_matches_brute_force(cloud, n, rnd):
     tree = cKDTree(cloud)
     p = np.array([rnd.uniform(-10, 10), rnd.uniform(-10, 10)])
-    indices, distances = knn(tree, p, min(n, len(cloud)))
+    indices, distances = knn(tree, p[None], min(n, len(cloud)))
+    indices, distances = indices[0], distances[0]
     expected, d_exp = brute_force_knn(cloud, p, min(n, len(cloud)))
     np.testing.assert_array_equal(indices, expected)
     np.testing.assert_array_equal(distances, d_exp)
@@ -108,9 +109,9 @@ def test_batched_knn_equals_per_point_calls(positions, n, seed):
     indices, distances = knn(tree, points, n)
     assert indices.shape == distances.shape == (len(points), n)
     for p, idx, dist in zip(points, indices, distances):
-        one_idx, one_dist = knn(tree, p, n)
-        np.testing.assert_array_equal(idx, one_idx)
-        np.testing.assert_array_equal(dist, one_dist)
+        one_idx, one_dist = knn(tree, p[None], n)
+        np.testing.assert_array_equal(idx, one_idx[0])
+        np.testing.assert_array_equal(dist, one_dist[0])
 
 
 @given(lattices(), st.sampled_from([2, 9, 15]), st.integers(min_value=0, max_value=2**32 - 1))

@@ -35,16 +35,16 @@ class TestRelaxOffset:
     def test_symmetric_cross_cancels(self):
         h = 0.3
         nbrs = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-        np.testing.assert_allclose(relax_offset(np.zeros(2), nbrs), 0.0, atol=1e-15)
+        np.testing.assert_allclose(relax_offset(np.zeros((1, 2)), nbrs[None]), 0.0, atol=1e-15)
 
     def test_single_neighbor_pushes_away(self):
-        offset = relax_offset(np.zeros(2), np.array([[0.5, 0.0]]))
+        offset = relax_offset(np.zeros((1, 2)), np.array([[[0.5, 0.0]]]))[0]
         assert offset[0] < 0.0
         assert offset[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_coincident_neighbor_rejected(self):
         with pytest.raises(ValueError):
-            relax_offset(np.zeros(2), np.array([[0.0, 0.0], [1.0, 0.0]]))
+            relax_offset(np.zeros((1, 2)), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
 
     def test_batch_rows_equal_single_calls(self):
         rng = np.random.default_rng(5)
@@ -53,7 +53,7 @@ class TestRelaxOffset:
         batch = relax_offset(points, nbrs)
         assert batch.shape == (6, 2)
         for p, nb, offset in zip(points, nbrs, batch):
-            np.testing.assert_array_equal(offset, relax_offset(p, nb))
+            np.testing.assert_array_equal(offset, relax_offset(p[None], nb[None])[0])
 
 
 class TestRelax:

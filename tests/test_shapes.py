@@ -7,7 +7,9 @@ invariances (translation, uniform scaling, weight choice at n = m) that the
 construction must respect. Rank-deficient supports exercise the ambiguity
 bookkeeping: operators whose stencil survives the deficiency keep working,
 the rest raise. build_shape_set solves once per distinct local geometry;
-its rows, ranks and masks must equal a per-node solve bit for bit.
+its rows, ranks and masks must equal a per-node solve bit for bit. The
+basis images and ambiguity masks must equal those of the hand-written
+operator tables and per-node null-space check they replaced.
 """
 
 import numpy as np
@@ -21,11 +23,15 @@ from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_gri
 from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.relax import relax
 from mlsm2d.shapes import (
+    _AMBIG_TOL,
     OPS,
+    RCOND,
     BasisSpec,
     IllConditionedStencilError,
     ShapeSet,
     WeightSpec,
+    _gaussian_rows,
+    _monomial_rows,
     _stencils,
     build_shape_set,
     compute_shapes,
@@ -235,6 +241,15 @@ class TestRankDeficiency:
             with pytest.raises(IllConditionedStencilError):
                 compute_shapes(pos, pos[0], M9, WeightSpec(), ops=(op,))
 
+    def test_unknown_operator_name_is_a_value_error(self):
+        pos = grid_support()
+        with pytest.raises(ValueError, match="dxxx"):
+            compute_shapes(pos, pos[0], M9, WeightSpec(), ops=("val", "dxxx"))
+        # the name check comes before any geometry check
+        pos[3] = pos[0]
+        with pytest.raises(ValueError, match="dxxx"):
+            compute_shapes(pos, pos[0], M9, WeightSpec(), ops=("dxxx",))
+
     def test_coincident_nodes_rejected(self):
         pos = grid_support()
         pos[3] = pos[0]
@@ -338,12 +353,18 @@ def relaxed_drilled_cloud():
     return relax(refine_levels(base, [RefineRegion(Rect(1.2, 2.8, 0.2, 1.8), 1)])), 15
 
 
-def per_node_shapes(nodes, supports, basis, weight_spec):
-    """build_shape_set without deduplication: the kernel on every node."""
+def local_geometry(nodes, supports, weight_spec):
+    """Per-node kernel inputs q and u, and the scale p_min."""
     dist = supports.distances
     p_min = dist[:, 1]
     q = (nodes.positions[supports.indices] - nodes.positions[:, None, :]) / p_min[:, None, None]
     u = dist / (weight_spec.sigma * p_min[:, None])
+    return q, u, p_min
+
+
+def per_node_shapes(nodes, supports, basis, weight_spec):
+    """build_shape_set without deduplication: the kernel on every node."""
+    q, u, p_min = local_geometry(nodes, supports, weight_spec)
     rows, ranks, ambiguous = _stencils(q, u, basis, OPS)
     return {op: row / p_min[:, None] ** ORDERS[op] for op, row in rows.items()}, ranks, ambiguous
 
@@ -407,3 +428,107 @@ class TestDeduplication:
         assert build_shape_set(nodes, build_supports(nodes, 9)).n_keys == 245
         perturbed = perturb_nodes(nodes, 0.1, seed=0)
         assert build_shape_set(perturbed, build_supports(perturbed, 9)).n_keys == perturbed.n
+
+
+# The basis images and ambiguity masks as first written, one hand-written
+# image per operator and a null-space check per rank-deficient node: the
+# oracle for the image rules and the batched masks of shapes.
+
+
+def table_monomial_rows(q, op):
+    x, y = q[..., 0], q[..., 1]
+    one = np.ones_like(x)
+    zero = np.zeros_like(x)
+    cols = {
+        "val": (one, x, y, x * x, y * y, x * y, x * x * y, x * y * y, x * x * y * y),
+        "dx": (zero, one, zero, 2 * x, zero, y, 2 * x * y, y * y, 2 * x * y * y),
+        "dy": (zero, zero, one, zero, 2 * y, x, x * x, 2 * x * y, 2 * x * x * y),
+        "dxx": (zero, zero, zero, 2 * one, zero, zero, 2 * y, zero, 2 * y * y),
+        "dxy": (zero, zero, zero, zero, zero, one, 2 * x, 2 * y, 4 * x * y),
+        "dyy": (zero, zero, zero, zero, 2 * one, zero, zero, 2 * x, 2 * x * x),
+    }[op]
+    return np.stack(cols, axis=-1)
+
+
+def table_gaussian_rows(q, centers, sigma, op):
+    d = q[..., :, None, :] - centers[..., None, :, :]
+    dx, dy = d[..., 0], d[..., 1]
+    s2 = sigma * sigma
+    g = np.exp(-(dx * dx + dy * dy) / s2)
+    return {
+        "val": lambda: g,
+        "dx": lambda: -2.0 * dx / s2 * g,
+        "dy": lambda: -2.0 * dy / s2 * g,
+        "dxx": lambda: (4.0 * dx * dx / (s2 * s2) - 2.0 / s2) * g,
+        "dyy": lambda: (4.0 * dy * dy / (s2 * s2) - 2.0 / s2) * g,
+        "dxy": lambda: 4.0 * dx * dy / (s2 * s2) * g,
+    }[op]()
+
+
+def table_rows(q, centers, basis, op):
+    if basis.kind == "monomial-9":
+        return table_monomial_rows(q, op)
+    return table_gaussian_rows(q, centers, basis.sigma, op)
+
+
+def per_node_masks(q, u, basis):
+    """Ranks and ambiguity masks, one null-space check per deficient node."""
+    m = basis.m
+    centers = q[:, :m, :]
+    B = table_rows(q, centers, basis, "val")
+    A = B if q.shape[1] == m else np.exp(-0.5 * u * u)[..., None] * B
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    ranks = np.count_nonzero(s > RCOND * s[:, :1], axis=1)
+    origin = np.zeros((len(q), 1, 2))
+    masks = {}
+    for op in OPS:
+        lb = table_rows(origin, centers, basis, op)[:, 0, :]
+        mask = np.zeros(len(q), dtype=bool)
+        for i in np.flatnonzero(ranks < m):
+            null = Vt[i, ranks[i]:]
+            scale = float(np.linalg.norm(lb[i]))
+            mask[i] = scale > 0 and np.linalg.norm(null @ lb[i]) > _AMBIG_TOL * scale
+        masks[op] = mask
+    return ranks, masks
+
+
+def image_points():
+    rng = np.random.default_rng(12)
+    return [np.zeros((4, 1, 2)), rng.uniform(-3, 3, size=(6, 15, 2))]
+
+
+class TestImageRulesMatchOperatorTables:
+    @pytest.mark.parametrize("op", OPS)
+    def test_monomial_images_are_bytewise_equal(self, op):
+        for q in image_points():
+            got = _monomial_rows(q, *OPS[op])
+            assert got.tobytes() == table_monomial_rows(q, op).tobytes()
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("sigma", [1.0, 0.7, 1.3])
+    def test_gaussian_images(self, op, sigma):
+        # at sigma = 1 every division by s2 is exact; elsewhere the product
+        # of the x- and y-factors rounds differently from 4 dx dy / s2^2
+        for q in image_points():
+            centers = np.random.default_rng(13).uniform(-2, 2, size=(q.shape[0], 9, 2))
+            got = _gaussian_rows(q, centers, sigma, *OPS[op])
+            want = table_gaussian_rows(q, centers, sigma, op)
+            if sigma == 1.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                scale = np.abs(want).max(axis=-1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("basis", [M9, G9], ids=["m9", "g9"])
+    @pytest.mark.parametrize("cloud", [exact_grid, refined_cloud])
+    def test_masks_equal_a_per_node_null_space_check(self, cloud, basis):
+        nodes, n = cloud()
+        q, u, _ = local_geometry(nodes, build_supports(nodes, n), WeightSpec())
+        _, ranks, ambiguous = _stencils(q, u, basis, OPS)
+        want_ranks, want = per_node_masks(q, u, basis)
+        assert np.array_equal(ranks, want_ranks)
+        for op in OPS:
+            assert np.array_equal(ambiguous[op], want[op]), op
+        # not vacuous: under monomial-9 the grid's boundary dxy rows and one
+        # refined-cloud support are ambiguous
+        assert any(want[op].any() for op in OPS) == (basis is M9)
