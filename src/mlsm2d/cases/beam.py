@@ -26,7 +26,7 @@ from ..nodes import NodeSet, Rect, build_rectangle_grid
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .metrics import CaseResult, error_einf_displacement, error_einf_stress, solve_on_cloud
+from .metrics import CaseResult, error_einf, solve_on_cloud
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ def cantilever_case(
         u_ref, v_ref = timoshenko_displacement(x, y, params)
         sxx, syy, sxy = timoshenko_stress(x, y, params)
         errors = {
-            "e_inf_u": error_einf_displacement(u, v, u_ref, v_ref),
-            "e_inf_sigma": error_einf_stress(stress, sxx, syy, sxy),
+            "e_inf_u": error_einf((u, v), (u_ref, v_ref)),
+            "e_inf_sigma": error_einf((stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy)),
         }
         return errors, {}
 

@@ -37,7 +37,7 @@ from ..refine import RefineRegion, refine_levels
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .metrics import CaseResult, error_einf_stress, solve_on_cloud
+from .metrics import CaseResult, error_einf, solve_on_cloud
 
 # Default nested refinement schedule toward the contact, in units of b.
 PRIMARY_FACTORS = (500.0, 200.0, 100.0, 50.0, 20.0, 10.0, 5.0, 4.0, 3.0, 2.0)
@@ -202,7 +202,9 @@ def hertz_case(
         x, y = nodes.positions[:, 0], nodes.positions[:, 1]
         sxx, syy, sxy = hertz_stress(x, y, geom.half_width, geom.peak_pressure)
         errors = {
-            "e_inf_sigma": error_einf_stress(stress, sxx, syy, sxy, scale=geom.peak_pressure)
+            "e_inf_sigma": error_einf(
+                (stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=geom.peak_pressure
+            )
         }
         return errors, {"geometry": geom}
 

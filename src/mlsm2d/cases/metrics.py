@@ -14,34 +14,18 @@ from ..solve import SolveReport, SolverConfig, solve
 from ..timing import PhaseTimer, TimingReport
 
 
-def error_einf_displacement(u, v, u_ref, v_ref) -> float:
-    """Normalized max-norm displacement error.
+def error_einf(values, refs, scale: float | None = None) -> float:
+    """Normalized max-norm error of a field given as a tuple of components.
 
-    Largest componentwise deviation over all nodes, divided by the largest
-    componentwise magnitude of the reference field.
+    The largest componentwise deviation over all nodes, divided by the
+    largest componentwise magnitude of the reference field, unless an
+    explicit scale (e.g. a peak pressure) is given.
     """
-    num = max(np.max(np.abs(np.asarray(u) - np.asarray(u_ref))), np.max(np.abs(np.asarray(v) - np.asarray(v_ref))))
-    den = max(np.max(np.abs(u_ref)), np.max(np.abs(v_ref)))
-    if den == 0.0:
-        raise ValueError("reference displacement field is identically zero")
-    return float(num / den)
-
-
-def error_einf_stress(stress: StressField, sxx_ref, syy_ref, sxy_ref, scale: float | None = None) -> float:
-    """Normalized max-norm stress error over all three components.
-
-    The denominator is the largest componentwise magnitude of the reference
-    stress, unless an explicit scale (e.g. a peak pressure) is given.
-    """
-    num = max(
-        np.max(np.abs(stress.sxx - np.asarray(sxx_ref))),
-        np.max(np.abs(stress.syy - np.asarray(syy_ref))),
-        np.max(np.abs(stress.sxy - np.asarray(sxy_ref))),
-    )
+    num = max(np.max(np.abs(np.asarray(c) - np.asarray(r))) for c, r in zip(values, refs, strict=True))
     if scale is None:
-        scale = max(np.max(np.abs(sxx_ref)), np.max(np.abs(syy_ref)), np.max(np.abs(sxy_ref)))
+        scale = max(np.max(np.abs(r)) for r in refs)
     if scale == 0.0:
-        raise ValueError("reference stress field is identically zero")
+        raise ValueError("reference field is identically zero")
     return float(num / scale)
 
 

@@ -4,11 +4,12 @@ Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. The argument parser is the one list of options: a JSON config
 file may set any of them under the flag's name with a value typed like the
-flag, and flags win over file values. A case receives only the values the
-user set; every other default is the case function's own. A flag the
-selected case ignores, or one that another flag or a sweep overrides, is a
-configuration error. Exit codes: 0 success, 2 configuration error, 3
-numerical failure.
+flag, and flags win over file values. A case receives the values the user
+set and the CLI's own defaults in CLI_DEFAULTS (the cantilever grid and the
+refine-demo spacing and levels); every other default is the case
+function's own. A flag the selected case ignores, or one that another flag
+or a sweep overrides, is a configuration error. Exit codes: 0 success, 2
+configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -27,15 +28,14 @@ from .shapes import IllConditionedStencilError
 from .solve import METHODS, NonConvergenceError
 from .timing import PhaseTimer
 
-CASES = ("cantilever", "cantilever-perturbed", "drilled-beam", "hertz", "refine-demo")
+CASES = ("cantilever", "drilled-beam", "hertz", "refine-demo")
 BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
 OUT_ENV = "MLSM2D_OUT"
 
-# Defaults of the inputs that only the CLI defines: the cantilever grid,
-# the perturbed-cantilever variant and the node-positioning demo.
+# Defaults of the inputs that only the CLI defines: the cantilever grid
+# and the node-positioning demo.
 CLI_DEFAULTS = {
     "cantilever": {"nx": 60},
-    "cantilever-perturbed": {"nx": 60, "perturb_sigma": 0.1, "n": 13},
     "refine-demo": {"spacing": 0.5, "refine_levels": 4},
 }
 
@@ -47,10 +47,8 @@ DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
 _SOLVE_FLAGS = (
     "basis", "sigma_b", "n", "sigma_w", "solver", "tol", "vtk", "dump_matrix"
 )
-_GRID_FLAGS = _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "sweep_n", "sweep_sigma")
 CASE_FLAGS = {
-    "cantilever": _GRID_FLAGS,
-    "cantilever-perturbed": _GRID_FLAGS,
+    "cantilever": _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "sweep_n", "sweep_sigma"),
     "drilled-beam": _SOLVE_FLAGS + ("spacing", "refine_levels", "relax_iterations"),
     "hertz": _SOLVE_FLAGS + ("nx", "hertz_h", "refine_levels", "secondary_levels", "sweep_refine"),
     "refine-demo": ("spacing", "refine_levels", "relax_iterations"),
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=str, help="JSON config file; flags override its values")
     ap.add_argument("--case", choices=CASES)
     ap.add_argument("--out", type=str, help=f"output directory (default ${OUT_ENV} or ./mlsm2d-out)")
-    ap.add_argument("--seed", type=int, help="perturbation seed; accepted by every case, read by the cantilever cases")
+    ap.add_argument("--seed", type=int, help="perturbation seed; accepted by every case, read by the cantilever case")
     ap.add_argument("--nx", type=int, help="nodes along x for grid cases")
     ap.add_argument("--spacing", type=float, help="target node spacing (alternative to --nx)")
     ap.add_argument("--n-target", type=int, help="approximate node count (alternative to --nx)")
@@ -272,7 +270,7 @@ def run(config: argparse.Namespace) -> None:
     runs: list[dict] = [{}]
     sweep_key = "N"
 
-    if config.case in ("cantilever", "cantilever-perturbed"):
+    if config.case == "cantilever":
         kwargs.update(_user_values(perturb_sigma=config.perturb_sigma, seed=config.seed))
         if config.spacing is not None:
             kwargs["spacing"] = config.spacing

@@ -166,12 +166,13 @@ class NodeSet:
         N = self.n
         if N < 2:
             raise ValueError("spacing undefined for fewer than 2 nodes")
-        d, _ = cKDTree(self.positions).query(self.positions, k=2)
-        self.spacing = d[:, 1].copy()
         if self.normals.shape != (N, 2):
             raise ValueError("inconsistent array shapes in NodeSet")
+        # Checked before the tree, which rejects non-finite data with its own message.
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite node positions")
+        d, _ = cKDTree(self.positions).query(self.positions, k=2)
+        self.spacing = d[:, 1].copy()
 
         tol = BOUNDARY_TOL * self.domain.rect.diagonal
         sd = self.domain.signed_distance(self.positions)

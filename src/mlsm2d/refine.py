@@ -37,30 +37,23 @@ class RefineRegion:
 
 def refine_once(nodes: NodeSet, region: Rect) -> NodeSet:
     """Single halving pass over one rectangular region."""
-    return _finished(nodes, _refine_pass(nodes, [region]))
+    return refine_levels(nodes, [RefineRegion(region)])
 
 
 def refine_levels(nodes: NodeSet, regions: list[RefineRegion]) -> NodeSet:
     """Run the multi-level schedule described by the regions' levels."""
-    if not regions:
-        return nodes
-    max_level = max(r.level for r in regions)
+    max_level = max((r.level for r in regions), default=0)
     out = nodes
     for pass_no in range(1, max_level + 1):
         active = [r.rect for r in regions if r.level >= pass_no]
         out = _refine_pass(out, active)
-    return _finished(nodes, out)
-
-
-def _finished(before: NodeSet, after: NodeSet) -> NodeSet:
-    """Refresh spacing and check the cloud, if any pass added nodes."""
-    if after is not before:
-        after.finalize()
-    return after
+    if out is not nodes:  # some pass added nodes: refresh spacing and check the cloud
+        out.finalize()
+    return out
 
 
 def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
-    """One halving pass; the result is unchecked until _finished."""
+    """One halving pass; the result is unchecked until refine_levels finalizes it."""
     pos = nodes.positions
 
     selected = np.zeros(nodes.n, dtype=bool)

@@ -137,14 +137,10 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
 
     # An explicit dtype spares LinearOperator a probing solve with the factor.
     precond = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=matrix.dtype)
-    b_norm = np.linalg.norm(rhs)
-    scale = b_norm if b_norm > 0 else 1.0
 
     def callback(xk: np.ndarray) -> None:
         report.iterations += 1
-        report.residual_history.append(
-            float(np.linalg.norm(rhs - matrix @ xk) / scale)
-        )
+        report.residual_history.append(_relative_residual(matrix, rhs, xk))
 
     t0 = time.perf_counter()
     x = np.zeros(dim)

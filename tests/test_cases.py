@@ -31,7 +31,7 @@ from mlsm2d.cases.hertz import (
     hertz_stress,
     refinement_schedule,
 )
-from mlsm2d.cases.metrics import error_einf_displacement, error_einf_stress
+from mlsm2d.cases.metrics import error_einf
 from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -276,33 +276,88 @@ class TestCantileverCase:
 
 class TestErrorMetrics:
     def test_hand_example(self):
-        e = error_einf_displacement(
-            np.array([6.0]), np.array([1.0]), np.array([4.0]), np.array([1.0])
-        )
+        e = error_einf((np.array([6.0]), np.array([1.0])), (np.array([4.0]), np.array([1.0])))
         assert e == pytest.approx(0.5)
 
     def test_zero_for_identical_fields(self):
         u = np.array([1.0, -2.0])
         v = np.array([0.5, 0.0])
-        assert error_einf_displacement(u, v, u, v) == 0.0
+        assert error_einf((u, v), (u, v)) == 0.0
 
     def test_zero_reference_rejected(self):
         z = np.zeros(3)
-        with pytest.raises(ValueError):
-            error_einf_displacement(np.ones(3), z, z, z)
+        with pytest.raises(ValueError, match="reference field is identically zero"):
+            error_einf((np.ones(3), z), (z, z))
 
     def test_invariant_under_common_rescaling(self):
         rng = np.random.default_rng(8)
         u, v = rng.standard_normal(5), rng.standard_normal(5)
         ur, vr = rng.standard_normal(5), rng.standard_normal(5)
-        a = error_einf_displacement(u, v, ur, vr)
-        b = error_einf_displacement(1e6 * u, 1e6 * v, 1e6 * ur, 1e6 * vr)
+        a = error_einf((u, v), (ur, vr))
+        b = error_einf((1e6 * u, 1e6 * v), (1e6 * ur, 1e6 * vr))
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_stress_metric_with_explicit_scale(self):
         stress = StressField(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-        e = error_einf_stress(stress, np.array([3.0]), np.array([0.0]), np.array([0.0]), scale=10.0)
+        refs = (np.array([3.0]), np.array([0.0]), np.array([0.0]))
+        e = error_einf((stress.sxx, stress.syy, stress.sxy), refs, scale=10.0)
         assert e == pytest.approx(0.2)
+
+    def test_component_counts_must_match(self):
+        u = np.ones(3)
+        with pytest.raises(ValueError):
+            error_einf((u, u), (u,))
+
+
+class TestErrorEinfMatchesTheTwoNormsItReplaced:
+    """error_einf against test-local copies of the former displacement and stress norms."""
+
+    @staticmethod
+    def displacement_norm(u, v, u_ref, v_ref):
+        num = max(np.max(np.abs(np.asarray(u) - np.asarray(u_ref))), np.max(np.abs(np.asarray(v) - np.asarray(v_ref))))
+        den = max(np.max(np.abs(u_ref)), np.max(np.abs(v_ref)))
+        if den == 0.0:
+            raise ValueError("reference displacement field is identically zero")
+        return float(num / den)
+
+    @staticmethod
+    def stress_norm(stress, sxx_ref, syy_ref, sxy_ref, scale=None):
+        num = max(
+            np.max(np.abs(stress.sxx - np.asarray(sxx_ref))),
+            np.max(np.abs(stress.syy - np.asarray(syy_ref))),
+            np.max(np.abs(stress.sxy - np.asarray(sxy_ref))),
+        )
+        if scale is None:
+            scale = max(np.max(np.abs(sxx_ref)), np.max(np.abs(syy_ref)), np.max(np.abs(sxy_ref)))
+        if scale == 0.0:
+            raise ValueError("reference stress field is identically zero")
+        return float(num / scale)
+
+    @staticmethod
+    def fields(seed, count):
+        """count random component arrays whose magnitudes span many decades."""
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(200) * 10.0 ** rng.uniform(-12, 12, 200) for _ in range(count)]
+
+    def test_displacement_bit_for_bit(self):
+        for seed in range(20):
+            u, v, u_ref, v_ref = self.fields(seed, 4)
+            assert error_einf((u, v), (u_ref, v_ref)) == self.displacement_norm(u, v, u_ref, v_ref)
+
+    @pytest.mark.parametrize("scale", [None, 2.6e6, 1.0 / 3.0])
+    def test_stress_bit_for_bit(self, scale):
+        for seed in range(20):
+            sxx, syy, sxy, *refs = self.fields(seed, 6)
+            expected = self.stress_norm(StressField(sxx, syy, sxy), *refs, scale=scale)
+            assert error_einf((sxx, syy, sxy), tuple(refs), scale=scale) == expected
+
+    def test_largest_component_is_not_always_the_first(self):
+        # The stress comparison is not vacuous: each component is the largest somewhere.
+        winners = set()
+        for seed in range(20):
+            sxx, syy, sxy, *refs = self.fields(seed, 6)
+            winners.add(int(np.argmax([np.max(np.abs(c - r)) for c, r in zip((sxx, syy, sxy), refs)])))
+        assert winners == {0, 1, 2}
 
 
 class TestHertzAnalytic:

@@ -53,7 +53,7 @@ class TestExitCodes:
     def test_unstable_stencils_are_a_numerical_failure(self, tmp_path, capsys):
         rc = run_cli(
             [
-                "--case", "cantilever-perturbed",
+                "--case", "cantilever",
                 "--perturb-sigma", 0.5,
                 "--n", 9,
                 "--nx", 40,
@@ -133,6 +133,20 @@ class TestExitCodes:
     def test_seed_is_accepted_by_every_case(self, case):
         config = cli._build_parser().parse_args(["--case", case, "--seed", "3"])
         assert cli.validate(config) == []
+
+    def test_removed_perturbed_alias_is_not_a_case(self, tmp_path, capsys):
+        # The perturbed cantilever is --case cantilever --perturb-sigma S.
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["--case", "cantilever-perturbed", "--out", tmp_path])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cantilever-perturbed'" in capsys.readouterr().err
+
+    def test_removed_perturbed_alias_in_a_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "cantilever-perturbed"}))
+        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
+        expected = f"unknown case 'cantilever-perturbed'; choose from {', '.join(CASES)}"
+        assert f"config error: {expected}\n" in capsys.readouterr().err
 
     def test_threads_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -284,7 +298,7 @@ class TestArtifacts:
     def test_perturbation_sweep_keyed_by_sigma(self, tmp_path):
         rc = run_cli(
             [
-                "--case", "cantilever-perturbed",
+                "--case", "cantilever",
                 "--nx", 31,
                 "--n", 13,
                 "--sweep-sigma", "0.0,0.05",
@@ -429,7 +443,7 @@ class TestConfigLayering:
 
 class TestReproducibility:
     def test_identical_seed_gives_identical_bytes(self, tmp_path):
-        args = ["--case", "cantilever-perturbed", "--nx", 31, "--n", 13, "--seed", 7]
+        args = ["--case", "cantilever", "--perturb-sigma", 0.1, "--nx", 31, "--n", 13, "--seed", 7]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert run_cli(args + ["--out", out_a]) == 0
@@ -440,7 +454,7 @@ class TestReproducibility:
     def test_seed_actually_matters(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        base = ["--case", "cantilever-perturbed", "--nx", 31, "--n", 13]
+        base = ["--case", "cantilever", "--perturb-sigma", 0.1, "--nx", 31, "--n", 13]
         assert run_cli(base + ["--seed", 7, "--out", out_a]) == 0
         assert run_cli(base + ["--seed", 8, "--out", out_b]) == 0
         assert (out_a / "nodes.csv").read_bytes() != (out_b / "nodes.csv").read_bytes()

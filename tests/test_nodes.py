@@ -233,6 +233,15 @@ class TestNodeSet:
         with pytest.raises(ValueError, match="coincident"):
             nodes.replace(positions=positions).finalize()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_finalize_names_non_finite_positions(self, value):
+        # The package's own message, not the k-d tree's "data must be finite".
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
+        positions = nodes.positions.copy()
+        positions[6, 1] = value
+        with pytest.raises(ValueError, match="^non-finite node positions$"):
+            nodes.replace(positions=positions).finalize()
+
     def test_finalize_sets_nearest_neighbor_spacing(self):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
         assert np.allclose(nodes.spacing, 0.5)
