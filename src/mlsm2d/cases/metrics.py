@@ -10,7 +10,7 @@ from ..elasticity import BoundaryConditions, Material, StressField, assemble, co
 from ..neighbors import build_supports
 from ..nodes import NodeSet
 from ..shapes import BasisSpec, WeightSpec, build_shape_set
-from ..solve import SolveReport, SolverConfig, solve
+from ..solve import ND, SolveReport, SolverConfig, solve
 from ..timing import PhaseTimer, TimingReport
 
 
@@ -72,6 +72,8 @@ def solve_on_cloud(
     with timer.phase("assembly"):
         system = assemble(nodes, shapes, material, make_bcs(nodes))
     (u, v), report = solve(system, solver)
+    if report.ordering == ND:
+        timer.add("ordering", report.t_ordering)
     timer.add("preconditioner", report.t_preconditioner)
     timer.add("solve", report.t_iterations)
     with timer.phase("postprocess"):

@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")
     ap.add_argument("--n", type=int, help="support size")
     ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
-    ap.add_argument("--solver", choices=METHODS, help="direct (default): LU ordered on A^T+A with diagonal pivots; bicgstab-ilut: memory-bounded ILUT")
+    ap.add_argument("--solver", choices=METHODS, help="direct (default): LU with diagonal pivots, ordered by nested dissection where every support has at most 9 nodes and by minimum degree on A^T+A otherwise; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
     ap.add_argument("--refine-levels", type=int)
     ap.add_argument("--secondary-levels", type=int, help="hertz edge-refinement levels")

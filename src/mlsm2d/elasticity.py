@@ -106,11 +106,16 @@ class BoundaryConditions:
 
 @dataclass
 class SparseSystem:
-    """Assembled 2N-by-2N collocation system."""
+    """Assembled 2N-by-2N collocation system.
+
+    positions, when set, are the node coordinates, which the direct solve
+    may use to order the unknowns.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     n_nodes: int
+    positions: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -208,7 +213,7 @@ def assemble(
         (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(2 * N, 2 * N),
     ).tocsr()
-    return SparseSystem(matrix=matrix, rhs=rhs, n_nodes=N)
+    return SparseSystem(matrix=matrix, rhs=rhs, n_nodes=N, positions=nodes.positions)
 
 
 @dataclass(frozen=True)

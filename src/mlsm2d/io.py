@@ -22,11 +22,16 @@ def _table(columns, sep: str = ",", fmt: str | tuple[str, ...] = "%.17g") -> str
 
     Numbers are written with fmt, which is one format for every column or
     one per column. A column of text or mixed values writes its strings as
-    they are, None as an empty cell and numbers with the column's format.
+    they are, None as an empty cell and numbers with the column's format;
+    a list of strings (see `_text`) is taken without a copy.
     """
     fmts = (fmt,) * len(columns) if isinstance(fmt, str) else fmt
     cells, line = [], []
     for column, f in zip(columns, fmts):
+        if isinstance(column, list) and all(isinstance(v, str) for v in column):
+            cells.append(column)
+            line.append("%s")
+            continue
         column = np.asarray(column)
         values = column.tolist()
         if column.dtype.kind in "OU":
@@ -37,11 +42,26 @@ def _table(columns, sep: str = ",", fmt: str | tuple[str, ...] = "%.17g") -> str
     return "".join(map((sep.join(line) + "\n").__mod__, zip(*cells)))
 
 
-def write_fields_csv(path, nodes: NodeSet, u, v, stress: StressField) -> None:
-    columns = [*nodes.positions.T, u, v, stress.sxx, stress.syy, stress.sxy, stress.von_mises]
+def _text(values) -> list[str]:
+    """Each value written once with %.17g, for columns that several files share."""
+    values = np.asarray(values).tolist()
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
+# The columns of fields.csv, which fields.vtk and nodes.csv share.
+FIELDS = ("x", "y", "u", "v", "sxx", "syy", "sxy", "svm")
+
+
+def field_columns(nodes: NodeSet, u, v, stress: StressField) -> dict[str, np.ndarray]:
+    """The FIELDS of a solution by name."""
+    return dict(zip(FIELDS, (*nodes.positions.T, u, v, stress.sxx, stress.syy, stress.sxy, stress.von_mises)))
+
+
+def write_fields_csv(path, fields: dict) -> None:
+    """fields.csv from the FIELDS columns, given as numbers or as their text."""
     with open(path, "w") as fh:
-        fh.write("x,y,u,v,sxx,syy,sxy,svm\n")
-        fh.write(_table(columns))
+        fh.write(",".join(FIELDS) + "\n")
+        fh.write(_table([fields[name] for name in FIELDS]))
 
 
 def write_sweep_csv(path, rows: list[dict], key: str = "N") -> None:
@@ -54,36 +74,37 @@ def write_sweep_csv(path, rows: list[dict], key: str = "N") -> None:
         fh.write(_table(columns, fmt=("%.17g",) * 3 + ("%.6f",)))
 
 
-def write_vtk(path, nodes: NodeSet, u, v, stress: StressField) -> None:
-    """Legacy-text VTK point cloud with displacement and stress point data."""
-    n = nodes.n
-    zero = np.zeros(n)
+def write_vtk(path, fields: dict) -> None:
+    """Legacy-text VTK point cloud with displacement and stress point data.
+
+    fields holds the FIELDS columns, as numbers or as their text.
+    """
+    n = len(fields["x"])
+    zero = ["0"] * n
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("mlsm2d fields\n")
         fh.write("ASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {n} double\n")
-        fh.write(_table([*nodes.positions.T, zero], sep=" "))
+        fh.write(_table([fields["x"], fields["y"], zero], sep=" "))
         fh.write(f"VERTICES {n} {2 * n}\n")
         fh.write(_table([np.ones(n, dtype=int), np.arange(n)], sep=" ", fmt="%d"))
         fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS displacement double\n")
-        fh.write(_table([u, v, zero], sep=" "))
-        for name, arr in (
-            ("sxx", stress.sxx),
-            ("syy", stress.syy),
-            ("sxy", stress.sxy),
-            ("svm", stress.von_mises),
-        ):
+        fh.write(_table([fields["u"], fields["v"], zero], sep=" "))
+        for name in ("sxx", "syy", "sxy", "svm"):
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            fh.write(_table([arr]))
+            fh.write(_table([fields[name]]))
 
 
 def write_case_outputs(outdir, result: CaseResult, vtk: bool = False) -> None:
-    result.nodes.to_csv(outdir / "nodes.csv")
-    write_fields_csv(outdir / "fields.csv", result.nodes, result.u, result.v, result.stress)
+    # Each field value is formatted once; every file that writes it reuses the text.
+    columns = field_columns(result.nodes, result.u, result.v, result.stress)
+    text = {name: _text(column) for name, column in columns.items()}
+    result.nodes.to_csv(outdir / "nodes.csv", xy=(text["x"], text["y"]))
+    write_fields_csv(outdir / "fields.csv", text)
     result.timings.to_csv(outdir / "timing.csv")
     if vtk:
-        write_vtk(outdir / "fields.vtk", result.nodes, result.u, result.v, result.stress)
+        write_vtk(outdir / "fields.vtk", text)

@@ -190,14 +190,18 @@ class NodeSet:
         if np.min(self.spacing) <= 1e-12 * self.domain.rect.diagonal:
             raise ValueError("coincident nodes")
 
-    def to_csv(self, path) -> None:
-        """Write `x,y,kind,nx,ny` rows; normals are empty for interior nodes."""
+    def to_csv(self, path, xy=None) -> None:
+        """Write `x,y,kind,nx,ny` rows; normals are empty for interior nodes.
+
+        xy, when given, is the x and y columns already written as text.
+        """
         bnd = self.boundary_mask
         kind = np.where(bnd, "boundary", "interior")
         normals = np.where(bnd[:, None], self.normals, None)
+        xy = self.positions.T if xy is None else xy
         with open(path, "w") as fh:
             fh.write("x,y,kind,nx,ny\n")
-            fh.write(_table([*self.positions.T, kind, *normals.T]))
+            fh.write(_table([*xy, kind, *normals.T]))
 
 
 def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:

@@ -4,16 +4,23 @@ Both methods factor the matrix once and run BiCGSTAB with the factor as
 preconditioner, judging convergence on the true residual
 |b - A x| <= tol * |b|; restarts from the current iterate act as iterative
 refinement. "direct" (the default) is a complete LU in SuperLU's symmetric
-mode: minimum-degree ordering on A^T + A with diagonal pivots, on which
-BiCGSTAB stops at its first half-step. Collocation matrices are nearly
-structurally symmetric (row i couples to the support of node i), so that
-ordering needs far less fill than one on A^T A, but only if pivoting keeps
-it: the pivot threshold is 0, so a diagonal pivot is always taken unless
-it is exactly zero, in which case SuperLU falls back to the largest entry
-of the column. Any threshold above 0 lets partial pivoting break the
-ordering and multiplies time and fill (1e-2 already does on the 1e5-node
-cantilever); a factor spoiled by a tiny pivot is caught by the
-true-residual check and mended by the refinement restarts.
+mode with diagonal pivots, on which BiCGSTAB stops at its first half-step.
+A system that carries node positions and has at most 9 nodes per support
+(18 nonzeros per row) is ordered by geometric nested dissection (George
+1973; see dissection_keys), each node's [u, v] pair kept together: on
+9-node lattices a straight cut needs a separator one node wide, and at
+1e5 nodes the factor has 33M entries against 43M under minimum degree.
+Every other system is ordered by minimum degree on A^T + A, which needs
+less fill there (hertz: 21M entries against 25-51M under every dissection
+tried). Collocation matrices are nearly structurally symmetric (row i
+couples to the support of node i), so that ordering needs far less fill
+than one on A^T A. Either order holds only if pivoting keeps it: the pivot
+threshold is 0, so a diagonal pivot is always taken unless it is exactly
+zero, in which case SuperLU falls back to the largest entry of the column.
+Any threshold above 0 lets partial pivoting break the ordering and
+multiplies time and fill (1e-2 already does on the 1e5-node cantilever);
+a factor spoiled by a tiny pivot is caught by the true-residual check and
+mended by the refinement restarts.
 "bicgstab-ilut" is a threshold incomplete LU at fixed settings, the
 memory-bounded alternative, kept as an oracle for the direct solve.
 Callers choose only the method and the tolerance; the iteration budget
@@ -58,6 +65,12 @@ ILUT_DROP_TOL = 1e-5
 # The solve methods, named once for SolverConfig and the CLI.
 METHODS = ("bicgstab-ilut", "direct")
 
+# Nested dissection orders the direct solve of systems whose supports have
+# at most ND_MAX_SUPPORT nodes, and stops splitting at ND_LEAF nodes.
+ND_MAX_SUPPORT = 9
+ND_LEAF = 16
+ND = "nested-dissection"
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -79,6 +92,8 @@ class SolveReport:
     t_preconditioner: float
     t_iterations: float
     factor_nnz: int = 0  # nonzeros of L + U
+    ordering: str = ""  # ND, or the permc_spec that SuperLU ordered with
+    t_ordering: float = 0.0  # graph, nested dissection and permutation
     residual_history: list[float] = field(default_factory=list)
 
 
@@ -87,6 +102,76 @@ def _relative_residual(matrix: sp.csr_matrix, rhs: np.ndarray, x: np.ndarray) ->
     if b_norm == 0.0:
         return float(np.linalg.norm(matrix @ x))
     return float(np.linalg.norm(rhs - matrix @ x) / b_norm)
+
+
+def dissection_keys(positions: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Geometric nested dissection of the graph with edges heads[k] - tails[k].
+
+    Each part of more than ND_LEAF nodes is split at its median node along
+    the longer side of its bounding box (x on a tie; equal coordinates in
+    node order), and the lower-side endpoints of the edges that cross the
+    cut become its separator. Every level splits all parts at once. A
+    node's key holds one base-3 digit per level: 0 for the lower child, 1
+    for the upper one, 2 for the separator, and 0 once its part is done.
+    np.argsort(keys, kind="stable") is therefore the dissection order:
+    children before their separator, node index last.
+    """
+    N = len(positions)
+    rank = np.empty((2, N), dtype=np.int64)  # position along x and y, ties by index
+    for axis in (0, 1):
+        rank[axis, np.argsort(positions[:, axis], kind="stable")] = np.arange(N)
+    keys = np.zeros(N, dtype=np.int64)  # 39 levels fit, far beyond any cloud
+    members = np.arange(N)  # the nodes of the parts still to split, part by part
+    starts = np.array([0])
+    while True:
+        sizes = np.diff(np.append(starts, members.size))
+        big = sizes > ND_LEAF
+        if not big.any():
+            return keys
+        members = members[np.repeat(big, sizes)]
+        sizes = sizes[big]
+        starts = np.cumsum(sizes) - sizes
+        part = np.repeat(np.arange(sizes.size), sizes)
+        xy = positions[members]
+        extent = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
+        axis = (extent[:, 1] > extent[:, 0]).astype(np.intp)
+        members = members[np.argsort(part * N + rank[axis[part], members])]
+        upper = np.arange(members.size) - starts[part] >= (sizes // 2)[part]
+        side = np.full(N, -1, dtype=np.int8)
+        side[members] = upper
+        # Kept edges join nodes of one part, as both ends are still live.
+        head_side, tail_side = side[heads], side[tails]
+        live = (head_side >= 0) & (tail_side >= 0)
+        cross = live & (head_side != tail_side)
+        separator = np.zeros(N, dtype=bool)
+        separator[np.where(head_side[cross] == 0, heads[cross], tails[cross])] = True
+        # A crossing edge has a separator end, so only same-side edges live on.
+        same = live & ~cross
+        heads, tails = heads[same], tails[same]
+        keys *= 3
+        keys[members] += np.where(separator[members], 2, upper)
+        kept = ~separator[members]
+        members, child = members[kept], (2 * part + upper)[kept]
+        starts = np.flatnonzero(np.diff(child, prepend=-1))
+
+
+def _node_graph(system: SparseSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Edges i -> j, i != j, wherever row u_i holds column u_j: j is in the support of i."""
+    A = system.matrix.tocsr()
+    N = system.n_nodes
+    cols = A.indices[: A.indptr[N]]
+    rows = np.repeat(np.arange(N, dtype=cols.dtype), np.diff(A.indptr[: N + 1]))
+    edge = (cols < N) & (cols != rows)
+    return rows[edge], cols[edge]
+
+
+def _dissection_order(system: SparseSystem) -> np.ndarray | None:
+    """Unknown order [u_k, v_k] by nested dissection, or None where minimum degree is kept."""
+    row_nnz = np.diff(system.matrix.tocsr().indptr)
+    if system.positions is None or row_nnz.max(initial=0) > 2 * ND_MAX_SUPPORT:
+        return None
+    order = np.argsort(dissection_keys(system.positions, *_node_graph(system)), kind="stable")
+    return np.stack([order, order + system.n_nodes], axis=1).ravel()
 
 
 def _equilibrate(system: SparseSystem) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -106,20 +191,29 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     Returns the solution split into its u and v halves together with a
     report of iteration count, achieved relative residual and timings.
     """
+    N = system.n_nodes
+    report = SolveReport(config.method, 0, np.inf, 0.0, 0.0)
+    t0 = time.perf_counter()
+    perm = _dissection_order(system) if config.method == "direct" else None
+    if perm is not None:  # P A P^T x' = P b, where P puts unknown perm[k] at k
+        system = SparseSystem(system.matrix.tocsr()[perm][:, perm], system.rhs[perm], N)
+        report.t_ordering = time.perf_counter() - t0
     t0 = time.perf_counter()  # the preconditioner phase includes the row scaling
     matrix, rhs = _equilibrate(system)
-    report = SolveReport(config.method, 0, np.inf, 0.0, 0.0)
+    del system  # a permuted copy is not kept beside its scaled one
     dim = matrix.shape[0]
     maxiter = int(10.0 * np.sqrt(dim)) + 1000
     try:
         if config.method == "direct":
+            report.ordering = "MMD_AT_PLUS_A" if perm is None else ND
             factor = spla.splu(
                 matrix.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
+                permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         else:
+            report.ordering = "COLAMD"
             factor = spla.spilu(
                 matrix.tocsc(),
                 fill_factor=ILUT_FILL_FACTOR,
@@ -127,7 +221,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
             )
     except RuntimeError as exc:
         name = (
-            "complete LU (MMD_AT_PLUS_A, diagonal pivots)"
+            f"complete LU ({report.ordering}, diagonal pivots)"
             if config.method == "direct"
             else "incomplete LU"
         )
@@ -184,5 +278,6 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
             residuals=report.residual_history,
         )
 
-    N = system.n_nodes
+    if perm is not None:
+        x[perm] = x.copy()  # unknown perm[k] was solved for at k
     return (x[:N], x[N:]), report

@@ -14,6 +14,7 @@ PHASES = (
     "supports",
     "shapes",
     "assembly",
+    "ordering",
     "preconditioner",
     "solve",
     "postprocess",

@@ -36,7 +36,7 @@ from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Mat
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.relax import relax
-from mlsm2d.solve import SolverConfig
+from mlsm2d.solve import ND, SolverConfig
 from mlsm2d.timing import PHASES, PhaseTimer, TimingReport
 
 
@@ -524,8 +524,9 @@ class TestHoleRefinedCloud:
 
 class TestTimingReport:
     def test_phase_names_cover_the_pipeline(self):
-        for name in ("domain", "supports", "shapes", "assembly", "preconditioner", "solve"):
+        for name in ("domain", "supports", "shapes", "assembly", "ordering", "preconditioner", "solve"):
             assert name in PHASES
+        assert PHASES.index("ordering") < PHASES.index("preconditioner")
 
     def test_validate_rejects_negative_phase(self):
         report = TimingReport(phases={"solve": -1.0}, total=2.0)
@@ -562,6 +563,18 @@ class TestCaseTimings:
         report.validate()
         assert sum(report.phases.values()) <= report.total
         assert sum(report.phases.values()) >= 0.9 * report.total
+
+    def test_dissected_solve_records_its_ordering_phase(self):
+        result = cantilever_case(n_target=2000)
+        report = result.solve_report
+        assert report.ordering == ND
+        assert result.timings.phases["ordering"] == report.t_ordering > 0
+        assert result.timings.phases["preconditioner"] == report.t_preconditioner
+
+    def test_minimum_degree_solve_has_no_ordering_phase(self, default_run):
+        assert default_run.solve_report.ordering == "MMD_AT_PLUS_A"
+        assert default_run.solve_report.t_ordering == 0.0
+        assert "ordering" not in default_run.timings.phases
 
     def test_tiny_run_report_is_well_formed(self):
         result = cantilever_case(spacing=2.5)

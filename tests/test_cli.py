@@ -16,10 +16,11 @@ import scipy.sparse as sp
 import mlsm2d
 from mlsm2d import cli, io
 from mlsm2d.cases import hertz
+from mlsm2d.cases.metrics import CaseResult
 from mlsm2d.cli import CASES, main
 from mlsm2d.elasticity import SparseSystem, StressField
 from mlsm2d.nodes import DomainShape, NodeSet, Rect
-from mlsm2d.solve import METHODS, SolverConfig
+from mlsm2d.solve import METHODS, SolveReport, SolverConfig
 from mlsm2d.timing import PHASES, TimingReport
 
 
@@ -347,7 +348,7 @@ class TestWriterBytes:
 
     def test_fields_csv(self, tmp_path, cloud):
         nodes, u, v, stress = cloud
-        io.write_fields_csv(tmp_path / "fields.csv", nodes, u, v, stress)
+        io.write_fields_csv(tmp_path / "fields.csv", io.field_columns(nodes, u, v, stress))
         svm = stress.von_mises
         ref = "x,y,u,v,sxx,syy,sxy,svm\n"
         for i in range(nodes.n):
@@ -361,7 +362,7 @@ class TestWriterBytes:
 
     def test_vtk(self, tmp_path, cloud):
         nodes, u, v, stress = cloud
-        io.write_vtk(tmp_path / "fields.vtk", nodes, u, v, stress)
+        io.write_vtk(tmp_path / "fields.vtk", io.field_columns(nodes, u, v, stress))
         n = nodes.n
         ref = f"# vtk DataFile Version 3.0\nmlsm2d fields\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n"
         for p in nodes.positions:
@@ -377,6 +378,21 @@ class TestWriterBytes:
             for x in arr:
                 ref += f"{x:.17g}\n"
         assert (tmp_path / "fields.vtk").read_text() == ref
+
+    def test_case_outputs_format_once_with_the_same_bytes(self, tmp_path, cloud):
+        # write_case_outputs shares each value's text among the files; each
+        # file must equal what its own writer makes from the numbers
+        nodes, u, v, stress = cloud
+        report = SolveReport("direct", 0, 0.0, 0.0, 0.0)
+        result = CaseResult(nodes, u, v, stress, {}, report, TimingReport(total=1.0))
+        io.write_case_outputs(tmp_path, result, vtk=True)
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        nodes.to_csv(alone / "nodes.csv")
+        io.write_fields_csv(alone / "fields.csv", io.field_columns(nodes, u, v, stress))
+        io.write_vtk(alone / "fields.vtk", io.field_columns(nodes, u, v, stress))
+        for name in ("nodes.csv", "fields.csv", "fields.vtk"):
+            assert (tmp_path / name).read_bytes() == (alone / name).read_bytes()
 
     def test_sweep_csv_with_an_empty_error_cell(self, tmp_path):
         rows = [

@@ -1,5 +1,6 @@
-"""Linear solver: equilibration, preconditioned BiCGSTAB, direct fallback."""
+"""Linear solver: equilibration, nested-dissection ordering, preconditioned BiCGSTAB, direct fallback."""
 
+import dataclasses
 import sys
 import time
 
@@ -16,10 +17,15 @@ from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.shapes import build_shape_set
 from mlsm2d.solve import (
+    ND,
+    ND_LEAF,
     NonConvergenceError,
     SolverConfig,
+    _dissection_order,
     _equilibrate,
+    _node_graph,
     _relative_residual,
+    dissection_keys,
     solve,
 )
 
@@ -203,3 +209,100 @@ class TestEquilibration:
         monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_equilibrate", slow_equilibrate)
         (_, _), report = solve(diagonal_system([1.0, 2.0, 3.0, 4.0]))
         assert report.t_preconditioner >= 0.05
+
+
+def lattice_graph(nx, ny):
+    """Positions and directed edges of an nx-by-ny lattice with 9-node supports."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    positions = np.column_stack([i.ravel(), j.ravel()]).astype(float)
+    heads, tails = [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            inside = (i + di >= 0) & (i + di < nx) & (j + dj >= 0) & (j + dj < ny)
+            if (di or dj) and inside.any():
+                heads.append((i * ny + j)[inside])
+                tails.append(((i + di) * ny + j + dj)[inside])
+    return positions, np.concatenate(heads), np.concatenate(tails)
+
+
+def assert_dissection(keys, heads, tails):
+    """The keys' order is a permutation under which every edge stays in its block
+    or reaches a separator that is an ancestor, numbered after the other end."""
+    n = keys.size
+    order = np.argsort(keys, kind="stable")
+    assert np.array_equal(np.sort(order), np.arange(n))
+    depth = 1
+    while 3**depth <= keys.max():
+        depth += 1
+    digits = np.empty((n, depth), dtype=np.int8)  # one base-3 digit per level
+    rest = keys.copy()
+    for level in reversed(range(depth)):
+        digits[:, level] = rest % 3
+        rest //= 3
+    is_separator = (digits == 2).any(axis=1)
+    # Position of the separator digit, past the end for leaf nodes.
+    sep_level = np.where(is_separator, (digits == 2).argmax(axis=1), depth + 1)
+    differ = digits[heads] != digits[tails]
+    common = np.where(differ.any(axis=1), differ.argmax(axis=1), depth)
+    same_block = common == depth
+    head_above = common == sep_level[heads]
+    tail_above = common == sep_level[tails]
+    assert np.all(same_block | head_above | tail_above)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    assert np.all(position[heads[head_above]] > position[tails[head_above]])
+    assert np.all(position[tails[tail_above]] > position[heads[tail_above]])
+    # A real dissection: separators exist and no leaf block exceeds ND_LEAF nodes.
+    assert is_separator.any()
+    assert np.unique(keys[~is_separator], return_counts=True)[1].max() <= ND_LEAF
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize(
+        "make_system",
+        [lambda: beam_system(n_target=2000), lambda: beam_system(n=13, sigma=0.1)],
+        ids=["grid", "perturbed"],
+    )
+    def test_edges_stay_in_a_block_or_reach_an_ancestor(self, make_system):
+        system = make_system()
+        heads, tails = _node_graph(system)
+        assert_dissection(dissection_keys(system.positions, heads, tails), heads, tails)
+
+    def test_large_lattice(self):
+        # 52,900 nodes and 420k edges: ordering only, no factorization
+        positions, heads, tails = lattice_graph(230, 230)
+        assert_dissection(dissection_keys(positions, heads, tails), heads, tails)
+
+    def test_unknowns_are_interleaved_and_repeat_bit_for_bit(self):
+        system = beam_system(n_target=2000)
+        perm = _dissection_order(system)
+        N = system.n_nodes
+        assert np.array_equal(np.sort(perm), np.arange(2 * N))
+        assert np.array_equal(perm[1::2], perm[::2] + N)
+        assert perm.tobytes() == _dissection_order(system).tobytes()
+
+    @pytest.mark.parametrize(
+        "make_system, ordering",
+        [
+            (lambda: beam_system(), ND),
+            (lambda: beam_system(n=13), "MMD_AT_PLUS_A"),
+            (lambda: beam_system(n=15, levels=2), "MMD_AT_PLUS_A"),
+            (lambda: dataclasses.replace(beam_system(), positions=None), "MMD_AT_PLUS_A"),
+        ],
+        ids=["9-node grid", "13-node grid", "refined, 15-node", "no positions"],
+    )
+    def test_rule(self, make_system, ordering):
+        system = make_system()
+        (_, _), report = solve(system)
+        assert report.ordering == ordering
+        assert (report.t_ordering > 0) == (ordering == ND)
+        assert (_dissection_order(system) is not None) == (ordering == ND)
+
+    def test_agrees_with_minimum_degree(self):
+        system = beam_system(n_target=10_000)
+        (u_nd, v_nd), report = solve(system)
+        (u_md, v_md), _ = solve(dataclasses.replace(system, positions=None))
+        assert report.ordering == ND
+        scale = max(np.abs(u_md).max(), np.abs(v_md).max())
+        assert np.abs(u_nd - u_md).max() <= 1e-9 * scale
+        assert np.abs(v_nd - v_md).max() <= 1e-9 * scale
