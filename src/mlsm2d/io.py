@@ -7,6 +7,8 @@ that own an artifact (`nodes`, `timing`, `elasticity`) can use `_table`.
 """
 from __future__ import annotations
 
+import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -17,35 +19,42 @@ if TYPE_CHECKING:
     from .nodes import NodeSet
 
 
+class _Text(list):
+    """A column already written as text, which `_table` takes as it is."""
+
+
 def _table(columns, sep: str = ",", fmt: str | tuple[str, ...] = "%.17g") -> str:
     """One line per row of the equal-length columns, cells joined by sep.
 
     Numbers are written with fmt, which is one format for every column or
     one per column. A column of text or mixed values writes its strings as
     they are, None as an empty cell and numbers with the column's format;
-    a list of strings (see `_text`) is taken without a copy.
+    a `_Text` column (see `_text`) is taken without a copy.
     """
     fmts = (fmt,) * len(columns) if isinstance(fmt, str) else fmt
-    cells, line = [], []
+    cells = []
     for column, f in zip(columns, fmts):
-        if isinstance(column, list) and all(isinstance(v, str) for v in column):
-            cells.append(column)
-            line.append("%s")
-            continue
-        column = np.asarray(column)
-        values = column.tolist()
-        if column.dtype.kind in "OU":
-            values = ["" if v is None else v if isinstance(v, str) else f % v for v in values]
-            f = "%s"
-        cells.append(values)
-        line.append(f)
-    return "".join(map((sep.join(line) + "\n").__mod__, zip(*cells)))
+        if not isinstance(column, _Text):
+            column = np.asarray(column)
+            if column.dtype.kind in "OU":
+                column = ["" if v is None else v if isinstance(v, str) else f % v for v in column.tolist()]
+            else:
+                column = _text(column, f)
+        cells.append(column)
+    return "\n".join([*map(sep.join, zip(*cells)), ""])
 
 
-def _text(values) -> list[str]:
-    """Each value written once with %.17g, for columns that several files share."""
-    values = np.asarray(values).tolist()
-    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+def _text(values, fmt: str = "%.17g") -> _Text:
+    """The numbers written with fmt, for one file or for several that share them.
+
+    A column with at most half its values distinct, such as the x or y of a
+    grid, writes each distinct bit pattern once (so -0.0 and 0.0 differ).
+    """
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 0 < 2 * bits.size <= values.size:
+        return _Text(np.array(_text(bits.view(float), fmt), dtype=object)[inverse].tolist())
+    return _Text(((fmt + "\n") * values.size % tuple(values.tolist())).split("\n")[:-1])
 
 
 # The columns of fields.csv, which fields.vtk and nodes.csv share.
@@ -80,31 +89,29 @@ def write_vtk(path, fields: dict) -> None:
     fields holds the FIELDS columns, as numbers or as their text.
     """
     n = len(fields["x"])
-    zero = ["0"] * n
+    fields = {name: column if isinstance(column, _Text) else _text(column) for name, column in fields.items()}
+    zero = _Text(["0"] * n)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("mlsm2d fields\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET POLYDATA\n")
-        fh.write(f"POINTS {n} double\n")
+        fh.write(f"# vtk DataFile Version 3.0\nmlsm2d fields\nASCII\nDATASET POLYDATA\nPOINTS {n} double\n")
         fh.write(_table([fields["x"], fields["y"], zero], sep=" "))
         fh.write(f"VERTICES {n} {2 * n}\n")
-        fh.write(_table([np.ones(n, dtype=int), np.arange(n)], sep=" ", fmt="%d"))
-        fh.write(f"POINT_DATA {n}\n")
-        fh.write("VECTORS displacement double\n")
+        fh.write("1 %d\n" * n % tuple(range(n)))
+        fh.write(f"POINT_DATA {n}\nVECTORS displacement double\n")
         fh.write(_table([fields["u"], fields["v"], zero], sep=" "))
         for name in ("sxx", "syy", "sxy", "svm"):
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            fh.write(_table([fields[name]]))
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.write("\n".join([*fields[name], ""]))
 
 
 def write_case_outputs(outdir, result: CaseResult, vtk: bool = False) -> None:
+    """nodes.csv, fields.csv, optional fields.vtk, then timing.csv with their writing as the output phase."""
+    t0 = time.perf_counter()
     # Each field value is formatted once; every file that writes it reuses the text.
     columns = field_columns(result.nodes, result.u, result.v, result.stress)
     text = {name: _text(column) for name, column in columns.items()}
     result.nodes.to_csv(outdir / "nodes.csv", xy=(text["x"], text["y"]))
     write_fields_csv(outdir / "fields.csv", text)
-    result.timings.to_csv(outdir / "timing.csv")
     if vtk:
         write_vtk(outdir / "fields.vtk", text)
+    phases = {**result.timings.phases, "output": time.perf_counter() - t0}
+    replace(result.timings, phases=phases).to_csv(outdir / "timing.csv")

@@ -32,12 +32,15 @@ space. Consumers reject ambiguous rows they actually need.
 
 One batched kernel computes every stencil in local units; a row depends
 only on q and on u = |p - p0| / (sigma_w * p_min). build_shape_set runs it
-once per bit-distinct (q, u) key and scatters the rows back, so every row
-equals a per-node solve. compute_shapes runs it on a single support.
+once per bit-distinct (q, u) key. ShapeSet keeps those rows per key, in
+local units, with each node's key and p_min, and forms a node's physical
+row on access, so every row equals a per-node solve while a grid of 1e5
+nodes stores a few hundred rows. compute_shapes runs it on a single support.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,23 +229,51 @@ def compute_shapes(
     return {op: row[0] / p_min ** sum(OPS[op]) for op, row in rows.items()}
 
 
+class _Rows(Mapping):
+    """Each operator's (N, n) physical rows, formed from the per-key rows on access."""
+
+    def __init__(self, shapes: ShapeSet) -> None:
+        self._shapes = shapes
+
+    def __getitem__(self, op: str) -> np.ndarray:
+        s = self._shapes
+        return s.key_rows[op][s.key] / s.p_min[:, None] ** sum(OPS[op])
+
+    def __iter__(self):
+        return iter(self._shapes.key_rows)
+
+    def __len__(self) -> int:
+        return len(self._shapes.key_rows)
+
+
 @dataclass(frozen=True)
 class ShapeSet:
     """Stencil rows for every node, aligned with the SupportSet ordering.
 
-    ranks holds the truncated SVD rank per node; ambiguous[op][i] is True
-    when node i's rank-deficient support leaves the op stencil dependent on
-    the minimum-norm completion. Such rows are still stored (they matter to
-    nothing when unused) but consumers must call require() on the operators
-    they actually read.
+    rows[op] forms the physical rows of all nodes from key_rows, which
+    holds one row per distinct local geometry. ranks holds the truncated
+    SVD rank per node; ambiguous[op][i] is True when node i's rank-deficient
+    support leaves the op stencil dependent on the minimum-norm completion.
+    Such rows are still stored (they matter to nothing when unused) but
+    consumers must call require() on the operators they actually read.
     """
 
     support: SupportSet
-    rows: dict[str, np.ndarray]  # op -> (N, n)
+    key_rows: dict[str, np.ndarray]  # op -> (n_keys, n), in local units
+    key: np.ndarray  # (N,) each node's row of key_rows
+    p_min: np.ndarray  # (N,) each node's local length unit
     basis: BasisSpec
     ranks: np.ndarray  # (N,)
     ambiguous: dict[str, np.ndarray]  # op -> (N,) bool
-    n_keys: int  # distinct (q, u) keys, i.e. supports the kernel solved
+
+    @property
+    def rows(self) -> Mapping[str, np.ndarray]:
+        return _Rows(self)
+
+    @property
+    def n_keys(self) -> int:
+        """Distinct (q, u) keys, i.e. supports the kernel solved."""
+        return len(self.key_rows["val"])
 
     @property
     def n_nodes(self) -> int:
@@ -282,9 +313,9 @@ def build_shape_set(
 ) -> ShapeSet:
     """Stencils for all nodes, one batched SVD row per distinct local geometry.
 
-    The kernel runs on the first node of each distinct (q, u) key; its rows,
-    ranks and masks are scattered to every node of the key and the rows
-    divided by p_min**order per node.
+    The kernel runs on the first node of each distinct (q, u) key; its
+    ranks and masks are scattered to every node of the key, its rows kept
+    once per key.
 
     Unlike compute_shapes this never raises on rank-deficient supports; it
     fills the ambiguity masks and leaves enforcement to ShapeSet.require,
@@ -307,6 +338,5 @@ def build_shape_set(
         return_inverse=True,
     )
     rows, ranks, ambiguous = _stencils(q[first], u[first], basis, OPS)
-    rows = {op: row[inv] / p_min[:, None] ** sum(OPS[op]) for op, row in rows.items()}
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
-    return ShapeSet(supports, rows, basis, ranks[inv], ambiguous, int(first.size))
+    return ShapeSet(supports, rows, inv, p_min, basis, ranks[inv], ambiguous)

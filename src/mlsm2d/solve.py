@@ -33,7 +33,10 @@ E / spacing^2 while essential rows are unit diagonals, which puts the raw
 condition number near 1e16 and makes the incomplete factorization report
 spurious singularity. Both methods therefore solve the row-equilibrated
 system D A x = D b with D = diag(1 / max|row|), which has the same
-solution; residuals are reported for the equilibrated system.
+solution; residuals are reported for the equilibrated system. One CSC
+copy of D A (of D P A P^T under nested dissection) serves the factor,
+the BiCGSTAB products and every residual, so the factorization runs
+beside no other copy of the matrix than the caller's.
 """
 from __future__ import annotations
 
@@ -97,11 +100,9 @@ class SolveReport:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _relative_residual(matrix: sp.csr_matrix, rhs: np.ndarray, x: np.ndarray) -> float:
-    b_norm = np.linalg.norm(rhs)
-    if b_norm == 0.0:
-        return float(np.linalg.norm(matrix @ x))
-    return float(np.linalg.norm(rhs - matrix @ x) / b_norm)
+def _relative_residual(matrix: sp.csc_matrix, rhs: np.ndarray, x: np.ndarray) -> float:
+    # A zero right-hand side leaves the residual unnormalized.
+    return float(np.linalg.norm(rhs - matrix @ x) / (np.linalg.norm(rhs) or 1.0))
 
 
 def dissection_keys(positions: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -174,15 +175,22 @@ def _dissection_order(system: SparseSystem) -> np.ndarray | None:
     return np.stack([order, order + system.n_nodes], axis=1).ravel()
 
 
-def _equilibrate(system: SparseSystem) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Row-scale the system to unit max magnitude per row."""
+def _equilibrate(system: SparseSystem) -> tuple[sp.csc_matrix, np.ndarray]:
+    """D A in CSC and D b, D scaling each row to unit max magnitude.
+
+    The CSC copy comes first and is scaled in place, and the row maxima
+    are read off the CSR without a temporary as large as the matrix.
+    """
     A = system.matrix.tocsr()
+    C = A.tocsc()
     row_max = np.zeros(A.shape[0])
-    if A.nnz:
-        nonempty = np.diff(A.indptr) > 0
-        row_max[nonempty] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][nonempty])
+    nonempty = np.diff(A.indptr) > 0
+    starts = A.indptr[:-1][nonempty]
+    row_max[nonempty] = np.maximum(np.maximum.reduceat(A.data, starts), -np.minimum.reduceat(A.data, starts))
     d = np.where(row_max > 0, 1.0 / np.where(row_max > 0, row_max, 1.0), 1.0)
-    return sp.diags(d) @ A, d * system.rhs
+    C.data *= d[C.indices]
+    C.eliminate_zeros()  # as the product D A would
+    return C, d * system.rhs
 
 
 def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[tuple[np.ndarray, np.ndarray], SolveReport]:
@@ -206,25 +214,13 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     try:
         if config.method == "direct":
             report.ordering = "MMD_AT_PLUS_A" if perm is None else ND
-            factor = spla.splu(
-                matrix.tocsc(),
-                permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
+            permc_spec = "MMD_AT_PLUS_A" if perm is None else "NATURAL"
+            factor = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         else:
             report.ordering = "COLAMD"
-            factor = spla.spilu(
-                matrix.tocsc(),
-                fill_factor=ILUT_FILL_FACTOR,
-                drop_tol=ILUT_DROP_TOL,
-            )
+            factor = spla.spilu(matrix, fill_factor=ILUT_FILL_FACTOR, drop_tol=ILUT_DROP_TOL)
     except RuntimeError as exc:
-        name = (
-            f"complete LU ({report.ordering}, diagonal pivots)"
-            if config.method == "direct"
-            else "incomplete LU"
-        )
+        name = f"complete LU ({report.ordering}, diagonal pivots)" if config.method == "direct" else "incomplete LU"
         raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
     report.t_preconditioner = time.perf_counter() - t0
     report.factor_nnz = int(factor.nnz)
@@ -237,19 +233,12 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         report.residual_history.append(_relative_residual(matrix, rhs, xk))
 
     t0 = time.perf_counter()
-    x = np.zeros(dim)
     x0 = None
     best = np.inf
     while report.iterations < maxiter:
         x, _ = spla.bicgstab(
-            matrix,
-            rhs,
-            rtol=config.tolerance,
-            atol=0.0,
-            maxiter=maxiter - report.iterations,
-            M=precond,
-            callback=callback,
-            x0=x0,
+            matrix, rhs, x0=x0, rtol=config.tolerance, atol=0.0,
+            maxiter=maxiter - report.iterations, M=precond, callback=callback,
         )
         if not np.all(np.isfinite(x)):
             break

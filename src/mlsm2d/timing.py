@@ -18,12 +18,16 @@ PHASES = (
     "preconditioner",
     "solve",
     "postprocess",
+    "output",
 )
 
 
 @dataclass
 class TimingReport:
-    """Seconds per phase plus the total wall time of the run."""
+    """Seconds per phase plus the total wall time of the run.
+
+    total is the pipeline's time; the output phase, when written, follows it.
+    """
 
     phases: dict[str, float] = field(default_factory=dict)
     total: float = 0.0

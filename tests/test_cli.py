@@ -256,6 +256,16 @@ class TestArtifacts:
         assert len(fields) == len(nodes)
         assert len(sweep) == 2
 
+    def test_timing_records_the_output_phase_outside_the_total(self, tmp_path):
+        assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path, "--vtk"]) == 0
+        timing = [line.split(",") for line in (tmp_path / "timing.csv").read_text().splitlines()[1:]]
+        names = [name for name, _ in timing]
+        assert names[-3:] == ["postprocess", "output", "total"]
+        assert float(timing[-2][1]) > 0.0
+        # total is the pipeline's time, the one sweep.csv reports
+        t_total = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")[-1]
+        assert timing[-1][1] == t_total
+
     def test_vtk_output(self, tmp_path):
         rc = run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path, "--vtk"])
         assert rc == 0
@@ -393,6 +403,26 @@ class TestWriterBytes:
         io.write_vtk(alone / "fields.vtk", io.field_columns(nodes, u, v, stress))
         for name in ("nodes.csv", "fields.csv", "fields.vtk"):
             assert (tmp_path / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_repeated_values_are_formatted_once_with_the_same_bytes(self, tmp_path, monkeypatch):
+        # at most half the values are distinct, so each distinct bit pattern
+        # is formatted once; -0.0 and 0.0 stay apart, nan and inf survive
+        values = np.array([0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, -0.0, 0.0, 0.1, np.inf, 1e-300, 0.1, 0.0])
+        distinct = np.unique(values.view(np.int64)).size
+        assert 2 * distinct <= values.size
+        formatted = []
+        text_of = io._text
+        monkeypatch.setattr(io, "_text", lambda v, fmt="%.17g": formatted.append(len(v)) or text_of(v, fmt))
+        text = io._text(values)
+        assert formatted == [values.size, distinct]
+        assert text == [f"{x:.17g}" for x in values]
+        assert text[1] == "-0" and text[2] == "0" and text[3] == "nan" and text[5] == "-inf"
+        assert io._text(values[:1]) == ["0.10000000000000001"] and io._text([]) == [] and io._table([[], []]) == ""
+        fields = dict.fromkeys(io.FIELDS, values)
+        io.write_fields_csv(tmp_path / "text.csv", {name: io._text(column) for name, column in fields.items()})
+        io.write_fields_csv(tmp_path / "numbers.csv", fields)
+        ref = "".join(",".join([f"{x:.17g}"] * len(io.FIELDS)) + "\n" for x in values)
+        assert (tmp_path / "text.csv").read_text() == (tmp_path / "numbers.csv").read_text() == "x,y,u,v,sxx,syy,sxy,svm\n" + ref
 
     def test_sweep_csv_with_an_empty_error_cell(self, tmp_path):
         rows = [

@@ -429,6 +429,27 @@ class TestDeduplication:
         perturbed = perturb_nodes(nodes, 0.1, seed=0)
         assert build_shape_set(perturbed, build_supports(perturbed, 9)).n_keys == perturbed.n
 
+    def test_large_grid_keeps_one_row_per_key(self):
+        # rows are stored per key, not per node, and formed on access: each
+        # node's row equals its own solve bit for bit (the kernel on every
+        # node, and compute_shapes on a sample that holds every key)
+        nodes = build_rectangle_grid(Rect(0, 10, 0, 10), 0.1)
+        assert nodes.n >= 10_000
+        supports = build_supports(nodes, 9)
+        shapes = build_shape_set(nodes, supports)
+        assert shapes.n_keys < 500
+        assert len(shapes.rows) == len(OPS) and set(shapes.rows) == set(OPS)
+        for op in OPS:
+            assert shapes.key_rows[op].shape == (shapes.n_keys, 9), op
+        assert_bit_identical(shapes, per_node_shapes(nodes, supports, M9, WeightSpec()))
+        first = np.unique(shapes.key, return_index=True)[1]
+        sample = np.union1d(first, np.random.default_rng(0).choice(nodes.n, 300, replace=False))
+        for i in sample:
+            determined = tuple(op for op in OPS if not shapes.ambiguous[op][i])
+            rows = compute_shapes(nodes.positions[supports.indices[i]], nodes.positions[i], M9, WeightSpec(), determined)
+            for op in determined:
+                assert np.array_equal(rows[op], shapes.rows[op][i]), (i, op)
+
 
 # The basis images and ambiguity masks as first written, one hand-written
 # image per operator and a null-space check per rank-deficient node: the

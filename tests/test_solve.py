@@ -211,6 +211,32 @@ class TestEquilibration:
         assert report.t_preconditioner >= 0.05
 
 
+class TestOneMatrixCopy:
+    @pytest.mark.parametrize(
+        "method, n, factor", [("direct", 9, "splu"), ("direct", 15, "splu"), ("bicgstab-ilut", 9, "spilu")]
+    )
+    def test_factor_krylov_and_residuals_share_one_csc_matrix(self, monkeypatch, method, n, factor):
+        seen = {name: [] for name in (factor, "bicgstab", "_relative_residual")}
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def recorded(matrix, *args, **kwargs):
+                seen[name].append(matrix)
+                return fn(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        spy(spla, factor)
+        spy(spla, "bicgstab")
+        spy(sys.modules["mlsm2d.solve"], "_relative_residual")
+        solve(beam_system(n=n), SolverConfig(method=method))
+        matrices = [m for calls in seen.values() for m in calls]
+        assert all(calls for calls in seen.values()), {name: len(calls) for name, calls in seen.items()}
+        assert all(m is matrices[0] for m in matrices)
+        assert matrices[0].format == "csc"
+
+
 def lattice_graph(nx, ny):
     """Positions and directed edges of an nx-by-ny lattice with 9-node supports."""
     i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
