@@ -164,7 +164,13 @@ def cantilever_case(
         return errors, {}
 
     return solve_on_cloud(
-        timer, nodes, Material(params.E, params.nu, "plane-stress"),
+        timer,
+        nodes,
+        Material(params.E, params.nu, "plane-stress"),
         lambda nodes: cantilever_bcs(nodes, params, all_essential),
-        measure, basis=basis, support_n=support_n, weight=weight, solver=solver,
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

@@ -123,7 +123,13 @@ def drilled_cantilever_case(
         return {"tip_deflection": float(v[tip])}, extras
 
     return solve_on_cloud(
-        timer, nodes, Material(params.E, params.nu, "plane-stress"),
+        timer,
+        nodes,
+        Material(params.E, params.nu, "plane-stress"),
         lambda nodes: drilled_bcs(nodes, params),
-        measure, basis=basis, support_n=support_n, weight=weight, solver=solver,
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

@@ -110,7 +110,11 @@ def hertz_stress(x, y, half_width: float, peak: float):
         syy = -(peak / b) * m * (1.0 - ratio)
         sxy = (peak / b) * n * ((m2 - y * y) / denom)
     singular = denom == 0.0
-    return tuple(np.where(singular, 0.0, s) for s in (sxx, syy, sxy))
+    if np.any(singular):
+        sxx = np.where(singular, 0.0, sxx)
+        syy = np.where(singular, 0.0, syy)
+        sxy = np.where(singular, 0.0, sxy)
+    return sxx, syy, sxy
 
 
 def refinement_schedule(
@@ -205,7 +209,13 @@ def hertz_case(
         return errors, {"geometry": geom}
 
     return solve_on_cloud(
-        timer, nodes, Material(params.E1, params.nu1, "plane-stress"),
+        timer,
+        nodes,
+        Material(params.E1, params.nu1, "plane-stress"),
         lambda nodes: hertz_bcs(nodes, lambda xx: hertz_pressure(xx, geom.half_width, geom.peak_pressure)),
-        measure, basis=basis, support_n=support_n, weight=weight, solver=solver,
+        measure,
+        basis=basis,
+        support_n=support_n,
+        weight=weight,
+        solver=solver,
     )

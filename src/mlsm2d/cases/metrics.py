@@ -79,4 +79,13 @@ def solve_on_cloud(
     with timer.phase("postprocess"):
         stress = compute_stresses(shapes, material, u, v)
         errors, extras = measure(nodes, u, v, stress)
-    return CaseResult(nodes, u, v, stress, errors, report, timer.report(), {**extras, "system": system})
+    return CaseResult(
+        nodes=nodes,
+        u=u,
+        v=v,
+        stress=stress,
+        errors=errors,
+        solve_report=report,
+        timings=timer.report(),
+        extras={**extras, "system": system},
+    )

@@ -101,8 +101,10 @@ class SolveReport:
 
 
 def _relative_residual(matrix: sp.csc_matrix, rhs: np.ndarray, x: np.ndarray) -> float:
-    # A zero right-hand side leaves the residual unnormalized.
-    return float(np.linalg.norm(rhs - matrix @ x) / (np.linalg.norm(rhs) or 1.0))
+    b_norm = np.linalg.norm(rhs)
+    if b_norm == 0.0:
+        return float(np.linalg.norm(matrix @ x))
+    return float(np.linalg.norm(rhs - matrix @ x) / b_norm)
 
 
 def dissection_keys(positions: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -184,9 +186,10 @@ def _equilibrate(system: SparseSystem) -> tuple[sp.csc_matrix, np.ndarray]:
     A = system.matrix.tocsr()
     C = A.tocsc()
     row_max = np.zeros(A.shape[0])
-    nonempty = np.diff(A.indptr) > 0
-    starts = A.indptr[:-1][nonempty]
-    row_max[nonempty] = np.maximum(np.maximum.reduceat(A.data, starts), -np.minimum.reduceat(A.data, starts))
+    if A.nnz:
+        nonempty = np.diff(A.indptr) > 0
+        starts = A.indptr[:-1][nonempty]
+        row_max[nonempty] = np.maximum(np.maximum.reduceat(A.data, starts), -np.minimum.reduceat(A.data, starts))
     d = np.where(row_max > 0, 1.0 / np.where(row_max > 0, row_max, 1.0), 1.0)
     C.data *= d[C.indices]
     C.eliminate_zeros()  # as the product D A would
@@ -214,13 +217,25 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     try:
         if config.method == "direct":
             report.ordering = "MMD_AT_PLUS_A" if perm is None else ND
-            permc_spec = "MMD_AT_PLUS_A" if perm is None else "NATURAL"
-            factor = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            factor = spla.splu(
+                matrix,
+                permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         else:
             report.ordering = "COLAMD"
-            factor = spla.spilu(matrix, fill_factor=ILUT_FILL_FACTOR, drop_tol=ILUT_DROP_TOL)
+            factor = spla.spilu(
+                matrix,
+                fill_factor=ILUT_FILL_FACTOR,
+                drop_tol=ILUT_DROP_TOL,
+            )
     except RuntimeError as exc:
-        name = f"complete LU ({report.ordering}, diagonal pivots)" if config.method == "direct" else "incomplete LU"
+        name = (
+            f"complete LU ({report.ordering}, diagonal pivots)"
+            if config.method == "direct"
+            else "incomplete LU"
+        )
         raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
     report.t_preconditioner = time.perf_counter() - t0
     report.factor_nnz = int(factor.nnz)
@@ -233,12 +248,19 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         report.residual_history.append(_relative_residual(matrix, rhs, xk))
 
     t0 = time.perf_counter()
+    x = np.zeros(dim)
     x0 = None
     best = np.inf
     while report.iterations < maxiter:
         x, _ = spla.bicgstab(
-            matrix, rhs, x0=x0, rtol=config.tolerance, atol=0.0,
-            maxiter=maxiter - report.iterations, M=precond, callback=callback,
+            matrix,
+            rhs,
+            rtol=config.tolerance,
+            atol=0.0,
+            maxiter=maxiter - report.iterations,
+            M=precond,
+            callback=callback,
+            x0=x0,
         )
         if not np.all(np.isfinite(x)):
             break
