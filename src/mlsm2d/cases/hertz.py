@@ -110,11 +110,7 @@ def hertz_stress(x, y, half_width: float, peak: float):
         syy = -(peak / b) * m * (1.0 - ratio)
         sxy = (peak / b) * n * ((m2 - y * y) / denom)
     singular = denom == 0.0
-    if np.any(singular):
-        sxx = np.where(singular, 0.0, sxx)
-        syy = np.where(singular, 0.0, syy)
-        sxy = np.where(singular, 0.0, sxy)
-    return sxx, syy, sxy
+    return tuple(np.where(singular, 0.0, s) for s in (sxx, syy, sxy))
 
 
 def refinement_schedule(

@@ -306,4 +306,4 @@ def run(config: argparse.Namespace) -> None:
     io.write_case_outputs(outdir, result, vtk=config.vtk)
     io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key=sweep_key)
     if config.dump_matrix:
-        result.extras["system"].export_matrix(outdir / "matrix.txt")
+        result.extras["assemble"]().export_matrix(outdir / "matrix.txt")

@@ -35,8 +35,9 @@ spurious singularity. Both methods therefore solve the row-equilibrated
 system D A x = D b with D = diag(1 / max|row|), which has the same
 solution; residuals are reported for the equilibrated system. One CSC
 copy of D A (of D P A P^T under nested dissection) serves the factor,
-the BiCGSTAB products and every residual, so the factorization runs
-beside no other copy of the matrix than the caller's.
+the BiCGSTAB products and every residual. solve drops the system it was
+given once that copy is made, so a caller that keeps no reference to the
+system (as the cases do) factors beside no other copy of the matrix.
 """
 from __future__ import annotations
 
@@ -211,7 +212,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         report.t_ordering = time.perf_counter() - t0
     t0 = time.perf_counter()  # the preconditioner phase includes the row scaling
     matrix, rhs = _equilibrate(system)
-    del system  # a permuted copy is not kept beside its scaled one
+    del system  # neither the given nor a permuted system outlives its scaled copy
     dim = matrix.shape[0]
     maxiter = int(10.0 * np.sqrt(dim)) + 1000
     try:

@@ -15,11 +15,13 @@ import scipy.sparse as sp
 
 import mlsm2d
 from mlsm2d import cli, io
-from mlsm2d.cases import hertz
+from mlsm2d.cases import beam, hertz
 from mlsm2d.cases.metrics import CaseResult
 from mlsm2d.cli import CASES, main
-from mlsm2d.elasticity import SparseSystem, StressField
-from mlsm2d.nodes import DomainShape, NodeSet, Rect
+from mlsm2d.elasticity import Material, SparseSystem, StressField, assemble
+from mlsm2d.neighbors import build_supports
+from mlsm2d.nodes import DomainShape, NodeSet, Rect, build_rectangle_grid
+from mlsm2d.shapes import BasisSpec, WeightSpec, build_shape_set
 from mlsm2d.solve import METHODS, SolveReport, SolverConfig
 from mlsm2d.timing import PHASES, TimingReport
 
@@ -278,7 +280,16 @@ class TestArtifacts:
             ["--case", "cantilever", "--nx", 31, "--out", tmp_path, "--dump-matrix"]
         )
         assert rc == 0
-        assert (tmp_path / "matrix.txt").stat().st_size > 0
+        # The run frees its system before the factorization, so the dump is
+        # assembled again; it must be the system of an independent assembly.
+        params = beam.BeamParams()
+        nodes = build_rectangle_grid(params.rect, params.length / 30)
+        shapes = build_shape_set(nodes, build_supports(nodes, 9), BasisSpec(), WeightSpec())
+        system = assemble(nodes, shapes, Material(params.E, params.nu), beam.cantilever_bcs(nodes, params))
+        system.export_matrix(tmp_path / "independent.txt")
+        dumped = (tmp_path / "matrix.txt").read_bytes()
+        assert dumped.count(b"\n") == system.nnz
+        assert dumped == (tmp_path / "independent.txt").read_bytes()
 
     def test_refine_demo_emits_nodes_only(self, tmp_path):
         rc = run_cli(

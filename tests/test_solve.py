@@ -3,13 +3,14 @@
 import dataclasses
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_case, grid_spacing_for, perturb_nodes
 from mlsm2d.cases.drilled import drilled_cantilever_case
 from mlsm2d.elasticity import Material, SparseSystem, assemble
 from mlsm2d.neighbors import build_supports
@@ -113,7 +114,7 @@ class TestDirect:
             lambda: beam_system(n=15, levels=2),
             # a coarse relaxed cloud with holes, where the factor alone
             # leaves a residual near 1e-9 and the restart refines it
-            lambda: drilled_cantilever_case(0.4).extras["system"],
+            lambda: drilled_cantilever_case(0.4).extras["assemble"](),
         ],
         ids=["perturbed", "refined", "drilled"],
     )
@@ -235,6 +236,40 @@ class TestOneMatrixCopy:
         assert all(calls for calls in seen.values()), {name: len(calls) for name, calls in seen.items()}
         assert all(m is matrices[0] for m in matrices)
         assert matrices[0].format == "csc"
+
+
+class TestAssembledMatrixFreedBeforeFactorization:
+    @pytest.mark.parametrize(
+        "method, kwargs, factor, ordering",
+        [
+            ("direct", {}, "splu", ND),
+            ("direct", {"support_n": 15, "perturb_sigma": 0.1}, "splu", "MMD_AT_PLUS_A"),
+            ("bicgstab-ilut", {}, "spilu", "COLAMD"),
+        ],
+        ids=["grid-9", "irregular-15", "ilut"],
+    )
+    def test_no_assembled_matrix_lives_when_the_factorization_starts(
+        self, monkeypatch, method, kwargs, factor, ordering
+    ):
+        metrics = sys.modules["mlsm2d.cases.metrics"]
+        assemble_fn, factor_fn = metrics.assemble, getattr(spla, factor)
+        refs, alive = [], []
+
+        def tracked(*args, **kw):
+            system = assemble_fn(*args, **kw)
+            refs.append(weakref.ref(system.matrix))
+            return system
+
+        def spied(matrix, *args, **kw):
+            alive.append([ref() is not None for ref in refs])
+            return factor_fn(matrix, *args, **kw)
+
+        monkeypatch.setattr(metrics, "assemble", tracked)
+        monkeypatch.setattr(spla, factor, spied)
+        result = cantilever_case(n_target=400, solver=SolverConfig(method=method), **kwargs)
+        assert result.solve_report.ordering == ordering
+        assert alive == [[False]]
+        assert "system" not in result.extras
 
 
 def lattice_graph(nx, ny):
