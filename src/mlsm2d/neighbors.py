@@ -48,14 +48,18 @@ def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     out_idx = np.empty((len(pts), n), dtype=np.intp)
     out_dist = np.empty((len(pts), n))
 
+    x, y = tree.data[:, 0], tree.data[:, 1]
     rows = np.arange(len(pts))
     k = min(N, n + 1)
     while rows.size:
         p = pts[rows]
-        _, idx = tree.query(p, k=k)
-        d = tree.data[idx] - p[:, None, :]
-        dist = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-        order = np.lexsort((idx, dist), axis=1)
+        _, idx = tree.query(p, k=k, workers=-1)
+        # Index order first, so that a stable sort by distance ranks ties by index.
+        idx.sort(axis=1)
+        dx = x[idx] - p[:, 0, None]
+        dy = y[idx] - p[:, 1, None]
+        dist = np.sqrt(dx * dx + dy * dy)
+        order = np.argsort(dist, axis=1, kind="stable")
         idx = np.take_along_axis(idx, order, axis=1)
         dist = np.take_along_axis(dist, order, axis=1)
         out_idx[rows] = idx[:, :n]

@@ -171,7 +171,7 @@ class NodeSet:
         # Checked before the tree, which rejects non-finite data with its own message.
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite node positions")
-        d, _ = cKDTree(self.positions).query(self.positions, k=2)
+        d, _ = cKDTree(self.positions).query(self.positions, k=2, workers=-1)
         self.spacing = d[:, 1].copy()
 
         tol = BOUNDARY_TOL * self.domain.rect.diagonal
@@ -211,6 +211,13 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     so grid lines always hit the corners exactly. Corner normals are the
     normalized average of the two adjacent edge normals.
     """
+    nodes = _grid(rect, h)
+    nodes.finalize()
+    return nodes
+
+
+def _grid(rect: Rect, h: float) -> NodeSet:
+    """build_rectangle_grid's nodes, not yet finalized."""
     if h <= 0:
         raise ValueError(f"spacing must be positive, got {h}")
     if h > rect.width or h > rect.height:
@@ -237,10 +244,7 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     normals[on_top, 1] += 1.0
     lengths = np.hypot(normals[:, 0], normals[:, 1])
     normals[bnd] /= lengths[bnd, None]
-
-    nodes = NodeSet(positions, normals, DomainShape(rect))
-    nodes.finalize()
-    return nodes
+    return NodeSet(positions, normals, DomainShape(rect))
 
 
 def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h: float) -> NodeSet:
@@ -265,7 +269,7 @@ def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h
             if math.hypot(a.cx - b.cx, a.cy - b.cy) <= a.radius + b.radius:
                 raise ValueError(f"holes {a} and {b} overlap")
 
-    grid = build_rectangle_grid(rect, h)
+    grid = _grid(rect, h)
     keep = np.ones(grid.n, dtype=bool)
     for hole in holes:
         r = np.hypot(grid.positions[:, 0] - hole.cx, grid.positions[:, 1] - hole.cy)

@@ -1,13 +1,18 @@
 """h-refinement: halve the local spacing inside rectangular regions.
 
 One refinement pass inserts the midpoints between each selected node and
-its support neighbors, discarding candidates that would crowd an existing
-or already-accepted node. Midpoints of two boundary nodes that land near
-the boundary curve are projected onto it and become boundary nodes with
-the normal of the boundary piece they land on; everything else stays
-interior. Multi-level schedules apply passes outermost region first: a
-region at level k participates in the first k passes, so nested regions
-telescope the spacing down by powers of two.
+its support neighbors. A candidate closer than its rejection radius to an
+existing node is dropped; of the rest, a candidate is accepted iff no
+earlier accepted candidate lies in its closed rejection ball. That greedy
+walk is decided in rounds over the conflict pairs from one kd-tree pair
+query: a candidate is accepted once all its earlier conflicts are
+rejected, and rejected as soon as one of them is accepted. Midpoints of
+two boundary nodes that land near the boundary curve are projected onto
+it and become boundary nodes with the normal of the boundary piece they
+land on; everything else stays interior. Multi-level schedules apply
+passes outermost region first: a region at level k participates in the
+first k passes, so nested regions telescope the spacing down by powers
+of two.
 """
 from __future__ import annotations
 
@@ -98,21 +103,38 @@ def _refine_pass(nodes: NodeSet, rects: list[Rect]) -> NodeSet:
     keep &= project | inside
 
     # Reject candidates crowding an existing node, then earlier-accepted ones.
-    d_exist, _ = tree.query(final, k=1)
+    d_exist, _ = tree.query(final, k=1, workers=-1)
     keep &= d_exist >= radius
 
     order = np.nonzero(keep)[0]
-    if order.size == 0:
-        return nodes
-    cand_tree = cKDTree(final[order])
-    neighbor_lists = cand_tree.query_ball_point(final[order], r=radius[order])
-    accepted = np.zeros(order.size, dtype=bool)
-    for local, nbrs in enumerate(neighbor_lists):
-        accepted[local] = not any(accepted[other] for other in nbrs if other < local)
-    new = order[accepted]
+    new = order[_accept(final[order], radius[order])]
     if new.size == 0:
         return nodes
 
     positions = np.vstack([pos, final[new]])
     normals_all = np.vstack([nodes.normals, normals[new]])
     return NodeSet(positions, normals_all, nodes.domain)
+
+
+def _accept(points: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Mask of the candidates the greedy rule of the module docstring accepts."""
+    # The margin keeps boundary pairs that the pair query's own rounding
+    # might drop; the exact closed-ball test follows.
+    pairs = cKDTree(points).query_pairs(radius.max(initial=0.0) * (1.0 + 1e-12), output_type="ndarray")
+    early, late = pairs[:, 0], pairs[:, 1]  # early < late
+    d = points[early] - points[late]
+    conflict = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius[late] ** 2
+    early, late = early[conflict], late[conflict]
+    accepted = np.zeros(len(points), dtype=bool)
+    undecided = np.ones(len(points), dtype=bool)
+    while undecided.any():
+        blocked = np.zeros(len(points), dtype=bool)
+        blocked[late[undecided[early]]] = True
+        hit = np.zeros(len(points), dtype=bool)
+        hit[late[accepted[early]]] = True
+        accepted |= undecided & ~blocked & ~hit
+        undecided &= blocked & ~hit
+        # A pair whose later candidate is decided has nothing left to decide.
+        live = undecided[late]
+        early, late = early[live], late[live]
+    return accepted

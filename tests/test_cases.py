@@ -23,6 +23,7 @@ from mlsm2d.cases.drilled import (
     hole_refined_cloud,
 )
 from mlsm2d.cases.hertz import (
+    PRIMARY_FACTORS,
     HertzParams,
     hertz_bcs,
     hertz_case,
@@ -432,6 +433,25 @@ class TestRefinementSchedule:
             refinement_schedule(1e-4, primary=(10.0, 10.0))
         with pytest.raises(ValueError):
             refinement_schedule(1e-4, primary=(10.0, -2.0))
+
+
+class TestTruncatedSchedules:
+    def sigma_errors(self, levels, **kwargs):
+        return [hertz_case(primary=PRIMARY_FACTORS[:L], **kwargs).errors["e_inf_sigma"] for L in levels]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: a truncated schedule keeps both secondary levels, whose"
+        " 0.4 b and 0.3 b edge boxes hold islands of one or two nodes at L = 5; e_inf_sigma"
+        " jumps from 0.196 at L = 4 to 1.89 at L = 5 without an error",
+    )
+    def test_error_does_not_rise_with_the_primary_levels(self):
+        e4, e5 = self.sigma_errors((4, 5))
+        assert e5 <= e4
+
+    def test_error_falls_with_the_primary_levels_without_edge_levels(self):
+        e4, e6 = self.sigma_errors((4, 6), secondary=())
+        assert e6 < e4  # measured 0.196 -> 0.106
 
 
 @pytest.fixture(scope="module")

@@ -187,6 +187,19 @@ class TestDrilledDomain:
         with pytest.raises(ValueError):
             build_drilled_domain(UNIT_SQUARE, holes, 0.05)
 
+    def test_only_the_drilled_cloud_is_finalized(self, monkeypatch):
+        finalized = []
+        original = NodeSet.finalize
+
+        def counted(self):
+            finalized.append(self.n)
+            original(self)
+
+        monkeypatch.setattr(NodeSet, "finalize", counted)
+        nodes = build_drilled_domain(Rect(-2.0, 2.0, -2.0, 2.0), (Circle(0.0, 0.0, 1.0),), 0.25)
+        assert finalized == [nodes.n]
+        assert nodes.spacing is not None
+
 
 class TestNodeSet:
     def test_finalize_catches_unnormalized_boundary_normal(self):

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from mlsm2d import refine
+from mlsm2d.cases.drilled import DrilledBeamParams, _hole_box
+from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
-from mlsm2d.refine import PROXIMITY, RefineRegion, refine_levels, refine_once
+from mlsm2d.refine import PROXIMITY, RefineRegion, _accept, refine_levels, refine_once
 from mlsm2d.relax import relax
 
 
@@ -188,3 +191,76 @@ def test_refinement_respects_the_proximity_floor(x_lo):
     assert out.n >= nodes.n
     d = build_supports(out, 2).distances[:, 1]
     assert d.min() >= PROXIMITY * 0.125 / 2 * 0.99
+
+
+def accept_by_ball_queries(points, radius):
+    """The reference acceptance: one ball query per candidate, walked in order."""
+    accepted = np.zeros(len(points), dtype=bool)
+    if len(points) == 0:
+        return accepted
+    neighbor_lists = cKDTree(points).query_ball_point(points, r=radius)
+    for local, nbrs in enumerate(neighbor_lists):
+        accepted[local] = not any(accepted[other] for other in nbrs if other < local)
+    return accepted
+
+
+class TestAccept:
+    def check(self, points, radius):
+        points = np.asarray(points, dtype=float)
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), len(points)).copy()
+        got = _accept(points, radius)
+        np.testing.assert_array_equal(got, accept_by_ball_queries(points, radius))
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_candidates_with_their_own_radii(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0.0, 1.0, size=(600, 2))
+        got = self.check(points, rng.uniform(0.01, 0.08, size=600))
+        assert 0 < got.sum() < 600
+
+    @pytest.mark.parametrize("h", [0.125, 0.1, 1.0 / 3.0])
+    def test_lattice_spacing_equal_to_the_radius(self, h):
+        # Lattice neighbors sit on the closed ball's surface; whether they
+        # conflict depends on the last bit of the computed distance.
+        ix, iy = np.meshgrid(np.arange(12), np.arange(9), indexing="ij")
+        points = np.column_stack([ix.ravel() * h, iy.ravel() * h + 0.3])
+        self.check(points, h)
+        self.check(0.5 * (points[:-1] + points[1:]), h / 2.0)
+
+    def test_coincident_candidates(self):
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        got = self.check(points, 0.1)
+        np.testing.assert_array_equal(got, [True, False, True, False, False, False])
+        self.check(points, 0.0)
+
+    def test_chain_needing_many_rounds(self):
+        # Each candidate conflicts with its neighbors only: the first one is
+        # accepted, which rejects the second, which frees the third, ...
+        points = np.column_stack([np.arange(9.0), np.zeros(9)])
+        got = self.check(points, 1.5)
+        np.testing.assert_array_equal(got, np.arange(9) % 2 == 0)
+
+    def test_no_candidates(self):
+        assert self.check(np.zeros((0, 2)), 1.0).shape == (0,)
+
+    def refined_twice(self, monkeypatch, nodes, regions):
+        fast = refine_levels(nodes, regions)
+        monkeypatch.setattr(refine, "_accept", accept_by_ball_queries)
+        slow = refine_levels(nodes, regions)
+        assert fast.n > nodes.n
+        np.testing.assert_array_equal(fast.positions, slow.positions)
+        np.testing.assert_array_equal(fast.normals, slow.normals)
+
+    def test_hertz_default_schedule_matches_the_reference(self, monkeypatch):
+        b = hertz_geometry().half_width
+        H = 1000.0 * b
+        nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
+        self.refined_twice(monkeypatch, nodes, refinement_schedule(b))
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_drilled_hole_boxes_match_the_reference(self, monkeypatch, level):
+        params, spacing = DrilledBeamParams(), 0.25
+        nodes = build_drilled_domain(params.rect, params.holes, spacing)
+        regions = [RefineRegion(_hole_box(h, params.rect, 2.0 * spacing), level) for h in params.holes]
+        self.refined_twice(monkeypatch, nodes, regions)
