@@ -2,13 +2,15 @@
 
 Supports drive every stencil in the solver, so the search has to be exact
 and deterministic: neighbors are ordered by distance, with ties broken by
-the smaller node index. One batched kd-tree query gives each point n + 1
-candidates, ranked by exact distance and then index; rows whose tie group
-may reach past the last candidate (common on lattices) query again with
-twice as many, until the cutoff is clear or the whole cloud is in.
+the smaller node index. One batched kd-tree query gives each point enough
+candidates to hold a square lattice's whole n-th distance shell, ranked by
+exact distance and then index; rows whose tie group may still reach past
+the last candidate query again with twice as many, until the cutoff is
+clear or the whole cloud is in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,18 @@ class SupportSet:
         return self.indices.shape[1]
 
 
+def _lattice_k(n: int) -> int:
+    """Candidates that settle the tie check for n neighbors on a square lattice.
+
+    One more than the first count of lattice points in a closed disc that
+    is at least n (1, 5, 9, 13, 21, 25, ...), so the last candidate lies
+    past the n-th neighbor's distance shell: 10 for n = 9, 22 for n = 15.
+    """
+    g = np.arange(-math.isqrt(n) - 1, math.isqrt(n) + 2)
+    d2 = np.sort((g[:, None] ** 2 + g**2).ravel())
+    return int(np.searchsorted(d2, d2[n - 1], side="right")) + 1
+
+
 def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the n nearest points, ties by index.
 
@@ -50,7 +64,7 @@ def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
     x, y = tree.data[:, 0], tree.data[:, 1]
     rows = np.arange(len(pts))
-    k = min(N, n + 1)
+    k = min(N, _lattice_k(n))
     while rows.size:
         p = pts[rows]
         _, idx = tree.query(p, k=k, workers=-1)

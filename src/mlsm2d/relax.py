@@ -13,6 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .nodes import NodeSet
+from .parallel import _split_rows
 
 # Sweeps of a relaxation run.
 ITERATIONS = 20
@@ -56,7 +57,9 @@ def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
 
     Returns a new NodeSet; the input is left untouched. Interior nodes that
     would step outside the domain are clamped to sit just inside the
-    boundary crossing.
+    boundary crossing. Each sweep builds one kd-tree, then queries it and
+    computes the offsets with the rows split between two threads by
+    parallel._split_rows.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be nonnegative, got {iterations}")
@@ -68,11 +71,15 @@ def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
     k = min(NEIGHBORS + 1, nodes.n)
     for _ in range(iterations):
         tree = cKDTree(positions)
-        d, idx = tree.query(positions[interior], k=k)
-        # Drop the self column (distance zero, first after sorting).
-        offsets = relax_offset(positions[interior], positions[idx[:, 1:]])
+        start = positions[interior]
 
-        proposed = positions[interior] + offsets
+        def offsets_of(lo, hi):
+            _, idx = tree.query(start[lo:hi], k=k)
+            # Drop the self column (distance zero, first after sorting).
+            return relax_offset(start[lo:hi], positions[idx[:, 1:]])
+
+        offsets = _split_rows(offsets_of, len(start))
+        proposed = start + offsets
         sd = nodes.domain.signed_distance(proposed)
         escaped = np.nonzero(sd >= 0.0)[0]
         if escaped.size:

@@ -47,6 +47,7 @@ import numpy as np
 
 from .neighbors import SupportSet
 from .nodes import NodeSet
+from .parallel import _split_rows
 
 # Derivative orders (a, b) of each operator d^a/dx^a d^b/dy^b.
 OPS = {"val": (0, 0), "dx": (1, 0), "dy": (0, 1), "dxx": (2, 0), "dxy": (1, 1), "dyy": (0, 2)}
@@ -313,9 +314,10 @@ def build_shape_set(
 ) -> ShapeSet:
     """Stencils for all nodes, one batched SVD row per distinct local geometry.
 
-    The kernel runs on the first node of each distinct (q, u) key; its
-    ranks and masks are scattered to every node of the key, its rows kept
-    once per key.
+    The kernel runs on the first node of each distinct (q, u) key, the
+    keys split between two threads by parallel._split_rows; its ranks and
+    masks are scattered to every node of the key, its rows kept once per
+    key.
 
     Unlike compute_shapes this never raises on rank-deficient supports; it
     fills the ambiguity masks and leaves enforcement to ShapeSet.require,
@@ -337,6 +339,8 @@ def build_shape_set(
         return_index=True,
         return_inverse=True,
     )
-    rows, ranks, ambiguous = _stencils(q[first], u[first], basis, OPS)
+    rows, ranks, ambiguous = _split_rows(
+        lambda lo, hi: _stencils(q[first[lo:hi]], u[first[lo:hi]], basis, OPS), len(first)
+    )
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
     return ShapeSet(supports, rows, inv, p_min, basis, ranks[inv], ambiguous)

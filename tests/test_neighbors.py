@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import perturb_nodes
-from mlsm2d.neighbors import build_supports, knn
+from mlsm2d.neighbors import _lattice_k, build_supports, knn
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
 
@@ -90,6 +90,28 @@ def test_supports_on_a_refined_cloud_match_brute_force(n):
         [RefineRegion(Rect(0.25, 1.75, 0.0, 0.75), 1), RefineRegion(Rect(0.75, 1.25, 0.0, 0.5), 3)],
     )
     assert_supports_match_brute_force(nodes.positions, n)
+
+
+def test_first_query_holds_the_lattice_shell():
+    # shells of the square lattice hold 1, 5, 9, 13, 21, 25, ... points
+    ns = (2, 5, 6, 9, 10, 13, 14, 15, 21, 22)
+    assert [_lattice_k(n) for n in ns] == [6, 6, 10, 10, 14, 14, 22, 22, 22, 26]
+
+
+@pytest.mark.parametrize("n", [9, 13, 15])
+def test_interior_of_a_grid_needs_one_query(n):
+    # only rows near an edge, whose shells are cut, may ask again
+    nodes = build_rectangle_grid(Rect(0, 4, 0, 4), 0.1)
+    interior = np.nonzero(np.all(np.abs(nodes.positions - 2.0) < 1.5, axis=1))[0]
+    queried = []
+
+    class Counting(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    knn(Counting(nodes.positions), nodes.positions[interior], n)
+    assert queried == [len(interior)]
 
 
 @given(lattices(), st.sampled_from([2, 9, 15]), st.integers(min_value=0, max_value=2**32 - 1))
