@@ -131,6 +131,7 @@ def grid_spacing_for(params: BeamParams, n_target: int) -> float:
 def cantilever_case(
     spacing: float | None = None,
     *,
+    nx: int = 60,
     n_target: int | None = None,
     params: BeamParams = BeamParams(),
     basis: BasisSpec = BasisSpec(),
@@ -141,11 +142,19 @@ def cantilever_case(
     perturb_sigma: float = 0.0,
     seed: int = 0,
 ) -> CaseResult:
-    """Solve the cantilever on a regular (optionally perturbed) grid."""
-    if (spacing is None) == (n_target is None):
-        raise ValueError("give exactly one of spacing or n_target")
-    if spacing is None:
+    """Solve the cantilever on a regular (optionally perturbed) grid.
+
+    The grid has nx nodes along the beam, or the size that spacing or
+    n_target (at most one of them) sets.
+    """
+    if spacing is not None and n_target is not None:
+        raise ValueError("give at most one of spacing or n_target")
+    if n_target is not None:
         spacing = grid_spacing_for(params, n_target)
+    elif spacing is None:
+        if nx < 2:
+            raise ValueError(f"nx must be at least 2, got {nx}")
+        spacing = params.length / (nx - 1)
 
     timer = PhaseTimer()
     with timer.phase("domain"):

@@ -5,7 +5,8 @@ comparison against the solid-beam reference and the location of the von
 Mises maximum, which should sit on a hole boundary where the stress
 concentrates. Node positioning (optional refinement around the holes plus
 relaxation) exercises the irregular-cloud pipeline end to end; it is
-`hole_refined_cloud`, which the CLI's refine-demo also runs.
+`hole_refined_cloud`, which `refine_demo` runs alone on a square with one
+hole.
 """
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ import numpy as np
 
 from dataclasses import dataclass
 
+from .. import refine
 from ..elasticity import BoundaryConditions, Material
 from ..nodes import Circle, NodeSet, Rect, build_drilled_domain
-from ..refine import RefineRegion, refine_levels
 from ..relax import ITERATIONS, relax
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
-from ..timing import PhaseTimer
+from ..timing import PhaseTimer, TimingReport
 from .beam import BeamParams
 from .metrics import CaseResult, solve_on_cloud
 
@@ -69,27 +70,41 @@ def hole_refined_cloud(
     rect: Rect,
     holes: tuple[Circle, ...],
     spacing: float,
-    refine_level: int,
+    refine_levels: int,
     relax_iterations: int = ITERATIONS,
 ) -> NodeSet:
     """Node positioning on a drilled rectangle: domain, hole refinement, relaxation.
 
     The box of each hole (`_hole_box`, two spacings of margin) is refined
-    refine_level times, then the cloud is relaxed for relax_iterations
+    refine_levels times, then the cloud is relaxed for relax_iterations
     sweeps; either step is skipped at exactly 0, and a negative setting
     raises ValueError. The steps are timed as the domain, refinement and
     relaxation phases of timer.
     """
     with timer.phase("domain"):
         nodes = build_drilled_domain(rect, holes, spacing)
-    if refine_level != 0:
+    if refine_levels != 0:
         with timer.phase("refinement"):
-            regions = [RefineRegion(_hole_box(h, rect, 2.0 * spacing), refine_level) for h in holes]
-            nodes = refine_levels(nodes, regions)
+            regions = [refine.RefineRegion(_hole_box(h, rect, 2.0 * spacing), refine_levels) for h in holes]
+            nodes = refine.refine_levels(nodes, regions)
     if relax_iterations != 0:
         with timer.phase("relaxation"):
             nodes = relax(nodes, relax_iterations)
     return nodes
+
+
+# The refine-demo domain: a square with one hole in the middle.
+DEMO_RECT = Rect(0.0, 10.0, 0.0, 10.0)
+DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
+
+
+def refine_demo(
+    spacing: float = 0.5, *, refine_levels: int = 4, relax_iterations: int = ITERATIONS
+) -> tuple[NodeSet, TimingReport]:
+    """The drilled case's node positioning alone, on the demo square; nothing is solved."""
+    timer = PhaseTimer()
+    nodes = hole_refined_cloud(timer, DEMO_RECT, DEMO_HOLES, spacing, refine_levels, relax_iterations)
+    return nodes, timer.report()
 
 
 def drilled_cantilever_case(
@@ -100,7 +115,7 @@ def drilled_cantilever_case(
     support_n: int = 15,
     weight: WeightSpec = WeightSpec(),
     solver: SolverConfig = SolverConfig(),
-    refine_level: int = 1,
+    refine_levels: int = 1,
     relax_iterations: int = ITERATIONS,
 ) -> CaseResult:
     """Solve the drilled cantilever, refining and relaxing around the holes.
@@ -113,7 +128,7 @@ def drilled_cantilever_case(
     support_n = 15 keeps hole-ring and interface supports full rank.
     """
     timer = PhaseTimer()
-    nodes = hole_refined_cloud(timer, params.rect, params.holes, spacing, refine_level, relax_iterations)
+    nodes = hole_refined_cloud(timer, params.rect, params.holes, spacing, refine_levels, relax_iterations)
 
     def measure(nodes, u, v, stress):
         tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))

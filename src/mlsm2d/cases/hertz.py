@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import refine
 from ..elasticity import BoundaryConditions, Material
 from ..nodes import Rect, build_rectangle_grid
-from ..refine import RefineRegion, refine_levels
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
@@ -117,7 +117,7 @@ def refinement_schedule(
     half_width: float,
     primary: tuple[float, ...] = PRIMARY_FACTORS,
     secondary: tuple[float, ...] = SECONDARY_FACTORS,
-) -> list[RefineRegion]:
+) -> list[refine.RefineRegion]:
     """Nested refinement regions toward the contact and its edges.
 
     Primary rectangles [-f b, f b] x [-f b, 0] shrink toward the origin;
@@ -131,15 +131,15 @@ def refinement_schedule(
         if any(f1 <= f2 for f1, f2 in zip(seq, seq[1:])):
             raise ValueError("refinement factors must decrease strictly")
     b = half_width
-    regions: list[RefineRegion] = []
+    regions: list[refine.RefineRegion] = []
     level = 0
     for f in primary:
         level += 1
-        regions.append(RefineRegion(Rect(-f * b, f * b, -f * b, 0.0), level))
+        regions.append(refine.RefineRegion(Rect(-f * b, f * b, -f * b, 0.0), level))
     for f in secondary:
         level += 1
         for c in (-b, b):
-            regions.append(RefineRegion(Rect(c - f * b, c + f * b, -f * b, 0.0), level))
+            regions.append(refine.RefineRegion(Rect(c - f * b, c + f * b, -f * b, 0.0), level))
     return regions
 
 
@@ -165,8 +165,8 @@ def hertz_case(
     params: HertzParams = HertzParams(),
     *,
     nx: int = 69,
-    primary: tuple[float, ...] = PRIMARY_FACTORS,
-    secondary: tuple[float, ...] = SECONDARY_FACTORS,
+    refine_levels: int = len(PRIMARY_FACTORS),
+    secondary_levels: int = len(SECONDARY_FACTORS),
     basis: BasisSpec = BasisSpec(),
     support_n: int = 15,
     weight: WeightSpec = WeightSpec(),
@@ -175,12 +175,18 @@ def hertz_case(
     """Solve the contact benchmark on a refined half-plane square.
 
     The defaults are a desk-scale budget of roughly 3e4 nodes: a coarse
-    69-point base grid refined ten primary levels toward the contact plus
-    two secondary levels toward its edges. support_n = 15 keeps the
-    refinement-interface supports full rank.
+    69-point base grid refined toward the contact by the refine_levels
+    leading PRIMARY_FACTORS (all ten) and toward its edges by the
+    secondary_levels leading SECONDARY_FACTORS (both). support_n = 15
+    keeps the refinement-interface supports full rank.
     """
     if nx < 3:
         raise ValueError(f"nx must be at least 3, got {nx}")
+    if not (0 <= refine_levels <= len(PRIMARY_FACTORS) and 0 <= secondary_levels <= len(SECONDARY_FACTORS)):
+        raise ValueError(
+            f"refine_levels must be in [0, {len(PRIMARY_FACTORS)}] and secondary_levels in"
+            f" [0, {len(SECONDARY_FACTORS)}], got {refine_levels} and {secondary_levels}"
+        )
     geom = hertz_geometry(params)
     H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
     if H <= geom.half_width:
@@ -191,8 +197,10 @@ def hertz_case(
         rect = Rect(-H, H, -H, 0.0)
         nodes = build_rectangle_grid(rect, 2.0 * H / (nx - 1))
     with timer.phase("refinement"):
-        regions = refinement_schedule(geom.half_width, primary, secondary)
-        nodes = refine_levels(nodes, regions)
+        regions = refinement_schedule(
+            geom.half_width, PRIMARY_FACTORS[:refine_levels], SECONDARY_FACTORS[:secondary_levels]
+        )
+        nodes = refine.refine_levels(nodes, regions)
 
     def measure(nodes, u, v, stress):
         x, y = nodes.positions[:, 0], nodes.positions[:, 1]

@@ -4,12 +4,11 @@ Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. The argument parser is the one list of options: a JSON config
 file may set any of them under the flag's name with a value typed like the
-flag, and flags win over file values. A case receives the values the user
-set and the CLI's own defaults in CLI_DEFAULTS (the cantilever grid and the
-refine-demo spacing and levels); every other default is the case
-function's own. A flag the selected case ignores, or one that another flag
-or a sweep overrides, is a configuration error. Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+flag, and flags win over file values. A case function receives only the
+values the user set, so every default is the case function's own. A flag
+the selected case ignores, or one that another flag or a sweep overrides,
+is a configuration error. Exit codes: 0 success, 2 configuration error, 3
+numerical failure.
 """
 from __future__ import annotations
 
@@ -23,32 +22,35 @@ from pathlib import Path
 
 from . import io
 from .cases import beam, drilled, hertz
-from .nodes import Circle, Rect
-from .shapes import IllConditionedStencilError
+from .shapes import BasisSpec, IllConditionedStencilError
 from .solve import METHODS, NonConvergenceError
-from .timing import PhaseTimer
 
-CASES = ("cantilever", "drilled-beam", "hertz", "refine-demo")
+# Each case's function as (module, name), looked up per run so that wrappers see it.
+CASE_FUNCTIONS = {
+    "cantilever": (beam, "cantilever_case"),
+    "drilled-beam": (drilled, "drilled_cantilever_case"),
+    "hertz": (hertz, "hertz_case"),
+    "refine-demo": (drilled, "refine_demo"),
+}
+CASES = tuple(CASE_FUNCTIONS)
 BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
 OUT_ENV = "MLSM2D_OUT"
 
-# Defaults of the inputs that only the CLI defines: the cantilever grid
-# and the node-positioning demo.
-CLI_DEFAULTS = {
-    "cantilever": {"nx": 60},
-    "refine-demo": {"spacing": 0.5, "refine_levels": 4},
-}
+# Flags passed to the case function under another name.
+RENAMES = {"n": "support_n"}
+# Each sweep flag and the case argument that takes its values in turn.
+SWEEPS = {"sweep_n": "n_target", "sweep_sigma": "perturb_sigma", "sweep_refine": "refine_levels"}
+# Flags that are no argument of a case function: those folded into a field
+# of its default basis, weight, solver or params object, the outputs and
+# the sweeps. Every other flag of a case is one, under RENAMES.
+NOT_ARGUMENTS = ("basis", "sigma_b", "sigma_w", "solver", "tol", "hertz_h", "vtk", "dump_matrix", *SWEEPS)
 
-# The refine-demo domain: a square with one hole in the middle.
-DEMO_RECT = Rect(0.0, 10.0, 0.0, 10.0)
-DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
-
-# Flags each case reads besides --case, --out and --seed.
+# Flags each case reads besides --case and --out; every case accepts --seed.
 _SOLVE_FLAGS = (
     "basis", "sigma_b", "n", "sigma_w", "solver", "tol", "vtk", "dump_matrix"
 )
 CASE_FLAGS = {
-    "cantilever": _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "sweep_n", "sweep_sigma"),
+    "cantilever": _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "seed", "sweep_n", "sweep_sigma"),
     "drilled-beam": _SOLVE_FLAGS + ("spacing", "refine_levels", "relax_iterations"),
     "hertz": _SOLVE_FLAGS + ("nx", "hertz_h", "refine_levels", "secondary_levels", "sweep_refine"),
     "refine-demo": ("spacing", "refine_levels", "relax_iterations"),
@@ -85,8 +87,9 @@ def validate(config: argparse.Namespace) -> list[str]:
     for name, choices in (("case", CASES), ("basis", BASES), ("solver", METHODS)):
         if (value := getattr(config, name)) is not None and value not in choices:
             problems.append(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
-    if config.n is not None and config.n < 9:
-        problems.append(f"support size n must be at least the basis size 9, got {config.n}")
+    m = BasisSpec(**_user_values(kind=BASES.get(config.basis))).m
+    if config.n is not None and config.n < m:
+        problems.append(f"support size n must be at least the basis size {m}, got {config.n}")
     if config.tol is not None and not 0.0 < config.tol < 1.0:
         problems.append(f"tol must be in (0, 1), got {config.tol}")
     for name in _POSITIVE:
@@ -233,77 +236,41 @@ def _user_values(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _merged(default, **values):
-    """A case's default config object with the user-set fields replaced."""
+def _merged(parameters, name: str, **values):
+    """The case's default `name` object with the user-set fields replaced; None if none is set."""
     values = _user_values(**values)
-    return replace(default, **values) if values else None
+    return replace(parameters[name].default, **values) if values else None
 
 
 def run(config: argparse.Namespace) -> None:
     """Execute the configured case; artifacts land in the output directory."""
-    defaults = CLI_DEFAULTS.get(config.case, {})
-    config = argparse.Namespace(**{k: defaults.get(k) if v is None else v for k, v in vars(config).items()})
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
     outdir.mkdir(parents=True, exist_ok=True)
-    # Inputs of the drilled beam's node positioning, which refine-demo runs alone.
-    positioning = _user_values(
-        spacing=config.spacing, refine_level=config.refine_levels, relax_iterations=config.relax_iterations
+    case_fn = getattr(*CASE_FUNCTIONS[config.case])
+    parameters = inspect.signature(case_fn).parameters
+    arguments = [flag for flag in CASE_FLAGS[config.case] if flag not in NOT_ARGUMENTS]
+    kwargs = _user_values(
+        basis=_merged(parameters, "basis", kind=BASES.get(config.basis), sigma=config.sigma_b),
+        weight=_merged(parameters, "weight", sigma=config.sigma_w),
+        solver=_merged(parameters, "solver", method=config.solver, tolerance=config.tol),
+        params=_merged(parameters, "params", half_size=config.hertz_h),
+        **{RENAMES.get(flag, flag): getattr(config, flag) for flag in arguments},
     )
     if config.case == "refine-demo":
-        timer = PhaseTimer()
-        nodes = drilled.hole_refined_cloud(timer, DEMO_RECT, DEMO_HOLES, **positioning)
+        nodes, timings = case_fn(**kwargs)
         nodes.to_csv(outdir / "nodes.csv")
-        timer.report().to_csv(outdir / "timing.csv")
+        timings.to_csv(outdir / "timing.csv")
         return
 
-    case_fn = {"hertz": hertz.hertz_case, "drilled-beam": drilled.drilled_cantilever_case}.get(
-        config.case, beam.cantilever_case
-    )
-    signature = inspect.signature(case_fn).parameters
-    kwargs = _user_values(
-        basis=_merged(signature["basis"].default, kind=BASES.get(config.basis), sigma=config.sigma_b),
-        weight=_merged(signature["weight"].default, sigma=config.sigma_w),
-        solver=_merged(signature["solver"].default, method=config.solver, tolerance=config.tol),
-        support_n=config.n,
-    )
     # Keyword overrides of each run of a sweep; one run without a sweep.
-    runs: list[dict] = [{}]
-    sweep_key = "N"
-
-    if config.case == "cantilever":
-        kwargs.update(_user_values(perturb_sigma=config.perturb_sigma, seed=config.seed))
-        if config.spacing is not None:
-            kwargs["spacing"] = config.spacing
-        elif config.n_target is not None:
-            kwargs["n_target"] = config.n_target
-        else:
-            kwargs["spacing"] = signature["params"].default.length / (config.nx - 1)
-        if config.sweep_sigma:
-            sweep_key = "sigma"
-            runs = [{"perturb_sigma": sig} for sig in config.sweep_sigma]
-        elif config.sweep_n:
-            runs = [{"spacing": None, "n_target": n_target} for n_target in config.sweep_n]
-
-    elif config.case == "hertz":
-        kwargs.update(_user_values(nx=config.nx))
-        if config.hertz_h is not None:
-            kwargs["params"] = hertz.HertzParams(half_size=config.hertz_h)
-        if config.refine_levels is not None:
-            kwargs["primary"] = hertz.PRIMARY_FACTORS[: config.refine_levels]
-        if config.secondary_levels is not None:
-            kwargs["secondary"] = hertz.SECONDARY_FACTORS[: config.secondary_levels]
-        if config.sweep_refine:
-            runs = [{"primary": hertz.PRIMARY_FACTORS[:lv]} for lv in config.sweep_refine]
-
-    else:
-        kwargs.update(positioning)
-
+    sweep = next((flag for flag in SWEEPS if getattr(config, flag)), None)
+    runs = [{SWEEPS[sweep]: value} for value in getattr(config, sweep)] if sweep else [{}]
     sweep_rows: list[dict] = []
     for overrides in runs:
         result = case_fn(**{**kwargs, **overrides})
         row = {"N": result.n_nodes, "sigma": overrides.get("perturb_sigma"), "t_total": result.timings.total}
         sweep_rows.append({**result.errors, **row})
     io.write_case_outputs(outdir, result, vtk=config.vtk)
-    io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key=sweep_key)
+    io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key="sigma" if sweep == "sweep_sigma" else "N")
     if config.dump_matrix:
         result.extras["assemble"]().export_matrix(outdir / "matrix.txt")

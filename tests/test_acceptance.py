@@ -247,12 +247,12 @@ def test_criterion_07_contact_field_self_checks():
 
 def test_criterion_08_refinement_beats_truncation_budget():
     refined = hertz_case(HertzParams())
-    primary_only = hertz_case(HertzParams(), secondary=())
+    primary_only = hertz_case(HertzParams(), secondary_levels=0)
     budget = refined.n_nodes
     nx = int(round(np.sqrt(2.0 * budget)))
     if nx % 2 == 0:
         nx += 1
-    unrefined = hertz_case(HertzParams(), nx=nx, primary=(), secondary=())
+    unrefined = hertz_case(HertzParams(), nx=nx, refine_levels=0, secondary_levels=0)
     e_full = refined.errors["e_inf_sigma"]
     e_prim = primary_only.errors["e_inf_sigma"]
     e_unref = unrefined.errors["e_inf_sigma"]

@@ -16,14 +16,16 @@ from mlsm2d.cases.beam import (
     timoshenko_stress,
 )
 from mlsm2d.cases.drilled import (
+    DEMO_HOLES,
+    DEMO_RECT,
     DrilledBeamParams,
     _hole_box,
     drilled_bcs,
     drilled_cantilever_case,
     hole_refined_cloud,
+    refine_demo,
 )
 from mlsm2d.cases.hertz import (
-    PRIMARY_FACTORS,
     HertzParams,
     hertz_bcs,
     hertz_case,
@@ -248,10 +250,15 @@ class TestPerturbNodes:
 
 class TestCantileverCase:
     def test_spacing_and_target_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at most one of spacing or n_target"):
             cantilever_case(spacing=0.5, n_target=1000)
-        with pytest.raises(ValueError):
-            cantilever_case()
+
+    def test_default_grid_has_60_nodes_along_the_beam(self):
+        params = BeamParams()
+        grid = build_rectangle_grid(params.rect, params.length / 59)
+        assert cantilever_case().nodes.positions.tobytes() == grid.positions.tobytes()
+        with pytest.raises(ValueError, match="nx must be at least 2"):
+            cantilever_case(nx=1)
 
     def test_grid_spacing_for_hits_the_target_count(self):
         params = BeamParams()
@@ -435,9 +442,15 @@ class TestRefinementSchedule:
             refinement_schedule(1e-4, primary=(10.0, -2.0))
 
 
+@pytest.mark.parametrize("levels", [{"refine_levels": -1}, {"refine_levels": 11}, {"secondary_levels": 3}])
+def test_level_counts_outside_the_schedule_are_rejected(levels):
+    with pytest.raises(ValueError, match=r"refine_levels must be in \[0, 10\] and secondary_levels in \[0, 2\]"):
+        hertz_case(**levels)
+
+
 class TestTruncatedSchedules:
     def sigma_errors(self, levels, **kwargs):
-        return [hertz_case(primary=PRIMARY_FACTORS[:L], **kwargs).errors["e_inf_sigma"] for L in levels]
+        return [hertz_case(refine_levels=L, **kwargs).errors["e_inf_sigma"] for L in levels]
 
     @pytest.mark.xfail(
         strict=True,
@@ -450,7 +463,7 @@ class TestTruncatedSchedules:
         assert e5 <= e4
 
     def test_error_falls_with_the_primary_levels_without_edge_levels(self):
-        e4, e6 = self.sigma_errors((4, 6), secondary=())
+        e4, e6 = self.sigma_errors((4, 6), secondary_levels=0)
         assert e6 < e4  # measured 0.196 -> 0.106
 
 
@@ -540,6 +553,12 @@ class TestHoleRefinedCloud:
         expected = relax(refine_levels(build_drilled_domain(self.RECT, self.HOLES, 0.25), regions), 3)
         assert nodes.positions.tobytes() == expected.positions.tobytes()
         assert list(timer.report().phases) == ["domain", "refinement", "relaxation"]
+
+    def test_refine_demo_positions_the_demo_square(self):
+        nodes, timings = refine_demo(1.0, refine_levels=2, relax_iterations=3)
+        expected = hole_refined_cloud(PhaseTimer(), DEMO_RECT, DEMO_HOLES, 1.0, 2, 3)
+        assert nodes.positions.tobytes() == expected.positions.tobytes()
+        assert list(timings.phases) == ["domain", "refinement", "relaxation"]
 
 
 class TestTimingReport:

@@ -98,6 +98,10 @@ class TestExitCodes:
         assert rc == 2
         assert "--refine-levels is ignored next to --sweep-refine" in capsys.readouterr().err
 
+    def test_support_smaller_than_the_basis_is_rejected(self, tmp_path, capsys):
+        assert run_cli(["--case", "cantilever", "--n", 8, "--out", tmp_path]) == 2
+        assert "config error: support size n must be at least the basis size 9, got 8\n" in capsys.readouterr().err
+
     def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
         assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
         assert "--nx is ignored next to --spacing" in capsys.readouterr().err
@@ -197,14 +201,19 @@ class TestConfigFileTypes:
 
 
 def test_cli_tables_name_real_flags():
-    """A misspelt name in a table would silently skip its check."""
+    """A misspelt name in a table would silently skip its check, or reach a case as a TypeError."""
     options = {a.dest for a in cli._build_parser()._actions} - {"help"}
-    names = set(cli.CASE_FLAGS) | set(cli.CLI_DEFAULTS)  # case names
-    assert names <= set(CASES)
-    tables = [*cli.CASE_FLAGS.values(), *cli.CLI_DEFAULTS.values(), cli.OVERRIDES, *cli.OVERRIDES.values()]
-    tables += [cli._POSITIVE, cli._NONNEGATIVE, cli._AT_LEAST]
+    assert set(cli.CASE_FLAGS) == set(CASES)
+    tables = [*cli.CASE_FLAGS.values(), cli.OVERRIDES, *cli.OVERRIDES.values(), cli.RENAMES, cli.SWEEPS]
+    tables += [cli.NOT_ARGUMENTS, cli._POSITIVE, cli._NONNEGATIVE, cli._AT_LEAST]
     for table in tables:
         assert set(table) <= options, set(table) - options
+    for case, flags in cli.CASE_FLAGS.items():
+        parameters = inspect.signature(getattr(*cli.CASE_FUNCTIONS[case])).parameters
+        arguments = {cli.RENAMES.get(flag, flag) for flag in flags if flag not in cli.NOT_ARGUMENTS}
+        assert arguments <= set(parameters), (case, arguments - set(parameters))
+        sweeps = {cli.SWEEPS[flag] for flag in flags if flag in cli.SWEEPS}
+        assert sweeps <= set(parameters), (case, sweeps - set(parameters))
 
 
 class _Stop(Exception):
@@ -212,36 +221,44 @@ class _Stop(Exception):
 
 
 @pytest.fixture
-def hertz_call(monkeypatch):
-    """Record the arguments the CLI resolves for hertz_case, then stop before solving."""
-    real = hertz.hertz_case
+def case_calls(monkeypatch):
+    """Record the (args, kwargs) the CLI passes to each case function, then stop before solving."""
     calls = []
 
-    @functools.wraps(real)
-    def record(*args, **kwargs):
-        bound = inspect.signature(real).bind(*args, **kwargs)
-        bound.apply_defaults()
-        calls.append(bound.arguments)
-        raise _Stop
+    def recorder(real):
+        @functools.wraps(real)
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise _Stop
 
-    monkeypatch.setattr(hertz, "hertz_case", record)
+        return record
+
+    for module, name in cli.CASE_FUNCTIONS.values():
+        monkeypatch.setattr(module, name, recorder(getattr(module, name)))
     return calls
 
 
 class TestCaseDefaults:
-    def test_hertz_without_level_flags_runs_the_case_schedule(self, tmp_path, hertz_call):
+    @pytest.mark.parametrize("case", CASES)
+    def test_flagless_run_leaves_every_default_to_the_case(self, tmp_path, case_calls, case):
         with pytest.raises(_Stop):
-            run_cli(["--case", "hertz", "--out", tmp_path])
-        (args,) = hertz_call
-        assert args["primary"] == hertz.PRIMARY_FACTORS
-        assert args["secondary"] == hertz.SECONDARY_FACTORS
-        assert args["support_n"] == 15
+            run_cli(["--case", case, "--out", tmp_path])
+        assert case_calls == [((), {})]
 
-    def test_hertz_solver_flag_keeps_the_case_tolerance(self, tmp_path, hertz_call):
+    def test_flags_reach_the_case_by_name(self, tmp_path, case_calls):
+        with pytest.raises(_Stop):
+            run_cli(["--case", "hertz", "--n", 13, "--refine-levels", 4, "--hertz-h", 0.5, "--out", tmp_path])
+        assert case_calls == [((), {"support_n": 13, "refine_levels": 4, "params": hertz.HertzParams(half_size=0.5)})]
+
+    def test_hertz_solver_flag_keeps_the_case_tolerance(self, tmp_path, case_calls):
         with pytest.raises(_Stop):
             run_cli(["--case", "hertz", "--solver", "bicgstab-ilut", "--out", tmp_path])
-        (args,) = hertz_call
-        assert args["solver"] == SolverConfig(method="bicgstab-ilut")
+        assert case_calls == [((), {"solver": SolverConfig(method="bicgstab-ilut")})]
+
+    def test_sweep_runs_its_values_through_the_case_argument(self, tmp_path, case_calls):
+        with pytest.raises(_Stop):
+            run_cli(["--case", "cantilever", "--sweep-n", "500,900", "--n", 13, "--out", tmp_path])
+        assert case_calls == [((), {"support_n": 13, "n_target": 500})]
 
 
 class TestArtifacts:
