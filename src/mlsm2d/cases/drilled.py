@@ -81,6 +81,8 @@ def hole_refined_cloud(
     raises ValueError. The steps are timed as the domain, refinement and
     relaxation phases of timer.
     """
+    if refine_levels < 0:
+        raise ValueError(f"refine_levels must be nonnegative, got {refine_levels}")
     with timer.phase("domain"):
         nodes = build_drilled_domain(rect, holes, spacing)
     if refine_levels != 0:

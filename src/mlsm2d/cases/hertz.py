@@ -22,7 +22,8 @@ vanish; it is returned as zero.
 The pressure peak concentrates everything interesting within a few b of the
 origin while the domain is three orders of magnitude larger, so the case
 leans on nested h-refinement toward the contact, optionally with secondary
-refinement toward the pressure edges at x = +-b.
+refinement toward the pressure edges at x = +-b: `refinement_schedule` turns
+a count of primary and of secondary levels into the nested regions.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from ..solve import SolverConfig
 from ..timing import PhaseTimer
 from .metrics import CaseResult, error_einf, solve_on_cloud
 
-# Default nested refinement schedule toward the contact, in units of b.
+# Nested refinement factors toward the contact, in units of b, largest first.
 PRIMARY_FACTORS = (500.0, 200.0, 100.0, 50.0, 20.0, 10.0, 5.0, 4.0, 3.0, 2.0)
 # Additional refinement toward the pressure edges x = +-b, in units of b.
 SECONDARY_FACTORS = (0.4, 0.3)
@@ -115,28 +116,30 @@ def hertz_stress(x, y, half_width: float, peak: float):
 
 def refinement_schedule(
     half_width: float,
-    primary: tuple[float, ...] = PRIMARY_FACTORS,
-    secondary: tuple[float, ...] = SECONDARY_FACTORS,
+    refine_levels: int = len(PRIMARY_FACTORS),
+    secondary_levels: int = len(SECONDARY_FACTORS),
 ) -> list[refine.RefineRegion]:
     """Nested refinement regions toward the contact and its edges.
 
-    Primary rectangles [-f b, f b] x [-f b, 0] shrink toward the origin;
-    each consecutive factor deepens the refinement level by one. Secondary
-    rectangles of the same shape center on x = +-b and continue the level
-    count, refining the pressure-edge neighborhoods further.
+    Primary rectangles [-f b, f b] x [-f b, 0] over the refine_levels
+    leading PRIMARY_FACTORS shrink toward the origin; each factor deepens
+    the refinement level by one. Secondary rectangles of the same shape
+    over the secondary_levels leading SECONDARY_FACTORS center on x = +-b
+    and continue the level count, refining the pressure-edge neighborhoods
+    further. A count outside [0, number of factors] raises ValueError.
     """
-    for seq in (primary, secondary):
-        if any(f <= 0 for f in seq):
-            raise ValueError("refinement factors must be positive")
-        if any(f1 <= f2 for f1, f2 in zip(seq, seq[1:])):
-            raise ValueError("refinement factors must decrease strictly")
+    if not (0 <= refine_levels <= len(PRIMARY_FACTORS) and 0 <= secondary_levels <= len(SECONDARY_FACTORS)):
+        raise ValueError(
+            f"refine_levels must be in [0, {len(PRIMARY_FACTORS)}] and secondary_levels in"
+            f" [0, {len(SECONDARY_FACTORS)}], got {refine_levels} and {secondary_levels}"
+        )
     b = half_width
     regions: list[refine.RefineRegion] = []
     level = 0
-    for f in primary:
+    for f in PRIMARY_FACTORS[:refine_levels]:
         level += 1
         regions.append(refine.RefineRegion(Rect(-f * b, f * b, -f * b, 0.0), level))
-    for f in secondary:
+    for f in SECONDARY_FACTORS[:secondary_levels]:
         level += 1
         for c in (-b, b):
             regions.append(refine.RefineRegion(Rect(c - f * b, c + f * b, -f * b, 0.0), level))
@@ -182,24 +185,17 @@ def hertz_case(
     """
     if nx < 3:
         raise ValueError(f"nx must be at least 3, got {nx}")
-    if not (0 <= refine_levels <= len(PRIMARY_FACTORS) and 0 <= secondary_levels <= len(SECONDARY_FACTORS)):
-        raise ValueError(
-            f"refine_levels must be in [0, {len(PRIMARY_FACTORS)}] and secondary_levels in"
-            f" [0, {len(SECONDARY_FACTORS)}], got {refine_levels} and {secondary_levels}"
-        )
     geom = hertz_geometry(params)
     H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
     if H <= geom.half_width:
-        raise ValueError("domain half-size must exceed the contact half-width")
+        raise ValueError(f"domain half-size {H} must exceed the contact half-width {geom.half_width}")
 
     timer = PhaseTimer()
     with timer.phase("domain"):
         rect = Rect(-H, H, -H, 0.0)
         nodes = build_rectangle_grid(rect, 2.0 * H / (nx - 1))
     with timer.phase("refinement"):
-        regions = refinement_schedule(
-            geom.half_width, PRIMARY_FACTORS[:refine_levels], SECONDARY_FACTORS[:secondary_levels]
-        )
+        regions = refinement_schedule(geom.half_width, refine_levels, secondary_levels)
         nodes = refine.refine_levels(nodes, regions)
 
     def measure(nodes, u, v, stress):

@@ -5,9 +5,13 @@ timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. The argument parser is the one list of options: a JSON config
 file may set any of them under the flag's name with a value typed like the
 flag, and flags win over file values. A case function receives only the
-values the user set, so every default is the case function's own. A flag
-the selected case ignores, or one that another flag or a sweep overrides,
-is a configuration error. Exit codes: 0 success, 2 configuration error, 3
+values the user set, so every default is the case function's own.
+`validate` lists together what the command line alone shows to be wrong:
+no case, a file value outside its flag's choices, and a flag the case
+ignores or another flag or a sweep overrides. A value's bound belongs to
+the case function or spec object that takes it, whose ValueError is
+reported alone; a sweep entry's when its run starts, before any output
+file is written. Exit codes: 0 success, 2 configuration error, 3
 numerical failure.
 """
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 from . import io
 from .cases import beam, drilled, hertz
-from .shapes import BasisSpec, IllConditionedStencilError
+from .shapes import IllConditionedStencilError
 from .solve import METHODS, NonConvergenceError
 
 # Each case's function as (module, name), looked up per run so that wrappers see it.
@@ -64,11 +68,6 @@ OVERRIDES = {
     "n_target": ("nx",),
 }
 
-# Lower bounds of the numeric flags.
-_POSITIVE = ("sigma_w", "sigma_b", "spacing", "hertz_h")
-_NONNEGATIVE = ("refine_levels", "relax_iterations", "perturb_sigma")
-_AT_LEAST = {"nx": 2, "n_target": 4}
-
 
 def _dashed(name: str) -> str:
     return name.replace("_", "-")
@@ -79,7 +78,7 @@ def _is_set(value) -> bool:
 
 
 def validate(config: argparse.Namespace) -> list[str]:
-    """Collect every configuration problem instead of stopping at the first."""
+    """List every problem the command line alone shows; value bounds are their owners' checks."""
     problems = []
     if config.case is None:
         problems.append("no case selected (--case or config file 'case')")
@@ -87,35 +86,6 @@ def validate(config: argparse.Namespace) -> list[str]:
     for name, choices in (("case", CASES), ("basis", BASES), ("solver", METHODS)):
         if (value := getattr(config, name)) is not None and value not in choices:
             problems.append(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
-    m = BasisSpec(**_user_values(kind=BASES.get(config.basis))).m
-    if config.n is not None and config.n < m:
-        problems.append(f"support size n must be at least the basis size {m}, got {config.n}")
-    if config.tol is not None and not 0.0 < config.tol < 1.0:
-        problems.append(f"tol must be in (0, 1), got {config.tol}")
-    for name in _POSITIVE:
-        if (value := getattr(config, name)) is not None and value <= 0:
-            problems.append(f"{_dashed(name)} must be positive, got {value}")
-    for name in _NONNEGATIVE:
-        if (value := getattr(config, name)) is not None and value < 0:
-            problems.append(f"{_dashed(name)} must be nonnegative, got {value}")
-    for name, bound in _AT_LEAST.items():
-        if (value := getattr(config, name)) is not None and value < bound:
-            problems.append(f"{_dashed(name)} must be at least {bound}, got {value}")
-    if config.case == "hertz":
-        n_primary, n_secondary = len(hertz.PRIMARY_FACTORS), len(hertz.SECONDARY_FACTORS)
-        for lv in [config.refine_levels] + list(config.sweep_refine or ()):
-            if lv is not None and lv > n_primary:
-                problems.append(f"refine-levels for hertz capped at {n_primary}, got {lv}")
-        if config.secondary_levels is not None and not 0 <= config.secondary_levels <= n_secondary:
-            problems.append(
-                f"secondary-levels must be in [0, {n_secondary}], got {config.secondary_levels}"
-            )
-    if any(n < 4 for n in config.sweep_n or ()):
-        problems.append("sweep-n entries must be at least 4")
-    if any(s < 0 for s in config.sweep_sigma or ()):
-        problems.append("sweep-sigma entries must be nonnegative")
-    if any(lv < 0 for lv in config.sweep_refine or ()):
-        problems.append("sweep-refine entries must be nonnegative")
     if config.case in CASE_FLAGS:
         taken = CASE_FLAGS[config.case]
         given = [name for name, value in vars(config).items() if _is_set(value)]
@@ -225,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergenceError, IllConditionedStencilError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:  # an unwritable output, or a value a case rejects
+    except (OSError, ValueError) as exc:  # an unwritable output, or a value a case or spec rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -244,8 +214,6 @@ def _merged(parameters, name: str, **values):
 
 def run(config: argparse.Namespace) -> None:
     """Execute the configured case; artifacts land in the output directory."""
-    outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
-    outdir.mkdir(parents=True, exist_ok=True)
     case_fn = getattr(*CASE_FUNCTIONS[config.case])
     parameters = inspect.signature(case_fn).parameters
     arguments = [flag for flag in CASE_FLAGS[config.case] if flag not in NOT_ARGUMENTS]
@@ -256,6 +224,8 @@ def run(config: argparse.Namespace) -> None:
         params=_merged(parameters, "params", half_size=config.hertz_h),
         **{RENAMES.get(flag, flag): getattr(config, flag) for flag in arguments},
     )
+    outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
+    outdir.mkdir(parents=True, exist_ok=True)
     if config.case == "refine-demo":
         nodes, timings = case_fn(**kwargs)
         nodes.to_csv(outdir / "nodes.csv")

@@ -84,8 +84,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown solver method {self.method!r}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < 1.0:
+            raise ValueError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
 @dataclass

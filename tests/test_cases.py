@@ -26,6 +26,8 @@ from mlsm2d.cases.drilled import (
     refine_demo,
 )
 from mlsm2d.cases.hertz import (
+    PRIMARY_FACTORS,
+    SECONDARY_FACTORS,
     HertzParams,
     hertz_bcs,
     hertz_case,
@@ -435,11 +437,23 @@ class TestRefinementSchedule:
         widths = [r.rect.width for r in regions[:10]]
         assert all(b < a for a, b in zip(widths, widths[1:]))
 
-    def test_factors_must_decrease(self):
-        with pytest.raises(ValueError):
-            refinement_schedule(1e-4, primary=(10.0, 10.0))
-        with pytest.raises(ValueError):
-            refinement_schedule(1e-4, primary=(10.0, -2.0))
+    @pytest.mark.parametrize("factors", [PRIMARY_FACTORS, SECONDARY_FACTORS])
+    def test_factors_must_decrease(self, factors):
+        assert all(f > 0 for f in factors)
+        assert all(f1 > f2 for f1, f2 in zip(factors, factors[1:]))
+
+    def test_counts_take_the_leading_factors(self):
+        b = 1e-4
+        regions = refinement_schedule(b, 4, 1)
+        assert [r.level for r in regions] == [1, 2, 3, 4, 5, 5]
+        assert [r.rect.x_hi for r in regions[:4]] == [f * b for f in PRIMARY_FACTORS[:4]]
+        assert [r.rect.y_lo for r in regions[4:]] == [-SECONDARY_FACTORS[0] * b] * 2
+        assert refinement_schedule(b, 0, 0) == []
+
+    @pytest.mark.parametrize("counts", [(-1, 2), (11, 2), (10, 3), (0, -1)])
+    def test_counts_outside_the_factors_are_rejected(self, counts):
+        with pytest.raises(ValueError, match=r"refine_levels must be in \[0, 10\] and secondary_levels in \[0, 2\]"):
+            refinement_schedule(1e-4, *counts)
 
 
 @pytest.mark.parametrize("levels", [{"refine_levels": -1}, {"refine_levels": 11}, {"secondary_levels": 3}])
@@ -538,13 +552,18 @@ class TestHoleRefinedCloud:
         assert nodes.positions.tobytes() == plain.positions.tobytes()
         assert list(timer.report().phases) == ["domain"]
 
+    @pytest.mark.parametrize("holes", [HOLES, ()], ids=["holes", "no-holes"])
     @pytest.mark.parametrize(
         "refine_level,relax_iterations,message",
-        [(-1, 0, "refinement level"), (0, -3, "iterations must be nonnegative"), (-1, -3, "refinement level")],
+        [
+            (-1, 0, "refine_levels must be nonnegative, got -1"),
+            (0, -3, "iterations must be nonnegative"),
+            (-1, -3, "refine_levels must be nonnegative, got -1"),
+        ],
     )
-    def test_negative_counts_are_rejected(self, refine_level, relax_iterations, message):
+    def test_negative_counts_are_rejected(self, holes, refine_level, relax_iterations, message):
         with pytest.raises(ValueError, match=message):
-            hole_refined_cloud(PhaseTimer(), self.RECT, self.HOLES, 0.5, refine_level, relax_iterations)
+            hole_refined_cloud(PhaseTimer(), self.RECT, holes, 0.5, refine_level, relax_iterations)
 
     def test_refines_each_hole_box_then_relaxes(self):
         timer = PhaseTimer()

@@ -26,6 +26,10 @@ from mlsm2d.solve import METHODS, SolveReport, SolverConfig
 from mlsm2d.timing import PHASES, TimingReport
 
 
+# The message of a Hertz level count outside the schedule, short of the counts.
+LEVELS = "refine_levels must be in [0, 10] and secondary_levels in [0, 2], got"
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -39,13 +43,12 @@ class TestExitCodes:
         assert "no case selected" in capsys.readouterr().err
 
     def test_all_problems_reported_at_once(self, tmp_path, capsys):
-        rc = run_cli(
-            ["--case", "cantilever", "--sigma-w", -1.0, "--nx", 1, "--out", tmp_path]
-        )
-        assert rc == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "cantilever", "basis": "x9"}))
+        assert run_cli(["--config", cfg, "--refine-levels", 2, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
-        assert "sigma-w" in err
-        assert "nx" in err
+        assert "config error: unknown basis 'x9'; choose from m9, g9\n" in err
+        assert "config error: --refine-levels is ignored by case cantilever\n" in err
 
     def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -65,16 +68,6 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
-
-
-    def test_hertz_level_caps_listed_with_other_problems(self, tmp_path, capsys):
-        rc = run_cli(
-            ["--case", "hertz", "--refine-levels", 11, "--sigma-w", -1.0, "--out", tmp_path]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "capped at 10, got 11" in err
-        assert "sigma-w" in err
 
     def test_grid_flags_on_drilled_beam_are_rejected(self, tmp_path, capsys):
         rc = run_cli(["--case", "drilled-beam", "--nx", 10, "--perturb-sigma", 0.3, "--out", tmp_path])
@@ -100,7 +93,7 @@ class TestExitCodes:
 
     def test_support_smaller_than_the_basis_is_rejected(self, tmp_path, capsys):
         assert run_cli(["--case", "cantilever", "--n", 8, "--out", tmp_path]) == 2
-        assert "config error: support size n must be at least the basis size 9, got 8\n" in capsys.readouterr().err
+        assert "config error: support size 8 is below basis size 9\n" in capsys.readouterr().err
 
     def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
         assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
@@ -112,16 +105,56 @@ class TestExitCodes:
             (["--case", "hertz", "--nx", 2], "nx must be at least 3, got 2"),
             (["--case", "cantilever", "--spacing", 10], "spacing 10.0 exceeds a rectangle side"),
             (["--case", "cantilever", "--nx", 2], "exceeds a rectangle side"),
+            (["--case", "cantilever", "--nx", 1], "nx must be at least 2, got 1"),
+            (["--case", "cantilever", "--sigma-w", -1], "weight sigma must be positive, got -1.0"),
+            (["--case", "cantilever", "--basis", "g9", "--sigma-b", -1], "basis sigma must be positive, got -1.0"),
+            (["--case", "cantilever", "--tol", 1.5], "tolerance must be in (0, 1), got 1.5"),
+            (["--case", "cantilever", "--tol", 0], "tolerance must be in (0, 1), got 0.0"),
+            (["--case", "cantilever", "--spacing", -1], "spacing must be positive, got -1.0"),
+            (["--case", "cantilever", "--n-target", 3], "need at least 4 nodes, got 3"),
+            (["--case", "cantilever", "--perturb-sigma", -0.1], "sigma must be nonnegative, got -0.1"),
+            (["--case", "cantilever", "--sweep-n", "500,2"], "need at least 4 nodes, got 2"),
+            (["--case", "cantilever", "--sweep-sigma", "0,-1"], "sigma must be nonnegative, got -1.0"),
+            (["--case", "hertz", "--refine-levels", 11], f"{LEVELS} 11 and 2"),
+            (["--case", "hertz", "--refine-levels", -1], f"{LEVELS} -1 and 2"),
+            (["--case", "hertz", "--secondary-levels", 3], f"{LEVELS} 10 and 3"),
+            (["--case", "hertz", "--hertz-h", -1], "domain half-size -1.0 must exceed the contact half-width"),
+            (["--case", "hertz", "--sweep-refine", "0,11"], f"{LEVELS} 11 and 2"),
+            (["--case", "hertz", "--sweep-refine", "0,-1"], f"{LEVELS} -1 and 2"),
+            (["--case", "drilled-beam", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
+            (["--case", "drilled-beam", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
+            (["--case", "drilled-beam", "--spacing", 0], "spacing must be positive, got 0.0"),
+            (["--case", "refine-demo", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
+            (["--case", "refine-demo", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
+            (["--case", "refine-demo", "--spacing", 0], "spacing must be positive, got 0.0"),
         ],
-        ids=["hertz-nx", "cantilever-spacing", "cantilever-nx"],
+        ids=[
+            "hertz-nx", "cantilever-spacing", "cantilever-nx",
+            "cantilever-nx-1", "cantilever-sigma-w", "cantilever-sigma-b", "cantilever-tol-1.5", "cantilever-tol-0",
+            "cantilever-negative-spacing", "cantilever-n-target", "cantilever-perturb-sigma",
+            "cantilever-sweep-n", "cantilever-sweep-sigma",
+            "hertz-refine-levels-11", "hertz-refine-levels--1", "hertz-secondary-levels", "hertz-h",
+            "hertz-sweep-refine-11", "hertz-sweep-refine--1",
+            "drilled-beam-refine-levels", "drilled-beam-relax-iterations", "drilled-beam-spacing",
+            "refine-demo-refine-levels", "refine-demo-relax-iterations", "refine-demo-spacing",
+        ],
     )
     def test_value_the_case_rejects_is_a_config_error(self, tmp_path, capsys, args, message):
-        # these pass validate; the case function itself raises ValueError
+        # these pass validate; the case function or a spec object raises ValueError,
+        # a sweep entry when its run starts, so no output file is written
         assert run_cli(args + ["--out", tmp_path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "fields.csv").exists() and not (tmp_path / "nodes.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--sigma-w", -1), ("--sigma-b", -1), ("--tol", 1.5)])
+    def test_spec_value_rejected_before_the_output_directory_is_made(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert run_cli(["--case", "cantilever", flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--max-iter", "--fill-factor", "--drop-tol"])
     def test_fixed_solver_settings_are_not_flags(self, tmp_path, capsys, flag):
@@ -205,7 +238,7 @@ def test_cli_tables_name_real_flags():
     options = {a.dest for a in cli._build_parser()._actions} - {"help"}
     assert set(cli.CASE_FLAGS) == set(CASES)
     tables = [*cli.CASE_FLAGS.values(), cli.OVERRIDES, *cli.OVERRIDES.values(), cli.RENAMES, cli.SWEEPS]
-    tables += [cli.NOT_ARGUMENTS, cli._POSITIVE, cli._NONNEGATIVE, cli._AT_LEAST]
+    tables.append(cli.NOT_ARGUMENTS)
     for table in tables:
         assert set(table) <= options, set(table) - options
     for case, flags in cli.CASE_FLAGS.items():

@@ -15,7 +15,7 @@ import pytest
 
 from mlsm2d import parallel
 from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
-from mlsm2d.cases.hertz import PRIMARY_FACTORS, hertz_geometry, refinement_schedule
+from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import refine_levels
@@ -43,7 +43,7 @@ def hertz_cloud():
     geom = hertz_geometry()
     H = 1000.0 * geom.half_width
     base = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
-    return refine_levels(base, refinement_schedule(geom.half_width, PRIMARY_FACTORS[:4]))
+    return refine_levels(base, refinement_schedule(geom.half_width, 4))
 
 
 def shape_bytes(nodes, n):

@@ -60,6 +60,7 @@ class TestSolverConfig:
         [
             {"method": "jacobi"},
             {"tolerance": 0.0},
+            {"tolerance": 1.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
