@@ -10,9 +10,10 @@ values the user set, so every default is the case function's own.
 no case, a file value outside its flag's choices, and a flag the case
 ignores or another flag or a sweep overrides. A value's bound belongs to
 the case function or spec object that takes it, whose ValueError is
-reported alone; a sweep entry's when its run starts, before any output
-file is written. Exit codes: 0 success, 2 configuration error, 3
-numerical failure.
+reported alone, before any output file is written. The owners check every
+--sweep-n and --sweep-refine entry before the first run; a --sweep-sigma
+entry waits for its run, as perturb_nodes checks its sign on a built
+cloud. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -224,6 +225,14 @@ def run(config: argparse.Namespace) -> None:
         params=_merged(parameters, "params", half_size=config.hertz_h),
         **{RENAMES.get(flag, flag): getattr(config, flag) for flag in arguments},
     )
+    # Keyword overrides of each run of a sweep; one run without a sweep.
+    sweep = next((flag for flag in SWEEPS if getattr(config, flag)), None)
+    runs = [{SWEEPS[sweep]: value} for value in getattr(config, sweep)] if sweep else [{}]
+    for value in getattr(config, sweep) if sweep else ():  # the owners' checks, before any run
+        if sweep == "sweep_n":
+            beam.grid_spacing_for(beam.BeamParams(), value)
+        elif sweep == "sweep_refine":  # its bounds do not depend on the half-width
+            hertz.refinement_schedule(1.0, value, **_user_values(secondary_levels=config.secondary_levels))
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
     outdir.mkdir(parents=True, exist_ok=True)
     if config.case == "refine-demo":
@@ -232,9 +241,6 @@ def run(config: argparse.Namespace) -> None:
         timings.to_csv(outdir / "timing.csv")
         return
 
-    # Keyword overrides of each run of a sweep; one run without a sweep.
-    sweep = next((flag for flag in SWEEPS if getattr(config, flag)), None)
-    runs = [{SWEEPS[sweep]: value} for value in getattr(config, sweep)] if sweep else [{}]
     sweep_rows: list[dict] = []
     for overrides in runs:
         result = case_fn(**{**kwargs, **overrides})

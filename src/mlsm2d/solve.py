@@ -14,9 +14,13 @@ Every other system is ordered by minimum degree on A^T + A, which needs
 less fill there (hertz: 21M entries against 25-51M under every dissection
 tried). Collocation matrices are nearly structurally symmetric (row i
 couples to the support of node i), so that ordering needs far less fill
-than one on A^T A. Either order holds only if pivoting keeps it: the pivot
-threshold is 0, so a diagonal pivot is always taken unless it is exactly
-zero, in which case SuperLU falls back to the largest entry of the column.
+than one on A^T A. Minimum-degree factors are built without relaxed
+supernodes (relax=1), which stores fewer entries: drilled 1.92M -> 1.41M,
+hertz 20.8M -> 20.1M, the small selftest hertz 0.99M -> 0.92M. Dissection
+keeps SuperLU's default, as relax=1 made the 1e5-node cantilever 3%
+slower. Either order holds only if pivoting keeps it: the pivot threshold
+is 0, so a diagonal pivot is always taken unless it is exactly zero, in
+which case SuperLU falls back to the largest entry of the column.
 Any threshold above 0 lets partial pivoting break the ordering and
 multiplies time and fill (1e-2 already does on the 1e5-node cantilever);
 a factor spoiled by a tiny pivot is caught by the true-residual check and
@@ -222,6 +226,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
                 matrix,
                 permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
                 diag_pivot_thresh=0.0,
+                relax=1 if perm is None else None,  # None keeps SuperLU's default
                 options=dict(SymmetricMode=True),
             )
         else:

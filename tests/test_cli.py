@@ -140,8 +140,8 @@ class TestExitCodes:
         ],
     )
     def test_value_the_case_rejects_is_a_config_error(self, tmp_path, capsys, args, message):
-        # these pass validate; the case function or a spec object raises ValueError,
-        # a sweep entry when its run starts, so no output file is written
+        # these pass validate; the case function, a spec object or a sweep entry's
+        # owner raises ValueError, so no output file is written
         assert run_cli(args + ["--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
@@ -154,6 +154,25 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(["--case", "cantilever", flag, value, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--case", "hertz", "--sweep-refine", "1,11"], f"{LEVELS} 11 and 2"),
+            (["--case", "hertz", "--secondary-levels", 3, "--sweep-refine", "1,2"], f"{LEVELS} 1 and 3"),
+            (["--case", "cantilever", "--sweep-n", "500,2"], "need at least 4 nodes, got 2"),
+        ],
+        ids=["refine", "refine-secondary", "n"],
+    )
+    def test_bad_sweep_entry_stops_before_any_run(self, tmp_path, capsys, case_calls, args, message):
+        # each entry meets its owner's check before the first run, not when its own run starts
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+        assert case_calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--max-iter", "--fill-factor", "--drop-tol"])

@@ -144,6 +144,37 @@ class TestDirect:
         ata = spla.splu(matrix.tocsc(), permc_spec="MMD_ATA")
         assert 0 < report.factor_nnz < ata.nnz
 
+    @pytest.mark.parametrize(
+        "make_system", [lambda: beam_system(n=15, levels=2), lambda: beam_system(n=13)], ids=["refined", "13-node grid"]
+    )
+    def test_minimum_degree_factor_stores_fewer_entries_than_relaxed_supernodes(self, make_system):
+        # relaxed supernodes store structural zeros, which minimum-degree trees do not repay
+        system = make_system()
+        (_, _), report = solve(system)
+        matrix, _ = _equilibrate(system)
+        relaxed = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        assert report.ordering == "MMD_AT_PLUS_A"
+        assert 0 < report.factor_nnz < relaxed.nnz
+
+    # The refined beam is left out: its system has two singular values near 1e-16,
+    # so its solution is not determined to any tolerance under either factor.
+    @pytest.mark.parametrize(
+        "make_system",
+        [lambda: beam_system(n=13), lambda: drilled_cantilever_case(0.4).extras["assemble"]()],
+        ids=["13-node grid", "drilled"],
+    )
+    def test_minimum_degree_solution_matches_the_relaxed_factor(self, monkeypatch, make_system):
+        system = make_system()
+        (u, v), report = solve(system)
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *args, relax=None, **kwargs: splu(*args, **kwargs))
+        (u_r, v_r), relaxed = solve(system)
+        assert report.ordering == relaxed.ordering == "MMD_AT_PLUS_A"
+        assert report.factor_nnz < relaxed.factor_nnz
+        scale = max(np.abs(u_r).max(), np.abs(v_r).max())
+        assert np.abs(u - u_r).max() <= 1e-9 * scale
+        assert np.abs(v - v_r).max() <= 1e-9 * scale
+
 
 class TestBicgstab:
     def test_matches_direct_on_beam(self):
@@ -353,10 +384,19 @@ class TestNestedDissection:
         ],
         ids=["9-node grid", "13-node grid", "refined, 15-node", "no positions"],
     )
-    def test_rule(self, make_system, ordering):
+    def test_rule(self, monkeypatch, make_system, ordering):
         system = make_system()
+        splu, relax = spla.splu, []
+
+        def spied(matrix, *args, **kwargs):
+            relax.append(kwargs.get("relax"))
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spied)
         (_, _), report = solve(system)
         assert report.ordering == ordering
+        # fundamental supernodes exactly on the minimum-degree path; dissection keeps SuperLU's default
+        assert len(relax) == 1 and (relax[0] == 1) == (ordering == "MMD_AT_PLUS_A")
         assert (report.t_ordering > 0) == (ordering == ND)
         assert (_dissection_order(system) is not None) == (ordering == ND)
 
