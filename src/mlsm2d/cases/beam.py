@@ -103,14 +103,19 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
     return bcs
 
 
+def check_perturbation(sigma: float) -> None:
+    """Raise ValueError unless sigma is a perturbation scale perturb_nodes takes."""
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+
+
 def perturb_nodes(nodes: NodeSet, sigma: float, seed: int = 0) -> NodeSet:
     """Shift each interior node by sigma times a draw from Uniform([0, d]^2).
 
     d is the node's distance to its closest neighbor, so the perturbation
     scales with the local spacing. Boundary nodes stay put.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_perturbation(sigma)
     rng = np.random.default_rng(seed)
     positions = nodes.positions.copy()
     interior = np.nonzero(nodes.interior_mask)[0]
@@ -131,7 +136,7 @@ def grid_spacing_for(params: BeamParams, n_target: int) -> float:
 def cantilever_case(
     spacing: float | None = None,
     *,
-    nx: int = 60,
+    nx: int | None = None,
     n_target: int | None = None,
     params: BeamParams = BeamParams(),
     basis: BasisSpec = BasisSpec(),
@@ -144,14 +149,15 @@ def cantilever_case(
 ) -> CaseResult:
     """Solve the cantilever on a regular (optionally perturbed) grid.
 
-    The grid has nx nodes along the beam, or the size that spacing or
-    n_target (at most one of them) sets.
+    The grid has nx nodes along the beam (60 if none is given), or the size
+    that spacing or n_target sets; at most one of the three may be given.
     """
-    if spacing is not None and n_target is not None:
-        raise ValueError("give at most one of spacing or n_target")
+    if sum(value is not None for value in (nx, spacing, n_target)) > 1:
+        raise ValueError("give at most one of nx, spacing or n_target")
     if n_target is not None:
         spacing = grid_spacing_for(params, n_target)
     elif spacing is None:
+        nx = 60 if nx is None else nx
         if nx < 2:
             raise ValueError(f"nx must be at least 2, got {nx}")
         spacing = params.length / (nx - 1)

@@ -4,16 +4,16 @@ Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
 directory. The argument parser is the one list of options: a JSON config
 file may set any of them under the flag's name with a value typed like the
-flag, and flags win over file values. A case function receives only the
-values the user set, so every default is the case function's own.
-`validate` lists together what the command line alone shows to be wrong:
-no case, a file value outside its flag's choices, and a flag the case
-ignores or another flag or a sweep overrides. A value's bound belongs to
-the case function or spec object that takes it, whose ValueError is
-reported alone, before any output file is written. The owners check every
---sweep-n and --sweep-refine entry before the first run; a --sweep-sigma
-entry waits for its run, as perturb_nodes checks its sign on a built
-cloud. Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+flag and within its choices, and flags win over file values. A case
+function receives only the values the user set, so every default is the
+case function's own. `validate` lists together what the command line alone
+shows to be wrong: no case, a flag the case ignores, and a flag that the
+sweep which runs leaves unused. Every other rule on a value belongs to the
+case function or spec object that takes it (the cantilever takes at most
+one of --nx, --spacing and --n-target; --sigma-b is read only with --basis
+g9), whose ValueError is reported alone, before any output file is
+written; the owners check every sweep entry before the first run. Exit
+codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -60,14 +60,6 @@ CASE_FLAGS = {
     "hertz": _SOLVE_FLAGS + ("nx", "hertz_h", "refine_levels", "secondary_levels", "sweep_refine"),
     "refine-demo": ("spacing", "refine_levels", "relax_iterations"),
 }
-# Flags that decide, in every run, what the flags listed for them would.
-OVERRIDES = {
-    "sweep_sigma": ("perturb_sigma", "sweep_n"),
-    "sweep_n": ("nx", "spacing", "n_target"),
-    "sweep_refine": ("refine_levels",),
-    "spacing": ("nx", "n_target"),
-    "n_target": ("nx",),
-}
 
 
 def _dashed(name: str) -> str:
@@ -83,24 +75,16 @@ def validate(config: argparse.Namespace) -> list[str]:
     problems = []
     if config.case is None:
         problems.append("no case selected (--case or config file 'case')")
-    # argparse checks the choices of flags; these checks catch file values.
-    for name, choices in (("case", CASES), ("basis", BASES), ("solver", METHODS)):
-        if (value := getattr(config, name)) is not None and value not in choices:
-            problems.append(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
     if config.case in CASE_FLAGS:
-        taken = CASE_FLAGS[config.case]
+        taken = ("config", "case", "out", "seed") + CASE_FLAGS[config.case]
         given = [name for name, value in vars(config).items() if _is_set(value)]
+        problems += [f"--{_dashed(name)} is ignored by case {config.case}" for name in given if name not in taken]
+        # run runs the first sweep given; its own argument and the other sweeps go unused
+        sweep = next((flag for flag in SWEEPS if flag in given and flag in taken), None)
         problems += [
-            f"--{_dashed(name)} is ignored by case {config.case}"
+            f"--{_dashed(name)} is ignored next to --{_dashed(sweep)}"
             for name in given
-            if name not in ("config", "case", "out", "seed") + taken
-        ]
-        problems += [
-            f"--{_dashed(name)} is ignored next to --{_dashed(flag)}"
-            for flag, overridden in OVERRIDES.items()
-            if flag in given and flag in taken
-            for name in overridden
-            if name in given
+            if name in taken and name != sweep and (name in SWEEPS or name == SWEEPS.get(sweep))
         ]
     return problems
 
@@ -125,10 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--nx", type=int, help="nodes along x for grid cases")
     ap.add_argument("--spacing", type=float, help="target node spacing (alternative to --nx)")
     ap.add_argument("--n-target", type=int, help="approximate node count (alternative to --nx)")
-    ap.add_argument("--basis", choices=sorted(BASES))
-    ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter")
+    ap.add_argument("--basis", choices=BASES)
+    ap.add_argument("--sigma-b", type=float, help="gaussian-basis shape parameter, read only with --basis g9")
     ap.add_argument("--n", type=int, help="support size")
-    ap.add_argument("--sigma-w", type=float, help="weight shape parameter")
+    ap.add_argument("--sigma-w", type=float, help="weight shape parameter; no effect when --n is the basis size 9, where the fit interpolates")
     ap.add_argument("--solver", choices=METHODS, help="direct (default): LU with diagonal pivots, ordered by nested dissection where every support has at most 9 nodes and by minimum degree on A^T+A otherwise; bicgstab-ilut: memory-bounded ILUT")
     ap.add_argument("--tol", type=float, help="relative residual tolerance")
     ap.add_argument("--refine-levels", type=int)
@@ -172,6 +156,8 @@ def _read_config_file(parser: argparse.ArgumentParser, config: argparse.Namespac
         if parsed is None or parsed != value:
             problems.append(f"config file key {key!r} must be typed like --{_dashed(key)}, got {value!r}")
         elif getattr(config, key) is None:
+            if action.choices is not None and parsed not in action.choices:
+                problems.append(f"unknown {key} {value!r}; choose from {', '.join(action.choices)}")
             setattr(config, key, parsed)
     return problems
 
@@ -231,6 +217,8 @@ def run(config: argparse.Namespace) -> None:
     for value in getattr(config, sweep) if sweep else ():  # the owners' checks, before any run
         if sweep == "sweep_n":
             beam.grid_spacing_for(beam.BeamParams(), value)
+        elif sweep == "sweep_sigma":
+            beam.check_perturbation(value)
         elif sweep == "sweep_refine":  # its bounds do not depend on the half-width
             hertz.refinement_schedule(1.0, value, **_user_values(secondary_levels=config.secondary_levels))
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))

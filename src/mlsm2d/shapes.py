@@ -100,6 +100,8 @@ class BasisSpec:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.sigma <= 0:
             raise ValueError(f"basis sigma must be positive, got {self.sigma}")
+        if self.kind == "monomial-9" and self.sigma != BasisSpec.sigma:
+            raise ValueError("basis sigma is read only by gaussian-9")
 
     @property
     def m(self) -> int:

@@ -252,8 +252,14 @@ class TestPerturbNodes:
 
 class TestCantileverCase:
     def test_spacing_and_target_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="at most one of spacing or n_target"):
+        with pytest.raises(ValueError, match="^give at most one of nx, spacing or n_target$"):
             cantilever_case(spacing=0.5, n_target=1000)
+
+    @pytest.mark.parametrize("kwargs", [{"spacing": 0.5}, {"n_target": 1000}, {"spacing": 0.5, "n_target": 1000}])
+    def test_nx_excludes_the_other_grid_sizes(self, kwargs):
+        # nx=60 is the default's value, and still a second grid size
+        with pytest.raises(ValueError, match="^give at most one of nx, spacing or n_target$"):
+            cantilever_case(nx=60, **kwargs)
 
     def test_default_grid_has_60_nodes_along_the_beam(self):
         params = BeamParams()

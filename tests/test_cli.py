@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import mlsm2d
+import mlsm2d.solve
 from mlsm2d import cli, io
 from mlsm2d.cases import beam, hertz
 from mlsm2d.cases.metrics import CaseResult
@@ -69,6 +70,11 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_solver_breakdown_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mlsm2d.solve.spla, "bicgstab", lambda matrix, rhs, **kwargs: (np.full_like(rhs, np.nan), 0))
+        assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: BiCGSTAB broke down")
+
     def test_grid_flags_on_drilled_beam_are_rejected(self, tmp_path, capsys):
         rc = run_cli(["--case", "drilled-beam", "--nx", 10, "--perturb-sigma", 0.3, "--out", tmp_path])
         assert rc == 2
@@ -96,8 +102,30 @@ class TestExitCodes:
         assert "config error: support size 8 is below basis size 9\n" in capsys.readouterr().err
 
     def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
+        # cantilever_case owns the rule, so its message is the one line reported
         assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
-        assert "--nx is ignored next to --spacing" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: give at most one of nx, spacing or n_target\n"
+
+    def test_basis_sigma_without_the_gaussian_basis_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["--case", "cantilever", "--sigma-b", 3, "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: basis sigma is read only by gaussian-9\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, ignored",
+        [
+            (["--sweep-sigma", 0.1, "--sweep-n", 500], ["--sweep-sigma"]),
+            (["--sweep-sigma", 0.1, "--perturb-sigma", 0.2], ["--perturb-sigma"]),
+            (["--sweep-sigma", 0.1, "--n-target", 900, "--sweep-n", 500], ["--n-target", "--sweep-sigma"]),
+        ],
+        ids=["two-sweeps", "own-argument", "both"],
+    )
+    def test_flags_the_running_sweep_leaves_unused_are_rejected(self, tmp_path, capsys, args, ignored):
+        # run runs the first sweep in SWEEPS order, whatever the order on the command line
+        assert run_cli(["--case", "cantilever", *args, "--out", tmp_path]) == 2
+        running = "--sweep-sigma" if "--sweep-n" not in args else "--sweep-n"
+        assert capsys.readouterr().err == "".join(f"config error: {f} is ignored next to {running}\n" for f in ignored)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -162,8 +190,9 @@ class TestExitCodes:
             (["--case", "hertz", "--sweep-refine", "1,11"], f"{LEVELS} 11 and 2"),
             (["--case", "hertz", "--secondary-levels", 3, "--sweep-refine", "1,2"], f"{LEVELS} 1 and 3"),
             (["--case", "cantilever", "--sweep-n", "500,2"], "need at least 4 nodes, got 2"),
+            (["--case", "cantilever", "--n-target", 20000, "--sweep-sigma", "0.1,-1"], "sigma must be nonnegative, got -1.0"),
         ],
-        ids=["refine", "refine-secondary", "n"],
+        ids=["refine", "refine-secondary", "n", "sigma"],
     )
     def test_bad_sweep_entry_stops_before_any_run(self, tmp_path, capsys, case_calls, args, message):
         # each entry meets its owner's check before the first run, not when its own run starts
@@ -205,7 +234,14 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"case": "cantilever-perturbed"}))
         assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
         expected = f"unknown case 'cantilever-perturbed'; choose from {', '.join(CASES)}"
-        assert f"config error: {expected}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {expected}\n"  # and not also "no case selected"
+
+    def test_file_choice_is_checked_only_where_the_file_value_is_used(self, tmp_path, case_calls):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"case": "cantilever-perturbed", "basis": "x9"}))
+        with pytest.raises(_Stop):
+            run_cli(["--config", cfg, "--case", "cantilever", "--basis", "g9", "--out", tmp_path])
+        assert case_calls == [((), {"basis": BasisSpec("gaussian-9")})]
 
     def test_threads_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -256,8 +292,7 @@ def test_cli_tables_name_real_flags():
     """A misspelt name in a table would silently skip its check, or reach a case as a TypeError."""
     options = {a.dest for a in cli._build_parser()._actions} - {"help"}
     assert set(cli.CASE_FLAGS) == set(CASES)
-    tables = [*cli.CASE_FLAGS.values(), cli.OVERRIDES, *cli.OVERRIDES.values(), cli.RENAMES, cli.SWEEPS]
-    tables.append(cli.NOT_ARGUMENTS)
+    tables = [*cli.CASE_FLAGS.values(), cli.RENAMES, cli.SWEEPS, cli.NOT_ARGUMENTS]
     for table in tables:
         assert set(table) <= options, set(table) - options
     for case, flags in cli.CASE_FLAGS.items():
@@ -576,6 +611,14 @@ class TestReproducibility:
         assert run_cli(args + ["--out", out_b]) == 0
         for name in ("nodes.csv", "fields.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_weight_sigma_has_no_effect_on_interpolating_supports(self, tmp_path):
+        # with --n equal to the basis size 9 the fit interpolates, so the weights drop out
+        args = ["--case", "cantilever", "--nx", 31]
+        assert run_cli(args + ["--out", tmp_path / "a"]) == 0
+        assert run_cli(args + ["--sigma-w", 2, "--out", tmp_path / "b"]) == 0
+        for name in ("nodes.csv", "fields.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seed_actually_matters(self, tmp_path):
         out_a = tmp_path / "a"

@@ -209,6 +209,16 @@ class TestGaussianBasis:
         assert rows["dy"] @ f == pytest.approx(2.0 * center[1] / s**2 * f0, rel=1e-7)
 
 
+class TestBasisSpec:
+    def test_gaussian_basis_takes_a_sigma(self):
+        assert BasisSpec("gaussian-9", sigma=3.0).sigma == 3.0
+
+    def test_monomial_basis_rejects_a_sigma_it_would_not_read(self):
+        assert BasisSpec("monomial-9", sigma=1.0) == M9  # the default value is no choice
+        with pytest.raises(ValueError, match="^basis sigma is read only by gaussian-9$"):
+            BasisSpec("monomial-9", sigma=3.0)
+
+
 class TestWeightFunction:
     def test_gaussian_profile(self):
         # rows are the weighted least-squares fit with the documented weight

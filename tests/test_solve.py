@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import mlsm2d.solve
 from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_case, grid_spacing_for, perturb_nodes
 from mlsm2d.cases.drilled import drilled_cantilever_case
 from mlsm2d.elasticity import Material, SparseSystem, assemble
@@ -112,6 +113,8 @@ class TestDirect:
         "make_system",
         [
             lambda: beam_system(n=13, sigma=0.1),
+            # singular (see test_direct_and_ilut_solutions_agree), so on this cloud
+            # the test checks a residual, not an answer
             lambda: beam_system(n=15, levels=2),
             # a coarse relaxed cloud with holes, where the factor alone
             # leaves a residual near 1e-9 and the restart refines it
@@ -130,6 +133,8 @@ class TestDirect:
         assert report.method == "direct"
         assert report.t_preconditioner > 0
 
+    # The refined system is singular (see test_direct_and_ilut_solutions_agree),
+    # so on that cloud the test checks a factor of a residual solve, not an answer.
     @pytest.mark.parametrize(
         "kwargs",
         [{"n": 15, "levels": 2}, {"n": 13, "sigma": 0.1}, {"n_target": 2000}],
@@ -205,6 +210,43 @@ class TestBicgstab:
             solve(beam_system(), SolverConfig(method=method, tolerance=1e-13))
         assert info.value.residuals
         assert np.all(np.isfinite(info.value.residuals))
+
+    @pytest.mark.parametrize("method", ["direct", "bicgstab-ilut"])
+    def test_non_finite_iterate_is_a_breakdown(self, monkeypatch, method):
+        def broken(matrix, rhs, callback, **kwargs):
+            x = np.full_like(rhs, np.nan)
+            callback(x)
+            return x, 0
+
+        monkeypatch.setattr(mlsm2d.solve.spla, "bicgstab", broken)
+        with pytest.raises(NonConvergenceError, match="^BiCGSTAB broke down") as info:
+            solve(beam_system(), SolverConfig(method=method))
+        assert isinstance(info.value.residuals, list) and len(info.value.residuals) == 1
+
+    @pytest.mark.parametrize(
+        "make_system",
+        [
+            pytest.param(
+                lambda: beam_system(n=15, levels=2),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3: with 15-node supports the twice-refined beam assembles"
+                    " a singular system (a dense SVD gives singular values 1.1e-16 and 5.7e-17"
+                    " against 3.26; cause not traced), so two solves that both meet the residual"
+                    " tolerance differ by 0.63 of max|x|",
+                ),
+            ),
+            lambda: beam_system(n=15, levels=1),
+            lambda: beam_system(n=13, sigma=0.1),
+        ],
+        ids=["refined-2", "refined-1", "perturbed"],
+    )
+    def test_direct_and_ilut_solutions_agree(self, make_system):
+        system = make_system()
+        (u_d, v_d), _ = solve(system, SolverConfig(method="direct"))
+        (u_i, v_i), _ = solve(system, SolverConfig(method="bicgstab-ilut"))
+        x_d, x_i = np.concatenate([u_d, v_d]), np.concatenate([u_i, v_i])
+        assert np.abs(x_i - x_d).max() <= 1e-8 * np.abs(x_d).max()
 
     def test_default_iteration_budget_scales_with_dimension(self):
         # the budget is 10 sqrt(dim) + 1000; a small system converges long
@@ -379,6 +421,8 @@ class TestNestedDissection:
         [
             (lambda: beam_system(), ND),
             (lambda: beam_system(n=13), "MMD_AT_PLUS_A"),
+            # singular (see test_direct_and_ilut_solutions_agree), so on this cloud
+            # the solve behind the rule meets a residual, not an answer
             (lambda: beam_system(n=15, levels=2), "MMD_AT_PLUS_A"),
             (lambda: dataclasses.replace(beam_system(), positions=None), "MMD_AT_PLUS_A"),
         ],
