@@ -11,9 +11,11 @@ shows to be wrong: no case, a flag the case ignores, and a flag that the
 sweep which runs leaves unused. Every other rule on a value belongs to the
 case function or spec object that takes it (the cantilever takes at most
 one of --nx, --spacing and --n-target; --sigma-b is read only with --basis
-g9), whose ValueError is reported alone, before any output file is
-written; the owners check every sweep entry before the first run. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+g9), whose ValueError is reported alone; the owners check every sweep
+entry before the first run. The output directory is made only once the
+case (or the last sweep run) returns: a rejected value leaves none, and
+one that cannot be made is reported after the solve. Exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -222,9 +224,9 @@ def run(config: argparse.Namespace) -> None:
         elif sweep == "sweep_refine":  # its bounds do not depend on the half-width
             hertz.refinement_schedule(1.0, value, **_user_values(secondary_levels=config.secondary_levels))
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
-    outdir.mkdir(parents=True, exist_ok=True)
     if config.case == "refine-demo":
         nodes, timings = case_fn(**kwargs)
+        outdir.mkdir(parents=True, exist_ok=True)
         nodes.to_csv(outdir / "nodes.csv")
         timings.to_csv(outdir / "timing.csv")
         return
@@ -234,6 +236,7 @@ def run(config: argparse.Namespace) -> None:
         result = case_fn(**{**kwargs, **overrides})
         row = {"N": result.n_nodes, "sigma": overrides.get("perturb_sigma"), "t_total": result.timings.total}
         sweep_rows.append({**result.errors, **row})
+    outdir.mkdir(parents=True, exist_ok=True)
     io.write_case_outputs(outdir, result, vtk=config.vtk)
     io.write_sweep_csv(outdir / "sweep.csv", sweep_rows, key="sigma" if sweep == "sweep_sigma" else "N")
     if config.dump_matrix:

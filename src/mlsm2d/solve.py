@@ -97,11 +97,11 @@ class SolveReport:
     method: str
     iterations: int
     residual: float
-    t_preconditioner: float
-    t_iterations: float
     factor_nnz: int = 0  # nonzeros of L + U
     ordering: str = ""  # ND, or the permc_spec that SuperLU ordered with
-    t_ordering: float = 0.0  # graph, nested dissection and permutation
+    # Seconds per phase run, in run order: "ordering" (graph, nested
+    # dissection and permutation; ND only), "preconditioner", "solve".
+    phases: dict[str, float] = field(default_factory=dict)
     residual_history: list[float] = field(default_factory=list)
 
 
@@ -205,15 +205,15 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     """Solve for the displacement vectors (u, v).
 
     Returns the solution split into its u and v halves together with a
-    report of iteration count, achieved relative residual and timings.
+    report of iteration count, achieved relative residual and phase times.
     """
     N = system.n_nodes
-    report = SolveReport(config.method, 0, np.inf, 0.0, 0.0)
+    report = SolveReport(config.method, 0, np.inf)
     t0 = time.perf_counter()
     perm = _dissection_order(system) if config.method == "direct" else None
     if perm is not None:  # P A P^T x' = P b, where P puts unknown perm[k] at k
         system = SparseSystem(system.matrix.tocsr()[perm][:, perm], system.rhs[perm], N)
-        report.t_ordering = time.perf_counter() - t0
+        report.phases["ordering"] = time.perf_counter() - t0
     t0 = time.perf_counter()  # the preconditioner phase includes the row scaling
     matrix, rhs = _equilibrate(system)
     del system  # neither the given nor a permuted system outlives its scaled copy
@@ -243,7 +243,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
             else "incomplete LU"
         )
         raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
-    report.t_preconditioner = time.perf_counter() - t0
+    report.phases["preconditioner"] = time.perf_counter() - t0
     report.factor_nnz = int(factor.nnz)
 
     # An explicit dtype spares LinearOperator a probing solve with the factor.
@@ -280,7 +280,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
             break
         best = res
         x0 = x
-    report.t_iterations = time.perf_counter() - t0
+    report.phases["solve"] = time.perf_counter() - t0
     report.residual = _relative_residual(matrix, rhs, x)
 
     if not np.all(np.isfinite(x)):

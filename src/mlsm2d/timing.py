@@ -7,24 +7,10 @@ from dataclasses import dataclass, field
 
 from .io import _table
 
-PHASES = (
-    "domain",
-    "relaxation",
-    "refinement",
-    "supports",
-    "shapes",
-    "assembly",
-    "ordering",
-    "preconditioner",
-    "solve",
-    "postprocess",
-    "output",
-)
-
 
 @dataclass
 class TimingReport:
-    """Seconds per phase plus the total wall time of the run.
+    """Seconds per phase, in the order the phases ran, plus the total wall time of the run.
 
     total is the pipeline's time; the output phase, when written, follows it.
     """
@@ -39,9 +25,7 @@ class TimingReport:
             raise ValueError("total below the largest phase")
 
     def to_csv(self, path) -> None:
-        # PHASES order first, then any other phases in the order they ran.
-        seconds = {name: self.phases[name] for name in PHASES if name in self.phases}
-        seconds = {**seconds, **self.phases, "total": self.total}
+        seconds = {**self.phases, "total": self.total}
         with open(path, "w") as fh:
             fh.write("phase,seconds\n")
             fh.write(_table([list(seconds), list(seconds.values())], fmt="%.6f"))

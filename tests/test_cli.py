@@ -24,7 +24,7 @@ from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import DomainShape, NodeSet, Rect, build_rectangle_grid
 from mlsm2d.shapes import BasisSpec, WeightSpec, build_shape_set
 from mlsm2d.solve import METHODS, SolveReport, SolverConfig
-from mlsm2d.timing import PHASES, TimingReport
+from mlsm2d.timing import TimingReport
 
 
 # The message of a Hertz level count outside the schedule, short of the counts.
@@ -103,8 +103,10 @@ class TestExitCodes:
 
     def test_nx_next_to_spacing_is_rejected(self, tmp_path, capsys):
         # cantilever_case owns the rule, so its message is the one line reported
-        assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", tmp_path]) == 2
+        out = tmp_path / "out"
+        assert run_cli(["--case", "cantilever", "--nx", 31, "--spacing", 0.5, "--out", out]) == 2
         assert capsys.readouterr().err == "config error: give at most one of nx, spacing or n_target\n"
+        assert not out.exists()
 
     def test_basis_sigma_without_the_gaussian_basis_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -169,13 +171,27 @@ class TestExitCodes:
     )
     def test_value_the_case_rejects_is_a_config_error(self, tmp_path, capsys, args, message):
         # these pass validate; the case function, a spec object or a sweep entry's
-        # owner raises ValueError, so no output file is written
-        assert run_cli(args + ["--out", tmp_path]) == 2
+        # owner raises ValueError, so the output directory is never made
+        out = tmp_path / "out"
+        assert run_cli(args + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
         assert "Traceback" not in err
-        assert not (tmp_path / "fields.csv").exists() and not (tmp_path / "nodes.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args", [["--case", "cantilever", "--nx", 31], ["--case", "refine-demo", "--spacing", 1]], ids=["cantilever", "refine-demo"]
+    )
+    def test_output_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, args):
+        # --out names a regular file, so making the directory after the run raises OSError
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert run_cli(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("flag, value", [("--sigma-w", -1), ("--sigma-b", -1), ("--tol", 1.5)])
     def test_spec_value_rejected_before_the_output_directory_is_made(self, tmp_path, capsys, flag, value):
@@ -366,7 +382,11 @@ class TestArtifacts:
         assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path, "--vtk"]) == 0
         timing = [line.split(",") for line in (tmp_path / "timing.csv").read_text().splitlines()[1:]]
         names = [name for name, _ in timing]
-        assert names[-3:] == ["postprocess", "output", "total"]
+        # the rows follow the order the phases ran; a 9-node grid solve has an ordering phase
+        assert names == [
+            "domain", "supports", "shapes", "assembly", "ordering", "preconditioner", "solve", "postprocess",
+            "output", "total",
+        ]
         assert float(timing[-2][1]) > 0.0
         # total is the pipeline's time, the one sweep.csv reports
         t_total = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")[-1]
@@ -407,7 +427,8 @@ class TestArtifacts:
         )
         assert rc == 0
         assert (tmp_path / "nodes.csv").exists()
-        assert (tmp_path / "timing.csv").exists()
+        timing = (tmp_path / "timing.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in timing] == ["phase", "domain", "refinement", "relaxation", "total"]
         assert not (tmp_path / "fields.csv").exists()
 
     def test_sweep_rows_follow_the_requested_sizes(self, tmp_path):
@@ -508,7 +529,7 @@ class TestWriterBytes:
         # write_case_outputs shares each value's text among the files; each
         # file must equal what its own writer makes from the numbers
         nodes, u, v, stress = cloud
-        report = SolveReport("direct", 0, 0.0, 0.0, 0.0)
+        report = SolveReport("direct", 0, 0.0)
         result = CaseResult(nodes, u, v, stress, {}, report, TimingReport(total=1.0))
         io.write_case_outputs(tmp_path, result, vtk=True)
         alone = tmp_path / "alone"
@@ -570,16 +591,10 @@ class TestWriterBytes:
         assert "0 0 -0\n" in ref
 
     def test_timing_csv(self, tmp_path):
+        # rows in the order the phases were timed, whatever their names, then the total
         report = TimingReport(phases={"solve": 1.0 / 3.0, "output": 1e-300, "domain": 0.1}, total=2.0)
         report.to_csv(tmp_path / "timing.csv")
-        ref = "phase,seconds\n"
-        for name in PHASES:
-            if name in report.phases:
-                ref += f"{name},{report.phases[name]:.6f}\n"
-        for name in report.phases:
-            if name not in PHASES:
-                ref += f"{name},{report.phases[name]:.6f}\n"
-        ref += f"total,{report.total:.6f}\n"
+        ref = "phase,seconds\nsolve,0.333333\noutput,0.000000\ndomain,0.100000\ntotal,2.000000\n"
         assert (tmp_path / "timing.csv").read_text() == ref
 
 
