@@ -147,7 +147,10 @@ def assemble(
     Interior rows combine the second-derivative stencils; traction rows
     combine first-derivative stencils contracted with the outward normal;
     essential rows are unit diagonals. All 2n stencil entries per equation
-    are kept as structural nonzeros.
+    are kept as structural nonzeros, written in place (u block, then v
+    block) into CSR arrays allocated, with the rhs, before the block
+    temporaries, so that the heap those free can be returned to the OS.
+    Every support must list distinct nodes: a repeat would be a duplicate.
     """
     bcs.validate(nodes)
     N = nodes.n
@@ -167,52 +170,49 @@ def assemble(
     for op in ("dx", "dy"):
         shapes.require(op, traction)
 
-    rows_parts, cols_parts, vals_parts = [], [], []
-
-    def add_block(eq_rows, cols, coeffs):
-        rows_parts.append(np.repeat(eq_rows, n))
-        cols_parts.append(cols.ravel())
-        vals_parts.append(coeffs.ravel())
-
-    if interior.size:
-        dxx = shapes.rows["dxx"][interior]
-        dyy = shapes.rows["dyy"][interior]
-        dxy = shapes.rows["dxy"][interior]
-        cols_u = idx[interior]
-        cols_v = cols_u + N
-        add_block(interior, cols_u, (lam + 2.0 * mu) * dxx + mu * dyy)
-        add_block(interior, cols_v, (lam + mu) * dxy)
-        add_block(interior + N, cols_u, (lam + mu) * dxy)
-        add_block(interior + N, cols_v, mu * dxx + (lam + 2.0 * mu) * dyy)
-
-    if traction.size:
-        dx = shapes.rows["dx"][traction]
-        dy = shapes.rows["dy"][traction]
-        n1 = nodes.normals[traction, 0][:, None]
-        n2 = nodes.normals[traction, 1][:, None]
-        cols_u = idx[traction]
-        cols_v = cols_u + N
-        add_block(traction, cols_u, mu * n2 * dy + (2.0 * mu + lam) * n1 * dx)
-        add_block(traction, cols_v, lam * n1 * dy + mu * n2 * dx)
-        add_block(traction + N, cols_u, mu * n1 * dy + lam * n2 * dx)
-        add_block(traction + N, cols_v, mu * n1 * dx + (2.0 * mu + lam) * n2 * dy)
-
-    if essential.size:
-        for offset in (0, N):
-            rows_parts.append(essential + offset)
-            cols_parts.append(essential + offset)
-            vals_parts.append(np.ones(essential.size))
-
     rhs = np.zeros(2 * N)
     rhs[traction] = bcs.values[traction, 0]
     rhs[traction + N] = bcs.values[traction, 1]
     rhs[essential] = bcs.values[essential, 0]
     rhs[essential + N] = bcs.values[essential, 1]
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(2 * N, 2 * N),
-    ).tocsr()
+    row_nnz = np.tile(np.where(bcs.kind == BC_ESSENTIAL, 1, 2 * n), 2)
+    index_dtype = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(index_dtype)
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    data = np.empty(indptr[-1])
+
+    def add_rows(eq_rows, cols, coeffs_u, coeffs_v):
+        slots = indptr[eq_rows, None] + np.arange(n)
+        indices[slots] = cols
+        data[slots] = coeffs_u
+        slots += n
+        indices[slots] = cols + N
+        data[slots] = coeffs_v
+
+    if interior.size:
+        dxx = shapes.rows["dxx"][interior]
+        dyy = shapes.rows["dyy"][interior]
+        dxy = shapes.rows["dxy"][interior]
+        cols = idx[interior]
+        add_rows(interior, cols, (lam + 2.0 * mu) * dxx + mu * dyy, (lam + mu) * dxy)
+        add_rows(interior + N, cols, (lam + mu) * dxy, mu * dxx + (lam + 2.0 * mu) * dyy)
+
+    if traction.size:
+        dx = shapes.rows["dx"][traction]
+        dy = shapes.rows["dy"][traction]
+        n1 = nodes.normals[traction, 0][:, None]
+        n2 = nodes.normals[traction, 1][:, None]
+        cols = idx[traction]
+        add_rows(traction, cols, mu * n2 * dy + (2.0 * mu + lam) * n1 * dx, lam * n1 * dy + mu * n2 * dx)
+        add_rows(traction + N, cols, mu * n1 * dy + lam * n2 * dx, mu * n1 * dx + (2.0 * mu + lam) * n2 * dy)
+
+    for offset in (0, N):
+        indices[indptr[essential + offset]] = essential + offset
+        data[indptr[essential + offset]] = 1.0
+
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(2 * N, 2 * N))
+    matrix.sort_indices()
     return SparseSystem(matrix=matrix, rhs=rhs, n_nodes=N, positions=nodes.positions)
 
 

@@ -18,9 +18,13 @@ than one on A^T A. Minimum-degree factors are built without relaxed
 supernodes (relax=1), which stores fewer entries: drilled 1.92M -> 1.41M,
 hertz 20.8M -> 20.1M, the small selftest hertz 0.99M -> 0.92M. Dissection
 keeps SuperLU's default, as relax=1 made the 1e5-node cantilever 3%
-slower. Either order holds only if pivoting keeps it: the pivot threshold
-is 0, so a diagonal pivot is always taken unless it is exactly zero, in
-which case SuperLU falls back to the largest entry of the column.
+slower. Both factor in panels of LU_PANEL = 4 columns, not SuperLU's 20,
+which shrinks the panel work arrays on the 1e5-node cantilever from 65 to
+13 MB at the same factor entries and time (2.02 -> 1.93 s; hertz 2.44 ->
+2.43 s; medians of 5). Either order holds only if pivoting keeps it: the
+pivot threshold is 0, so a diagonal pivot is always taken unless it is
+exactly zero, in which case SuperLU falls back to the largest entry of
+the column.
 Any threshold above 0 lets partial pivoting break the ordering and
 multiplies time and fill (1e-2 already does on the 1e5-node cantilever);
 a factor spoiled by a tiny pivot is caught by the true-residual check and
@@ -78,6 +82,9 @@ METHODS = ("bicgstab-ilut", "direct")
 ND_MAX_SUPPORT = 9
 ND_LEAF = 16
 ND = "nested-dissection"
+
+# Columns per SuperLU panel (see the module docstring).
+LU_PANEL = 4
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,7 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
                 permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
                 diag_pivot_thresh=0.0,
                 relax=1 if perm is None else None,  # None keeps SuperLU's default
+                panel_size=LU_PANEL,
                 options=dict(SymmetricMode=True),
             )
         else:

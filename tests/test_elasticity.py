@@ -1,9 +1,18 @@
 """Material model, boundary conditions, and system assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import mlsm2d.cases.metrics
+from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.drilled import drilled_cantilever_case
+from mlsm2d.cases.hertz import hertz_case
 from mlsm2d.elasticity import (
+    BC_ESSENTIAL,
+    BC_TRACTION,
     BoundaryConditions,
     Material,
     StressField,
@@ -14,6 +23,7 @@ from mlsm2d.elasticity import (
 )
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
+from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.shapes import BasisSpec, IllConditionedStencilError, WeightSpec, build_shape_set
 from mlsm2d.solve import SolverConfig, solve
 
@@ -164,6 +174,120 @@ class TestAssembly:
         path = tmp_path / "system.mtx"
         system.export_matrix(path)
         assert path.exists() and path.stat().st_size > 0
+
+
+def coo_assemble(nodes, shapes, material, bcs):
+    """Reference assembly: COO triples per stencil block, converted to CSR with duplicates summed."""
+    N = nodes.n
+    lam, mu = material.lam, material.mu
+    idx = shapes.support.indices
+    n = shapes.support.n
+    interior = np.nonzero(nodes.interior_mask)[0]
+    essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]
+    traction = np.nonzero(bcs.kind == BC_TRACTION)[0]
+    rows_parts, cols_parts, vals_parts = [], [], []
+
+    def add_block(eq_rows, cols, coeffs):
+        rows_parts.append(np.repeat(eq_rows, n))
+        cols_parts.append(cols.ravel())
+        vals_parts.append(coeffs.ravel())
+
+    dxx, dyy, dxy = (shapes.rows[op][interior] for op in ("dxx", "dyy", "dxy"))
+    cols_u = idx[interior]
+    add_block(interior, cols_u, (lam + 2.0 * mu) * dxx + mu * dyy)
+    add_block(interior, cols_u + N, (lam + mu) * dxy)
+    add_block(interior + N, cols_u, (lam + mu) * dxy)
+    add_block(interior + N, cols_u + N, mu * dxx + (lam + 2.0 * mu) * dyy)
+    dx, dy = shapes.rows["dx"][traction], shapes.rows["dy"][traction]
+    n1 = nodes.normals[traction, 0][:, None]
+    n2 = nodes.normals[traction, 1][:, None]
+    cols_u = idx[traction]
+    add_block(traction, cols_u, mu * n2 * dy + (2.0 * mu + lam) * n1 * dx)
+    add_block(traction, cols_u + N, lam * n1 * dy + mu * n2 * dx)
+    add_block(traction + N, cols_u, mu * n1 * dy + lam * n2 * dx)
+    add_block(traction + N, cols_u + N, mu * n1 * dx + (2.0 * mu + lam) * n2 * dy)
+    for offset in (0, N):
+        rows_parts.append(essential + offset)
+        cols_parts.append(essential + offset)
+        vals_parts.append(np.ones(essential.size))
+    rhs = np.zeros(2 * N)
+    rhs[traction] = bcs.values[traction, 0]
+    rhs[traction + N] = bcs.values[traction, 1]
+    rhs[essential] = bcs.values[essential, 0]
+    rhs[essential + N] = bcs.values[essential, 1]
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals_parts), (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+        shape=(2 * N, 2 * N),
+    ).tocsr()
+    return matrix, rhs
+
+
+def beam_inputs(n_target=400, n=9, sigma=0.0, levels=0):
+    params = BeamParams()
+    nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, n_target))
+    if sigma > 0:
+        nodes = perturb_nodes(nodes, sigma, seed=1)
+    if levels > 0:
+        nodes = refine_levels(nodes, [RefineRegion(Rect(10.0, 20.0, -1.2, 1.2), levels)])
+    shapes = build_shape_set(nodes, build_supports(nodes, n))
+    return nodes, shapes, Material(params.E, params.nu), cantilever_bcs(nodes, params)
+
+
+def case_inputs(monkeypatch, run_case):
+    """The arguments with which a case's pipeline calls assemble."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(mlsm2d.cases.metrics, "assemble", spy)
+    run_case()
+    return calls[0]
+
+
+class TestAssemblyMatchesCOO:
+    @pytest.mark.parametrize(
+        "make_inputs",
+        [
+            lambda mp: beam_inputs(),
+            lambda mp: beam_inputs(n=13, sigma=0.1),
+            lambda mp: beam_inputs(n=15, levels=2),
+            lambda mp: case_inputs(mp, lambda: hertz_case(refine_levels=4)),
+            lambda mp: case_inputs(mp, drilled_cantilever_case),
+        ],
+        ids=["9-node grid", "perturbed 13-node grid", "refined 15-node beam", "hertz L=4", "drilled"],
+    )
+    def test_csr_equals_summed_coo(self, monkeypatch, make_inputs):
+        nodes, shapes, material, bcs = make_inputs(monkeypatch)
+        # every row kind is written
+        assert nodes.interior_mask.any() and (bcs.kind == BC_ESSENTIAL).any() and (bcs.kind == BC_TRACTION).any()
+        # the CSR is written in place, which needs each support to list distinct nodes
+        idx = np.sort(shapes.support.indices, axis=1)
+        assert np.all(idx[:, 1:] != idx[:, :-1])
+        system = assemble(nodes, shapes, material, bcs)
+        matrix, rhs = coo_assemble(nodes, shapes, material, bcs)
+        assert system.matrix.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(system.matrix, name), getattr(matrix, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert system.rhs.tobytes() == rhs.tobytes()
+
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_peak_memory_is_a_small_multiple_of_the_system(self, n):
+        # COO parts, row ids and their concatenation took 4.6-4.7 times the
+        # returned bytes here; the in-place CSR needs 2.3 times
+        nodes, shapes, material, bcs = beam_inputs(n_target=20_000, n=n)
+        tracemalloc.start()
+        try:
+            system = assemble(nodes, shapes, material, bcs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = system.matrix
+        returned = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + system.rhs.nbytes
+        assert nodes.n > 20_000
+        assert peak < 3.5 * returned
 
 
 class TestStress:

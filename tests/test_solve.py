@@ -19,6 +19,7 @@ from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
 from mlsm2d.shapes import build_shape_set
 from mlsm2d.solve import (
+    LU_PANEL,
     ND,
     ND_LEAF,
     NonConvergenceError,
@@ -179,6 +180,26 @@ class TestDirect:
         scale = max(np.abs(u_r).max(), np.abs(v_r).max())
         assert np.abs(u - u_r).max() <= 1e-9 * scale
         assert np.abs(v - v_r).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "make_system, ordering",
+        [
+            (lambda: beam_system(), ND),
+            (lambda: beam_system(n=13), "MMD_AT_PLUS_A"),
+            (lambda: drilled_cantilever_case(0.4).extras["assemble"](), "MMD_AT_PLUS_A"),
+        ],
+        ids=["9-node grid", "13-node grid", "drilled"],
+    )
+    def test_narrow_panel_solution_matches_the_default_panel(self, monkeypatch, make_system, ordering):
+        system = make_system()
+        (u, v), report = solve(system)
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *args, panel_size=None, **kwargs: splu(*args, **kwargs))
+        (u_d, v_d), default = solve(system)
+        assert report.ordering == default.ordering == ordering
+        scale = max(np.abs(u_d).max(), np.abs(v_d).max())
+        assert np.abs(u - u_d).max() <= 1e-9 * scale
+        assert np.abs(v - v_d).max() <= 1e-9 * scale
 
 
 class TestBicgstab:
@@ -430,17 +451,20 @@ class TestNestedDissection:
     )
     def test_rule(self, monkeypatch, make_system, ordering):
         system = make_system()
-        splu, relax = spla.splu, []
+        splu, calls = spla.splu, []
 
         def spied(matrix, *args, **kwargs):
-            relax.append(kwargs.get("relax"))
+            calls.append(kwargs)
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", spied)
         (_, _), report = solve(system)
         assert report.ordering == ordering
+        assert len(calls) == 1
         # fundamental supernodes exactly on the minimum-degree path; dissection keeps SuperLU's default
-        assert len(relax) == 1 and (relax[0] == 1) == (ordering == "MMD_AT_PLUS_A")
+        assert (calls[0].get("relax") == 1) == (ordering == "MMD_AT_PLUS_A")
+        # the narrow panel on both orderings
+        assert calls[0].get("panel_size") == LU_PANEL
         # the phases solve ran, in run order; only dissection has an ordering phase
         assert list(report.phases) == (["ordering"] if ordering == ND else []) + ["preconditioner", "solve"]
         assert all(seconds > 0 for seconds in report.phases.values())
