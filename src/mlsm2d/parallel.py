@@ -49,16 +49,7 @@ def _split_rows(fn, n: int):
     if n < _MIN_ROWS or _cpus() < 2:
         return fn(0, n)
     half = n // 2
-    job = [fn]
-
-    def tail_rows():
-        # Taken out of job, fn and the arrays it holds are dropped when this
-        # returns: the last reference, and the freeing of a large array,
-        # stays on the calling thread.
-        f = job.pop()
-        return [f(lo, min(lo + _CHUNK, n)) for lo in range(half, n, _CHUNK)]
-
-    tail = _worker.submit(tail_rows)
+    tail = _worker.submit(lambda: [fn(lo, min(lo + _CHUNK, n)) for lo in range(half, n, _CHUNK)])
     try:
         head = fn(0, half)
     finally:

@@ -1,6 +1,7 @@
 """Linear solver: equilibration, nested-dissection ordering, preconditioned BiCGSTAB, direct fallback."""
 
 import dataclasses
+import platform
 import sys
 import time
 import weakref
@@ -365,6 +366,73 @@ class TestAssembledMatrixFreedBeforeFactorization:
         assert result.solve_report.ordering == ordering
         assert alive == [[False]]
         assert "system" not in result.extras
+
+
+class TestHeapReturnedBeforeFactorization:
+    @pytest.mark.parametrize(
+        "method, kwargs, factor, ordering",
+        [
+            ("direct", {}, "splu", ND),
+            ("direct", {"support_n": 15, "perturb_sigma": 0.1}, "splu", "MMD_AT_PLUS_A"),
+            ("bicgstab-ilut", {}, "spilu", "COLAMD"),
+        ],
+        ids=["grid-9", "irregular-15", "ilut"],
+    )
+    def test_once_per_solve_after_the_assembled_matrix_is_freed_and_before_the_factor(
+        self, monkeypatch, method, kwargs, factor, ordering
+    ):
+        metrics, solve_module = sys.modules["mlsm2d.cases.metrics"], sys.modules["mlsm2d.solve"]
+        assemble_fn, factor_fn = metrics.assemble, getattr(spla, factor)
+        equilibrate_fn = solve_module._equilibrate
+        refs, events = [], []
+
+        def tracked(*args, **kw):
+            system = assemble_fn(*args, **kw)
+            refs.append(weakref.ref(system.matrix))
+            return system
+
+        def scaled(system):
+            result = equilibrate_fn(system)
+            events.append(("scaled",))
+            return result
+
+        def trim(pad):
+            events.append(("trim", pad, [ref() is not None for ref in refs]))
+            return 0
+
+        def spied(matrix, *args, **kw):
+            events.append((factor,))
+            return factor_fn(matrix, *args, **kw)
+
+        monkeypatch.setattr(metrics, "assemble", tracked)
+        monkeypatch.setattr(solve_module, "_equilibrate", scaled)
+        monkeypatch.setattr(solve_module, "_malloc_trim", trim)
+        monkeypatch.setattr(spla, factor, spied)
+        result = cantilever_case(n_target=400, solver=SolverConfig(method=method), **kwargs)
+        assert result.solve_report.ordering == ordering
+        # after the scaled copy, with no assembled matrix alive, and before the factor
+        assert events == [("scaled",), ("trim", 0, [False]), (factor,)]
+
+    @pytest.mark.parametrize(
+        "method, make_system",
+        [
+            ("direct", lambda: beam_system()),
+            ("direct", lambda: beam_system(n=13, sigma=0.1)),
+            ("bicgstab-ilut", lambda: beam_system()),
+        ],
+        ids=["grid-9", "perturbed-13", "ilut"],
+    )
+    def test_same_solution_bytes_where_the_c_library_has_no_trim(self, monkeypatch, method, make_system):
+        system = make_system()
+        (u, v), _ = solve(system, SolverConfig(method=method))
+        monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_malloc_trim", None)
+        (u_n, v_n), _ = solve(system, SolverConfig(method=method))
+        assert u.tobytes() == u_n.tobytes()
+        assert v.tobytes() == v_n.tobytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc function")
+    def test_found_in_glibc(self):
+        assert sys.modules["mlsm2d.solve"]._malloc_trim is not None
 
 
 def lattice_graph(nx, ny):
