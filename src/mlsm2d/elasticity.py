@@ -13,7 +13,6 @@ ordered [u_0..u_{N-1}, v_0..v_{N-1}]; equation rows use the same layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,25 +26,6 @@ BC_ESSENTIAL = 1
 BC_TRACTION = 2
 
 
-def lame_parameters(E: float, nu: float, formulation: str = "plane-stress") -> tuple[float, float]:
-    """First Lame parameter (adjusted for the 2D formulation) and shear modulus.
-
-    Plane stress replaces lam by 2*lam*mu / (lam + 2*mu); plane strain keeps
-    the 3D value.
-    """
-    if E <= 0:
-        raise ValueError(f"Young's modulus must be positive, got {E}")
-    if not -1.0 < nu < 0.5:
-        raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {nu}")
-    if formulation not in ("plane-stress", "plane-strain"):
-        raise ValueError(f"unknown formulation {formulation!r}")
-    mu = E / (2.0 * (1.0 + nu))
-    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    if formulation == "plane-stress":
-        lam = 2.0 * lam * mu / (lam + 2.0 * mu)
-    return lam, mu
-
-
 @dataclass(frozen=True)
 class Material:
     """Isotropic linear-elastic material under a plane formulation."""
@@ -55,16 +35,25 @@ class Material:
     formulation: str = "plane-stress"
 
     def __post_init__(self) -> None:
-        lame_parameters(self.E, self.nu, self.formulation)  # validates
+        if self.E <= 0:
+            raise ValueError(f"Young's modulus must be positive, got {self.E}")
+        if not -1.0 < self.nu < 0.5:
+            raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {self.nu}")
+        if self.formulation not in ("plane-stress", "plane-strain"):
+            raise ValueError(f"unknown formulation {self.formulation!r}")
 
-    @cached_property
+    @property
     def mu(self) -> float:
-        return lame_parameters(self.E, self.nu, self.formulation)[1]
+        return self.E / (2.0 * (1.0 + self.nu))
 
-    @cached_property
+    @property
     def lam(self) -> float:
-        """Effective first Lame parameter for the chosen formulation."""
-        return lame_parameters(self.E, self.nu, self.formulation)[0]
+        """First Lame parameter: plane strain keeps the 3D lam, plane stress takes 2*lam*mu / (lam + 2*mu)."""
+        E, nu, mu = self.E, self.nu, self.mu
+        lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+        if self.formulation == "plane-stress":
+            lam = 2.0 * lam * mu / (lam + 2.0 * mu)
+        return lam
 
 
 @dataclass
@@ -148,8 +137,8 @@ def assemble(
     combine first-derivative stencils contracted with the outward normal;
     essential rows are unit diagonals. All 2n stencil entries per equation
     are kept as structural nonzeros, written in place (u block, then v
-    block) into CSR arrays allocated, with the rhs, before the block
-    temporaries, so that the heap those free can be returned to the OS.
+    block) into CSR arrays allocated with the rhs up front; solve returns
+    the freed heap to the OS before it factors, so the order is free.
     Every support must list distinct nodes: a repeat would be a duplicate.
     """
     bcs.validate(nodes)
@@ -226,15 +215,9 @@ class StressField:
 
     @property
     def von_mises(self) -> np.ndarray:
-        return von_mises(self.sxx, self.syy, self.sxy)
-
-
-def von_mises(sxx, syy, sxy) -> np.ndarray:
-    """Plane von Mises stress sqrt(sxx^2 - sxx syy + syy^2 + 3 sxy^2)."""
-    sxx = np.asarray(sxx, dtype=float)
-    syy = np.asarray(syy, dtype=float)
-    sxy = np.asarray(sxy, dtype=float)
-    return np.sqrt(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy)
+        """Plane von Mises stress sqrt(sxx^2 - sxx syy + syy^2 + 3 sxy^2)."""
+        sxx, syy, sxy = self.sxx, self.syy, self.sxy
+        return np.sqrt(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy)
 
 
 def compute_stresses(shapes: ShapeSet, material: Material, u: np.ndarray, v: np.ndarray) -> StressField:

@@ -18,8 +18,6 @@ from mlsm2d.elasticity import (
     StressField,
     assemble,
     compute_stresses,
-    lame_parameters,
-    von_mises,
 )
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
@@ -37,25 +35,40 @@ def small_problem(h=0.25, n=9):
 class TestLameParameters:
     def test_plane_strain(self):
         E, nu = 210e9, 0.3
-        lam, mu = lame_parameters(E, nu, "plane-strain")
-        assert mu == pytest.approx(E / (2 * (1 + nu)))
-        assert lam == pytest.approx(E * nu / ((1 + nu) * (1 - 2 * nu)))
+        mat = Material(E, nu, "plane-strain")
+        assert mat.mu == pytest.approx(E / (2 * (1 + nu)))
+        assert mat.lam == pytest.approx(E * nu / ((1 + nu) * (1 - 2 * nu)))
 
     def test_plane_stress_modifies_lambda(self):
         E, nu = 72.1e9, 0.33
-        lam_base, mu = lame_parameters(E, nu, "plane-strain")
-        lam, _ = lame_parameters(E, nu, "plane-stress")
-        assert lam == pytest.approx(2 * lam_base * mu / (lam_base + 2 * mu))
+        strain = Material(E, nu, "plane-strain")
+        lam_base, mu = strain.lam, strain.mu
+        assert Material(E, nu, "plane-stress").lam == pytest.approx(2 * lam_base * mu / (lam_base + 2 * mu))
 
     def test_material_dataclass(self):
         mat = Material(E=72.1e9, nu=0.33)
         assert mat.formulation == "plane-stress"
         assert mat.mu == pytest.approx(72.1e9 / (2 * 1.33))
+        # the values the package has always produced, to the last bit
+        assert (mat.lam, mat.mu) == (26700706991.358997, 27105263157.894737)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0, 0.3), "Young's modulus must be positive, got 0.0"),
+            ((1.0, 0.5), "Poisson ratio must lie in (-1, 0.5), got 0.5"),
+            ((1.0, 0.3, "plane"), "unknown formulation 'plane'"),
+        ],
+    )
+    def test_invalid_material_message(self, args, message):
+        with pytest.raises(ValueError) as info:
+            Material(*args)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("nu", [-1.5, 0.5, 0.7])
     def test_invalid_poisson_rejected(self, nu):
         with pytest.raises(ValueError):
-            lame_parameters(1.0, nu)
+            Material(1.0, nu)
 
 
 class TestBoundaryConditions:
@@ -310,7 +323,5 @@ class TestStress:
         np.testing.assert_allclose(stress.sxy, mat.mu, rtol=1e-9)
 
     def test_von_mises_formula(self):
-        assert von_mises(1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert von_mises(0.0, 0.0, 1.0) == pytest.approx(np.sqrt(3.0))
-        field = StressField(np.array([3.0]), np.array([3.0]), np.array([0.0]))
-        assert field.von_mises[0] == pytest.approx(3.0)
+        field = StressField(np.array([1.0, 0.0, 3.0]), np.array([0.0, 0.0, 3.0]), np.array([0.0, 1.0, 0.0]))
+        np.testing.assert_allclose(field.von_mises, [1.0, np.sqrt(3.0), 3.0])

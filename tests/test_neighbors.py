@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import perturb_nodes
+from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
+from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
 from mlsm2d.neighbors import _lattice_k, build_supports, knn
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
+from mlsm2d.timing import PhaseTimer
 
 
 def brute_force_knn(positions, p, n):
@@ -90,6 +93,33 @@ def test_supports_on_a_refined_cloud_match_brute_force(n):
         [RefineRegion(Rect(0.25, 1.75, 0.0, 0.75), 1), RefineRegion(Rect(0.75, 1.25, 0.0, 0.5), 3)],
     )
     assert_supports_match_brute_force(nodes.positions, n)
+
+
+def default_hertz_cloud():
+    """hertz_case's default cloud: the 69-point base grid and the full schedule."""
+    geom = hertz_geometry()
+    H = 1000.0 * geom.half_width
+    nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
+    return refine_levels(nodes, refinement_schedule(geom.half_width))
+
+
+@pytest.fixture(scope="module", params=["grid", "drilled", "hertz"])
+def case_cloud(request):
+    if request.param == "grid":
+        return build_rectangle_grid(Rect(0, 4, 0, 2), 0.1)
+    if request.param == "drilled":
+        params = DrilledBeamParams()
+        return hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, 1)
+    return default_hertz_cloud()
+
+
+@pytest.mark.parametrize("n, n_wide", [(9, 13), (15, 21)])
+def test_smaller_supports_are_prefixes_of_wider_ones(case_cloud, n, n_wide):
+    # ROADMAP item 8's indicator takes the n-support as a prefix of the n'-support
+    narrow = build_supports(case_cloud, n)
+    wide = build_supports(case_cloud, n_wide)
+    np.testing.assert_array_equal(narrow.indices, wide.indices[:, :n])
+    np.testing.assert_array_equal(narrow.distances, wide.distances[:, :n])
 
 
 def test_first_query_holds_the_lattice_shell():

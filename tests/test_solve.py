@@ -252,10 +252,11 @@ class TestBicgstab:
                 lambda: beam_system(n=15, levels=2),
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="ROADMAP item 3: with 15-node supports the twice-refined beam assembles"
+                    reason="ROADMAP item 12: two refinement levels in one box give a 4 : 1 spacing"
+                    " jump at its edge, and with 15-node supports the twice-refined beam assembles"
                     " a singular system (a dense SVD gives singular values 1.1e-16 and 5.7e-17"
-                    " against 3.26; cause not traced), so two solves that both meet the residual"
-                    " tolerance differ by 0.63 of max|x|",
+                    " against 3.26) whose left null vectors sit on interior rows at the box edges,"
+                    " so two solves that both meet the residual tolerance differ by 0.63 of max|x|",
                 ),
             ),
             lambda: beam_system(n=15, levels=1),
