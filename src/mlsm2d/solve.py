@@ -1,55 +1,62 @@
 """Sparse linear solvers for the assembled collocation systems.
 
-Both methods factor the matrix once and run BiCGSTAB with the factor as
+Both methods factor the matrix and run BiCGSTAB with the factor as
 preconditioner, judging convergence on the true residual
 |b - A x| <= tol * |b|; restarts from the current iterate act as iterative
-refinement. "direct" (the default) is a complete LU in SuperLU's symmetric
-mode with diagonal pivots, on which BiCGSTAB stops at its first half-step.
-A system that carries node positions and has at most 9 nodes per support
-(18 nonzeros per row) is ordered by geometric nested dissection (George
-1973; see dissection_keys), each node's [u, v] pair kept together: on
-9-node lattices a straight cut needs a separator one node wide, and at
-1e5 nodes the factor has 33M entries against 43M under minimum degree.
-Every other system is ordered by minimum degree on A^T + A, which needs
-less fill there (hertz: 21M entries against 25-51M under every dissection
-tried). Collocation matrices are nearly structurally symmetric (row i
-couples to the support of node i), so that ordering needs far less fill
-than one on A^T A. Minimum-degree factors are built without relaxed
-supernodes (relax=1), which stores fewer entries: drilled 1.92M -> 1.41M,
-hertz 20.8M -> 20.1M, the small selftest hertz 0.99M -> 0.92M. Dissection
-keeps SuperLU's default, as relax=1 made the 1e5-node cantilever 3%
-slower. Both factor in panels of LU_PANEL = 4 columns, not SuperLU's 20,
-which shrinks the panel work arrays on the 1e5-node cantilever from 65 to
-13 MB at the same factor entries and time (2.02 -> 1.93 s; hertz 2.44 ->
-2.43 s; medians of 5). Either order holds only if pivoting keeps it: the
-pivot threshold is 0, so a diagonal pivot is always taken unless it is
-exactly zero, in which case SuperLU falls back to the largest entry of
-the column.
-Any threshold above 0 lets partial pivoting break the ordering and
-multiplies time and fill (1e-2 already does on the 1e5-node cantilever);
-a factor spoiled by a tiny pivot is caught by the true-residual check and
-mended by the refinement restarts.
-"bicgstab-ilut" is a threshold incomplete LU at fixed settings, the
-memory-bounded alternative, kept as an oracle for the direct solve.
-Callers choose only the method and the tolerance; the iteration budget
-is 10 sqrt(dim) + 1000, and an iterate that stops improving short of the
-tolerance raises NonConvergenceError as a stall, or as a breakdown if it
-is no longer finite.
+refinement. "bicgstab-ilut" is a threshold incomplete LU at fixed
+settings, the memory-bounded alternative kept as an oracle. "direct" (the
+default) is a complete LU in SuperLU's symmetric mode with diagonal
+pivots, made in float32 first (mixed-precision refinement: Buttari et
+al., ACM TOMS 34(4), 2008; Higham 2002, ch. 12) from a float32 copy of
+the data on the float64 matrix's own index arrays, with the same ordering
+and options; every product and residual stays float64. BiCGSTAB iterates
+toward tol / 100 and succeeds once the true residual is at most tol.
+Float32 entries take 8 bytes, not 12, which cuts the peak RSS of the
+1e5-node cantilever and hertz by about a fifth and speeds up the
+factorization, but the solve takes 3-7 iterations of two triangular
+solves each. The float64 factor is made instead when the float32
+factorization fails, BiCGSTAB breaks down or stops above tol, or the
+attempt falls behind: the residual after k iterations must be at most
+SINGLE_GAIN^-k. Converging systems fall 100x or more every two iterations
+and are below 6e-3 after one; systems that the float32 factor cannot
+precondition stay above 1e-3 (above 1e-1 after one iteration on the
+drilled stall clouds), and ran 41-59 s unbounded. An abandoned attempt
+thus costs its factorization and about one iteration, and one that keeps
+pace is below tol / 100 within log10(100 / tol) iterations. The float32
+factor is freed first, and the float64 solve runs from x = 0 as if no
+attempt had been made, with the same bits, message and exit code. On its
+factor BiCGSTAB may stop at the first half-step; on the 1e5-node
+cantilever that residual lands within a factor of 2 of 1e-10, so
+rounding decides whether it does.
 
-Collocation rows mix wildly different scales: interior rows carry
-E / spacing^2 while essential rows are unit diagonals, which puts the raw
-condition number near 1e16 and makes the incomplete factorization report
-spurious singularity. Both methods therefore solve the row-equilibrated
-system D A x = D b with D = diag(1 / max|row|), which has the same
-solution; residuals are reported for the equilibrated system. One CSC
-copy of D A (of D P A P^T under nested dissection) serves the factor,
-the BiCGSTAB products and every residual. solve drops the system it was
-given once that copy is made, so a caller that keeps no reference to the
-system (as the cases do) factors beside no other copy of the matrix.
-Right before the factorization, solve returns the heap that assembly,
-ordering and scaling freed to the OS (glibc's malloc_trim, where the C
-library has it), as the factor would otherwise peak on top of it: 62 MB
-at splu entry on the 1e5-node cantilever, whose peak RSS falls 527.6 -> 499 MB.
+Systems with node positions and at most 9 nodes per support are ordered
+by geometric nested dissection (George 1973; see dissection_keys), each
+node's [u, v] pair kept together: at 1e5 nodes the factor has 33M entries
+against 43M under minimum degree. Every other system is ordered by
+minimum degree on A^T + A, as collocation matrices are nearly
+structurally symmetric (hertz: 21M entries against 25-51M under every
+dissection tried), without relaxed supernodes (relax=1, fewer entries;
+dissection keeps the default, as relax=1 made it 3% slower). Panels of
+LU_PANEL = 4 columns, not SuperLU's 20, shrink the work arrays of the 1e5-
+node cantilever from 65 to 13 MB. The pivot threshold is 0, so a diagonal
+pivot is taken unless it is exactly zero: any threshold above 0 lets
+partial pivoting break the ordering, and a tiny pivot is caught by the
+true-residual check and mended by restarts. Callers choose only the
+method and the tolerance; the iteration budget is 10 sqrt(dim) + 1000,
+and an iterate that stops improving short of the tolerance raises
+NonConvergenceError as a stall, or as a breakdown if it is not finite.
+
+Collocation rows mix wildly different scales (E / spacing^2 in interior
+rows, unit diagonals in essential rows), which puts the raw condition
+number near 1e16 and makes the incomplete factorization report spurious
+singularity. Both methods therefore solve the row-equilibrated system
+D A x = D b with D = diag(1 / max|row|); residuals are reported for it.
+One CSC copy of D A (of D P A P^T under nested dissection) serves the
+factors, the BiCGSTAB products and every residual, and solve drops the
+system it was given once that copy is made. Before the first
+factorization, solve returns the heap that assembly, ordering and scaling
+freed to the OS (glibc's malloc_trim, where the C library has it), as the
+factor would otherwise peak on top of it (62 MB on the 1e5-node cantilever).
 """
 from __future__ import annotations
 
@@ -91,6 +98,8 @@ ND = "nested-dissection"
 # Columns per SuperLU panel (see the module docstring).
 LU_PANEL = 4
 
+SINGLE_GAIN = 10.0  # least residual fall per float32 iteration (see the module docstring)
+
 try:  # glibc's malloc_trim (see the module docstring)
     _malloc_trim = ctypes.CDLL(None).malloc_trim
     _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
@@ -121,6 +130,7 @@ class SolveReport:
     # dissection and permutation; ND only), "preconditioner", "solve".
     phases: dict[str, float] = field(default_factory=dict)
     residual_history: list[float] = field(default_factory=list)
+    precision: str = ""  # the factor's data type in the solve that was returned: "float32" or "float64"
 
 
 def _relative_residual(matrix: sp.csc_matrix, rhs: np.ndarray, x: np.ndarray) -> float:
@@ -219,6 +229,60 @@ def _equilibrate(system: SparseSystem) -> tuple[sp.csc_matrix, np.ndarray]:
     return C, d * system.rhs
 
 
+def _factor(matrix: sp.csc_matrix, ordering: str, dtype: type) -> spla.SuperLU:
+    """ILUT under COLAMD, else a complete LU in symmetric mode with diagonal pivots, of the data in dtype."""
+    if dtype is not np.float64:  # a copy of the data on the float64 matrix's own index arrays
+        matrix = sp.csc_matrix((matrix.data.astype(dtype), matrix.indices, matrix.indptr), matrix.shape)
+    if ordering == "COLAMD":
+        return spla.spilu(matrix, fill_factor=ILUT_FILL_FACTOR, drop_tol=ILUT_DROP_TOL)
+    return spla.splu(  # relax=None keeps SuperLU's default
+        matrix, permc_spec="NATURAL" if ordering == ND else ordering, diag_pivot_thresh=0.0,
+        relax=None if ordering == ND else 1, panel_size=LU_PANEL, options=dict(SymmetricMode=True),
+    )
+
+
+class _Abandoned(Exception):
+    """A float32 attempt fell behind SINGLE_GAIN per iteration."""
+
+
+def _iterate(matrix: sp.csc_matrix, rhs: np.ndarray, factor, dtype, target: float, report: SolveReport) -> np.ndarray | None:
+    """BiCGSTAB from x = 0 on the factor, restarted while the true residual improves; None if abandoned."""
+    maxiter = int(10.0 * np.sqrt(matrix.shape[0])) + 1000
+    # An explicit dtype spares LinearOperator a probing solve with the factor.
+    apply = factor.solve if dtype is np.float64 else lambda r: factor.solve(r.astype(dtype)).astype(np.float64)
+    precond = spla.LinearOperator(matrix.shape, matvec=apply, dtype=np.float64)
+
+    def callback(xk: np.ndarray) -> None:
+        report.iterations += 1
+        report.residual_history.append(_relative_residual(matrix, rhs, xk))
+        if dtype is np.float32 and not report.residual_history[-1] <= SINGLE_GAIN**-report.iterations:
+            raise _Abandoned
+
+    t0 = time.perf_counter()
+    x, x0, best = np.zeros(matrix.shape[0]), None, np.inf
+    try:
+        while report.iterations < maxiter:
+            x, _ = spla.bicgstab(
+                matrix, rhs, rtol=target, atol=0.0, maxiter=maxiter - report.iterations, M=precond, callback=callback, x0=x0
+            )
+            if not np.all(np.isfinite(x)):
+                break
+            # Judged on the true residual, which drifts from the recursive one
+            # and survives Krylov inner-product collapse (a strong preconditioner
+            # can break down right before convergence); restart while it improves.
+            res = _relative_residual(matrix, rhs, x)
+            if res <= target or res >= best:
+                break
+            best = res
+            x0 = x
+    except _Abandoned:
+        return None
+    finally:
+        report.phases["solve"] = report.phases.get("solve", 0.0) + time.perf_counter() - t0
+    report.residual = _relative_residual(matrix, rhs, x)
+    return x
+
+
 def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[tuple[np.ndarray, np.ndarray], SolveReport]:
     """Solve for the displacement vectors (u, v).
 
@@ -237,80 +301,33 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     del system  # neither the given nor a permuted system outlives its scaled copy
     if _malloc_trim is not None:
         _malloc_trim(0)
-    dim = matrix.shape[0]
-    maxiter = int(10.0 * np.sqrt(dim)) + 1000
-    try:
-        if config.method == "direct":
-            report.ordering = "MMD_AT_PLUS_A" if perm is None else ND
-            factor = spla.splu(
-                matrix,
-                permc_spec="MMD_AT_PLUS_A" if perm is None else "NATURAL",
-                diag_pivot_thresh=0.0,
-                relax=1 if perm is None else None,  # None keeps SuperLU's default
-                panel_size=LU_PANEL,
-                options=dict(SymmetricMode=True),
-            )
-        else:
-            report.ordering = "COLAMD"
-            factor = spla.spilu(matrix, fill_factor=ILUT_FILL_FACTOR, drop_tol=ILUT_DROP_TOL)
-    except RuntimeError as exc:
-        name = (
-            f"complete LU ({report.ordering}, diagonal pivots)"
-            if config.method == "direct"
-            else "incomplete LU"
-        )
-        raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
     report.phases["preconditioner"] = time.perf_counter() - t0
-    report.factor_nnz = int(factor.nnz)
-
-    # An explicit dtype spares LinearOperator a probing solve with the factor.
-    precond = spla.LinearOperator((dim, dim), matvec=factor.solve, dtype=matrix.dtype)
-
-    def callback(xk: np.ndarray) -> None:
-        report.iterations += 1
-        report.residual_history.append(_relative_residual(matrix, rhs, xk))
-
-    t0 = time.perf_counter()
-    x = np.zeros(dim)
-    x0 = None
-    best = np.inf
-    while report.iterations < maxiter:
-        x, _ = spla.bicgstab(
-            matrix,
-            rhs,
-            rtol=config.tolerance,
-            atol=0.0,
-            maxiter=maxiter - report.iterations,
-            M=precond,
-            callback=callback,
-            x0=x0,
-        )
-        if not np.all(np.isfinite(x)):
+    direct = config.method == "direct"
+    report.ordering = ("MMD_AT_PLUS_A" if perm is None else ND) if direct else "COLAMD"
+    rungs = [(np.float32, config.tolerance / 100)] if direct else []  # (factor dtype, BiCGSTAB target)
+    for dtype, target in rungs + [(np.float64, config.tolerance)]:
+        report.precision, report.iterations, report.residual_history = np.dtype(dtype).name, 0, []
+        t0 = time.perf_counter()
+        try:
+            factor = _factor(matrix, report.ordering, dtype)
+        except RuntimeError as exc:
+            if dtype is np.float64:
+                name = f"complete LU ({report.ordering}, diagonal pivots)" if direct else "incomplete LU"
+                raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
+            continue
+        finally:
+            report.phases["preconditioner"] += time.perf_counter() - t0
+        report.factor_nnz = int(factor.nnz)
+        x = _iterate(matrix, rhs, factor, dtype, target, report)
+        del factor  # a float32 factor is freed before the float64 one is made
+        if x is not None and report.residual <= config.tolerance:
             break
-        # Convergence is judged on the true residual, which both drifts
-        # from the recursive one tracked inside the iteration and survives
-        # Krylov inner-product collapse (a strong preconditioner can break
-        # down right before convergence). Either way, restart from the
-        # current iterate while it keeps improving.
-        res = _relative_residual(matrix, rhs, x)
-        if res <= config.tolerance or res >= best:
-            break
-        best = res
-        x0 = x
-    report.phases["solve"] = time.perf_counter() - t0
-    report.residual = _relative_residual(matrix, rhs, x)
 
     if not np.all(np.isfinite(x)):
-        raise NonConvergenceError(
-            "BiCGSTAB broke down (singular or indefinite system?)",
-            residuals=report.residual_history,
-        )
+        raise NonConvergenceError("BiCGSTAB broke down (singular or indefinite system?)", report.residual_history)
     if report.residual > config.tolerance:
-        raise NonConvergenceError(
-            f"BiCGSTAB stalled at relative residual {report.residual:.3e} "
-            f"after {report.iterations} iterations (tolerance {config.tolerance:.1e})",
-            residuals=report.residual_history,
-        )
+        raise NonConvergenceError(f"BiCGSTAB stalled at relative residual {report.residual:.3e} after {report.iterations}"
+                                  f" iterations (tolerance {config.tolerance:.1e})", report.residual_history)
 
     if perm is not None:
         x[perm] = x.copy()  # unknown perm[k] was solved for at k

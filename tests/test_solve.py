@@ -1,4 +1,4 @@
-"""Linear solver: equilibration, nested-dissection ordering, preconditioned BiCGSTAB, direct fallback."""
+"""Linear solver: equilibration, nested-dissection ordering, BiCGSTAB on a float32 factor with float64 fallback."""
 
 import dataclasses
 import platform
@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 import mlsm2d.solve
 from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_case, grid_spacing_for, perturb_nodes
-from mlsm2d.cases.drilled import drilled_cantilever_case
+from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_cantilever_case, hole_refined_cloud
 from mlsm2d.elasticity import Material, SparseSystem, assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
@@ -23,6 +23,7 @@ from mlsm2d.solve import (
     LU_PANEL,
     ND,
     ND_LEAF,
+    SINGLE_GAIN,
     NonConvergenceError,
     SolverConfig,
     _dissection_order,
@@ -32,6 +33,7 @@ from mlsm2d.solve import (
     dissection_keys,
     solve,
 )
+from mlsm2d.timing import PhaseTimer
 
 
 def beam_system(n_target=400, n=9, sigma=0.0, levels=0):
@@ -44,6 +46,14 @@ def beam_system(n_target=400, n=9, sigma=0.0, levels=0):
     shapes = build_shape_set(nodes, build_supports(nodes, n))
     bcs = cantilever_bcs(nodes, params)
     return assemble(nodes, shapes, Material(params.E, params.nu), bcs)
+
+
+def drilled_system(refine_levels, relax_iterations):
+    """The default drilled beam's system at the given refinement and relaxation."""
+    params = DrilledBeamParams()
+    nodes = hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, refine_levels, relax_iterations)
+    shapes = build_shape_set(nodes, build_supports(nodes, 15))
+    return assemble(nodes, shapes, Material(params.E, params.nu, "plane-stress"), drilled_bcs(nodes, params))
 
 
 def diagonal_system(diag):
@@ -279,6 +289,85 @@ class TestBicgstab:
         assert report.residual <= 1e-12
 
 
+# Systems that the float32 factor cannot precondition: the coarse drilled
+# cloud solves after falling back, and the relaxed level-0 cloud (the CLI's
+# --refine-levels 0 --relax-iterations 5) stalls on both rungs.
+FALLBACK_SYSTEMS = pytest.mark.parametrize(
+    "make_system",
+    [lambda: drilled_cantilever_case(0.4).extras["assemble"](), lambda: drilled_system(0, 5)],
+    ids=["drilled-0.4", "drilled-stall"],
+)
+
+
+class TestSinglePrecision:
+    @staticmethod
+    def float64_only(monkeypatch):
+        """Makes splu raise on float32 input, as a failed float32 factorization would."""
+        splu = spla.splu
+
+        def spied(matrix, *args, **kwargs):
+            if matrix.dtype == np.float32:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spied)
+
+    def test_beam_solves_on_the_float32_factor(self):
+        system = beam_system()
+        config = SolverConfig()
+        (u, v), report = solve(system, config)
+        matrix, rhs = _equilibrate(system)
+        assert report.precision == "float32"
+        assert 0 < report.iterations == len(report.residual_history)
+        assert _relative_residual(matrix, rhs, np.concatenate([u, v])) <= config.tolerance
+
+    def test_failed_float32_factorization_falls_back(self, monkeypatch):
+        system = beam_system()
+        self.float64_only(monkeypatch)
+        (u, v), report = solve(system)
+        matrix, rhs = _equilibrate(system)
+        assert report.precision == "float64"
+        assert _relative_residual(matrix, rhs, np.concatenate([u, v])) <= SolverConfig().tolerance
+
+    @FALLBACK_SYSTEMS
+    def test_fallback_is_the_float64_solve_bit_for_bit(self, monkeypatch, make_system):
+        system = make_system()
+
+        def outcome():
+            try:
+                (u, v), report = solve(system)
+            except NonConvergenceError as exc:
+                return str(exc), exc.residuals
+            assert report.precision == "float64"
+            return u.tobytes(), v.tobytes(), report.residual, report.iterations, report.residual_history
+
+        fallen_back = outcome()
+        self.float64_only(monkeypatch)
+        assert fallen_back == outcome()
+
+    @FALLBACK_SYSTEMS
+    def test_abandoned_float32_attempt_stops_at_its_first_slow_iteration(self, monkeypatch, make_system):
+        # both residuals exceed 1e-1 after one iteration, which converging
+        # systems end below 6e-3
+        system = make_system()
+        iterate, attempts = sys.modules["mlsm2d.solve"]._iterate, []
+
+        def spied(matrix, rhs, factor, dtype, target, report):
+            x = iterate(matrix, rhs, factor, dtype, target, report)
+            attempts.append((dtype, x is None, list(report.residual_history)))
+            return x
+
+        monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_iterate", spied)
+        try:
+            solve(system)
+        except NonConvergenceError:
+            pass
+        (dtype, abandoned, history), *rest = attempts
+        assert dtype is np.float32 and abandoned
+        assert [d for d, _, _ in rest] == [np.float64]
+        assert len(history) == 1 and history[0] > 1 / SINGLE_GAIN
+
+
 class TestEquilibration:
     def test_rows_scaled_to_unit_max(self):
         system = beam_system()
@@ -329,10 +418,18 @@ class TestOneMatrixCopy:
         spy(spla, "bicgstab")
         spy(sys.modules["mlsm2d.solve"], "_relative_residual")
         solve(beam_system(n=n), SolverConfig(method=method))
-        matrices = [m for calls in seen.values() for m in calls]
         assert all(calls for calls in seen.values()), {name: len(calls) for name, calls in seen.items()}
-        assert all(m is matrices[0] for m in matrices)
-        assert matrices[0].format == "csc"
+        krylov = seen["bicgstab"] + seen["_relative_residual"]
+        assert all(m is krylov[0] for m in krylov)
+        assert krylov[0].format == "csc"
+        if factor == "spilu":
+            assert all(m is krylov[0] for m in seen[factor])
+        else:
+            # the float32 factor's input: float32 data on that matrix's own index arrays
+            (single,) = seen[factor]
+            assert single.format == "csc" and single.dtype == np.float32
+            assert np.shares_memory(single.indices, krylov[0].indices)
+            assert np.shares_memory(single.indptr, krylov[0].indptr)
 
 
 class TestAssembledMatrixFreedBeforeFactorization:
@@ -529,11 +626,13 @@ class TestNestedDissection:
         monkeypatch.setattr(spla, "splu", spied)
         (_, _), report = solve(system)
         assert report.ordering == ordering
-        assert len(calls) == 1
-        # fundamental supernodes exactly on the minimum-degree path; dissection keeps SuperLU's default
-        assert (calls[0].get("relax") == 1) == (ordering == "MMD_AT_PLUS_A")
-        # the narrow panel on both orderings
-        assert calls[0].get("panel_size") == LU_PANEL
+        # one factorization per precision tried: float32, then float64 where that falls back
+        assert len(calls) == {"float32": 1, "float64": 2}[report.precision]
+        for kwargs in calls:
+            # fundamental supernodes exactly on the minimum-degree path; dissection keeps SuperLU's default
+            assert (kwargs.get("relax") == 1) == (ordering == "MMD_AT_PLUS_A")
+            # the narrow panel on both orderings
+            assert kwargs.get("panel_size") == LU_PANEL
         # the phases solve ran, in run order; only dissection has an ordering phase
         assert list(report.phases) == (["ordering"] if ordering == ND else []) + ["preconditioner", "solve"]
         assert all(seconds > 0 for seconds in report.phases.values())
