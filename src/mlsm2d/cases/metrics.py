@@ -69,6 +69,7 @@ def solve_on_cloud(
         supports = build_supports(nodes, support_n)
     with timer.phase("shapes"):
         shapes = build_shape_set(nodes, supports, basis, weight)
+    del supports  # the shapes keep the indices; the distances are dead
 
     def assembled() -> SparseSystem:
         return assemble(nodes, shapes, material, make_bcs(nodes))

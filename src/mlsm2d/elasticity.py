@@ -144,8 +144,8 @@ def assemble(
     bcs.validate(nodes)
     N = nodes.n
     lam, mu = material.lam, material.mu
-    idx = shapes.support.indices
-    n = shapes.support.n
+    idx = shapes.support
+    n = idx.shape[1]
 
     interior = np.nonzero(nodes.interior_mask)[0]
     essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]

@@ -26,12 +26,8 @@ _TIE_EPS = 1e-9
 class SupportSet:
     """Stacked supports, one row per center node."""
 
-    indices: np.ndarray  # (M, n), each row starts with its center
+    indices: np.ndarray  # (M, n) int32, each row starts with its center
     distances: np.ndarray  # (M, n), nondecreasing along rows
-
-    @property
-    def n(self) -> int:
-        return self.indices.shape[1]
 
 
 def _lattice_k(n: int) -> int:
@@ -49,9 +45,9 @@ def _lattice_k(n: int) -> int:
 def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the n nearest points, ties by index.
 
-    points is an (M, 2) array; the result has shape (M, n), distances
-    nondecreasing along each row. Requires n >= 2 so that the near-neighbor
-    distance p_min is defined.
+    points is an (M, 2) array; the result has shape (M, n), indices in
+    int32, distances nondecreasing along each row. Requires n >= 2 so that
+    the near-neighbor distance p_min is defined.
     """
     N = tree.n
     if n < 2:
@@ -59,7 +55,7 @@ def knn(tree: cKDTree, points: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     if n > N:
         raise ValueError(f"support size {n} exceeds point count {N}")
     pts = np.asarray(points, dtype=float)
-    out_idx = np.empty((len(pts), n), dtype=np.intp)
+    out_idx = np.empty((len(pts), n), dtype=np.int32)
     out_dist = np.empty((len(pts), n))
 
     x, y = tree.data[:, 0], tree.data[:, 1]

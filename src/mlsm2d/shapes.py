@@ -251,9 +251,10 @@ class _Rows(Mapping):
 
 @dataclass(frozen=True)
 class ShapeSet:
-    """Stencil rows for every node, aligned with the SupportSet ordering.
+    """Stencil rows for every node, aligned with the SupportSet's indices.
 
-    rows[op] forms the physical rows of all nodes from key_rows, which
+    support holds those indices, not the SupportSet's distances. rows[op]
+    forms the physical rows of all nodes from key_rows, which
     holds one row per distinct local geometry. ranks holds the truncated
     SVD rank per node; ambiguous[op][i] is True when node i's rank-deficient
     support leaves the op stencil dependent on the minimum-norm completion.
@@ -261,12 +262,12 @@ class ShapeSet:
     consumers must call require() on the operators they actually read.
     """
 
-    support: SupportSet
+    support: np.ndarray  # (N, n) int32 node indices, each row starting with its center
     key_rows: dict[str, np.ndarray]  # op -> (n_keys, n), in local units
-    key: np.ndarray  # (N,) each node's row of key_rows
+    key: np.ndarray  # (N,) int32, each node's row of key_rows
     p_min: np.ndarray  # (N,) each node's local length unit
     basis: BasisSpec
-    ranks: np.ndarray  # (N,)
+    ranks: np.ndarray  # (N,) int32
     ambiguous: dict[str, np.ndarray]  # op -> (N,) bool
 
     @property
@@ -280,7 +281,7 @@ class ShapeSet:
 
     @property
     def n_nodes(self) -> int:
-        return self.support.indices.shape[0]
+        return self.support.shape[0]
 
     def require(self, op: str, node_indices: np.ndarray | None = None) -> None:
         """Raise unless op stencils are well determined at the given nodes.
@@ -299,13 +300,13 @@ class ShapeSet:
             f"rank-{int(self.ranks[i])} support does not determine the {op} "
             f"stencil at node {i}",
             node=i,
-            support=self.support.indices[i],
+            support=self.support[i],
         )
 
     def apply(self, op: str, values: np.ndarray) -> np.ndarray:
         """Apply the operator stencils to a nodal field, all nodes at once."""
         values = np.asarray(values)
-        return np.einsum("ij,ij->i", self.rows[op], values[self.support.indices])
+        return np.einsum("ij,ij->i", self.rows[op], values[self.support])
 
 
 def build_shape_set(
@@ -345,4 +346,5 @@ def build_shape_set(
         lambda lo, hi: _stencils(q[first[lo:hi]], u[first[lo:hi]], basis, OPS), len(first)
     )
     ambiguous = {op: mask[inv] for op, mask in ambiguous.items()}
-    return ShapeSet(supports, rows, inv, p_min, basis, ranks[inv], ambiguous)
+    inv = inv.astype(np.int32)
+    return ShapeSet(idx, rows, inv, p_min, basis, ranks.astype(np.int32)[inv], ambiguous)

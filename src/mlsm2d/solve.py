@@ -55,8 +55,12 @@ One CSC copy of D A (of D P A P^T under nested dissection) serves the
 factors, the BiCGSTAB products and every residual, and solve drops the
 system it was given once that copy is made. Before the first
 factorization, solve returns the heap that assembly, ordering and scaling
-freed to the OS (glibc's malloc_trim, where the C library has it), as the
-factor would otherwise peak on top of it (62 MB on the 1e5-node cantilever).
+freed to the OS (glibc's malloc_trim), as the factor would otherwise peak
+on top of it (62 MB on the 1e5-node cantilever). It then pins glibc's
+mmap threshold, which those frees had raised, to MMAP_THRESHOLD (mallopt),
+so each block that SuperLU frees is unmapped at once instead of staying
+in a grown heap (hertz's heap grew by 15 MB in splu). Both calls are
+skipped where the C library lacks them.
 """
 from __future__ import annotations
 
@@ -100,11 +104,21 @@ LU_PANEL = 4
 
 SINGLE_GAIN = 10.0  # least residual fall per float32 iteration (see the module docstring)
 
-try:  # glibc's malloc_trim (see the module docstring)
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):  # none in musl or macOS; no CDLL(None) on Windows
-    _malloc_trim = None
+M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 128 * 1024  # glibc's mallopt parameter and solve's pin
+
+
+def _libc(name: str, argtypes: list, restype: type):
+    """The C library's function of that name through ctypes, or None where it has none."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):  # none in musl or macOS; no CDLL(None) on Windows
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+_malloc_trim = _libc("malloc_trim", [ctypes.c_size_t], ctypes.c_int)
+_mallopt = _libc("mallopt", [ctypes.c_int, ctypes.c_int], ctypes.c_int)
 
 
 @dataclass(frozen=True)
@@ -203,10 +217,11 @@ def _node_graph(system: SparseSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def _dissection_order(system: SparseSystem) -> np.ndarray | None:
     """Unknown order [u_k, v_k] by nested dissection, or None where minimum degree is kept."""
-    row_nnz = np.diff(system.matrix.tocsr().indptr)
-    if system.positions is None or row_nnz.max(initial=0) > 2 * ND_MAX_SUPPORT:
+    A = system.matrix.tocsr()
+    if system.positions is None or np.diff(A.indptr).max(initial=0) > 2 * ND_MAX_SUPPORT:
         return None
     order = np.argsort(dissection_keys(system.positions, *_node_graph(system)), kind="stable")
+    order = order.astype(A.indices.dtype)  # int32 unless the matrix's entries need int64
     return np.stack([order, order + system.n_nodes], axis=1).ravel()
 
 
@@ -301,6 +316,8 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
     del system  # neither the given nor a permuted system outlives its scaled copy
     if _malloc_trim is not None:
         _malloc_trim(0)
+    if _mallopt is not None:
+        _mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     report.phases["preconditioner"] = time.perf_counter() - t0
     direct = config.method == "direct"
     report.ordering = ("MMD_AT_PLUS_A" if perm is None else ND) if direct else "COLAMD"

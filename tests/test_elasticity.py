@@ -193,8 +193,8 @@ def coo_assemble(nodes, shapes, material, bcs):
     """Reference assembly: COO triples per stencil block, converted to CSR with duplicates summed."""
     N = nodes.n
     lam, mu = material.lam, material.mu
-    idx = shapes.support.indices
-    n = shapes.support.n
+    idx = shapes.support
+    n = idx.shape[1]
     interior = np.nonzero(nodes.interior_mask)[0]
     essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]
     traction = np.nonzero(bcs.kind == BC_TRACTION)[0]
@@ -276,7 +276,7 @@ class TestAssemblyMatchesCOO:
         # every row kind is written
         assert nodes.interior_mask.any() and (bcs.kind == BC_ESSENTIAL).any() and (bcs.kind == BC_TRACTION).any()
         # the CSR is written in place, which needs each support to list distinct nodes
-        idx = np.sort(shapes.support.indices, axis=1)
+        idx = np.sort(shapes.support, axis=1)
         assert np.all(idx[:, 1:] != idx[:, :-1])
         system = assemble(nodes, shapes, material, bcs)
         matrix, rhs = coo_assemble(nodes, shapes, material, bcs)

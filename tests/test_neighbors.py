@@ -25,6 +25,7 @@ def brute_force_knn(positions, p, n):
 
 def assert_supports_match_brute_force(positions, n):
     sup = build_supports(positions, n)
+    assert sup.indices.dtype == np.int32
     for i, p in enumerate(positions):
         idx, dist = brute_force_knn(positions, p, n)
         np.testing.assert_array_equal(sup.indices[i], idx)

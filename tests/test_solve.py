@@ -465,6 +465,25 @@ class TestAssembledMatrixFreedBeforeFactorization:
         assert alive == [[False]]
         assert "system" not in result.extras
 
+    def test_no_support_distances_live_when_the_factorization_starts(self, monkeypatch):
+        metrics = sys.modules["mlsm2d.cases.metrics"]
+        supports_fn, factor_fn = metrics.build_supports, spla.splu
+        refs, alive = [], []
+
+        def tracked(*args, **kw):
+            supports = supports_fn(*args, **kw)
+            refs.append(weakref.ref(supports.distances))
+            return supports
+
+        def spied(matrix, *args, **kw):
+            alive.append([ref() is not None for ref in refs])
+            return factor_fn(matrix, *args, **kw)
+
+        monkeypatch.setattr(metrics, "build_supports", tracked)
+        monkeypatch.setattr(spla, "splu", spied)
+        cantilever_case(n_target=400)
+        assert alive == [[False]]
+
 
 class TestHeapReturnedBeforeFactorization:
     @pytest.mark.parametrize(
@@ -498,6 +517,10 @@ class TestHeapReturnedBeforeFactorization:
             events.append(("trim", pad, [ref() is not None for ref in refs]))
             return 0
 
+        def pin(param, value):
+            events.append(("pin", param, value))
+            return 1
+
         def spied(matrix, *args, **kw):
             events.append((factor,))
             return factor_fn(matrix, *args, **kw)
@@ -505,11 +528,13 @@ class TestHeapReturnedBeforeFactorization:
         monkeypatch.setattr(metrics, "assemble", tracked)
         monkeypatch.setattr(solve_module, "_equilibrate", scaled)
         monkeypatch.setattr(solve_module, "_malloc_trim", trim)
+        monkeypatch.setattr(solve_module, "_mallopt", pin)
         monkeypatch.setattr(spla, factor, spied)
         result = cantilever_case(n_target=400, solver=SolverConfig(method=method), **kwargs)
         assert result.solve_report.ordering == ordering
-        # after the scaled copy, with no assembled matrix alive, and before the factor
-        assert events == [("scaled",), ("trim", 0, [False]), (factor,)]
+        # after the scaled copy, with no assembled matrix alive, then the
+        # mmap threshold pinned to 128 KiB, and both before the factor
+        assert events == [("scaled",), ("trim", 0, [False]), ("pin", -3, 131072), (factor,)]
 
     @pytest.mark.parametrize(
         "method, make_system",
@@ -524,6 +549,7 @@ class TestHeapReturnedBeforeFactorization:
         system = make_system()
         (u, v), _ = solve(system, SolverConfig(method=method))
         monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_malloc_trim", None)
+        monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_mallopt", None)
         (u_n, v_n), _ = solve(system, SolverConfig(method=method))
         assert u.tobytes() == u_n.tobytes()
         assert v.tobytes() == v_n.tobytes()
@@ -531,6 +557,10 @@ class TestHeapReturnedBeforeFactorization:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is a glibc function")
     def test_found_in_glibc(self):
         assert sys.modules["mlsm2d.solve"]._malloc_trim is not None
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is a glibc function")
+    def test_mallopt_found_in_glibc(self):
+        assert sys.modules["mlsm2d.solve"]._mallopt is not None
 
 
 def lattice_graph(nx, ny):
