@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..elasticity import BoundaryConditions, Material
 from ..nodes import NodeSet, Rect, build_rectangle_grid
@@ -38,7 +39,7 @@ class BeamParams:
     load: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.height <= 0:
+        if not (self.length > 0 and self.height > 0):
             raise ValueError("beam dimensions must be positive")
 
     @property
@@ -105,7 +106,7 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
 
 def check_perturbation(sigma: float) -> None:
     """Raise ValueError unless sigma is a perturbation scale perturb_nodes takes."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
 
 
@@ -119,7 +120,8 @@ def perturb_nodes(nodes: NodeSet, sigma: float, seed: int = 0) -> NodeSet:
     rng = np.random.default_rng(seed)
     positions = nodes.positions.copy()
     interior = np.nonzero(nodes.interior_mask)[0]
-    shift = sigma * rng.uniform(0.0, 1.0, size=(interior.size, 2)) * nodes.spacing[interior, None]
+    d, _ = cKDTree(positions).query(positions[interior], k=2)
+    shift = sigma * rng.uniform(0.0, 1.0, size=(interior.size, 2)) * d[:, 1:]
     positions[interior] += shift
     out = nodes.replace(positions=positions)
     out.finalize()

@@ -58,11 +58,11 @@ class HertzParams:
     half_size: float | None = None  # None: 1000 contact half-widths
 
     def __post_init__(self) -> None:
-        if self.load <= 0:
+        if not self.load > 0:
             raise ValueError(f"load must be positive, got {self.load}")
-        if self.E1 <= 0 or self.E2 <= 0:
+        if not (self.E1 > 0 and self.E2 > 0):
             raise ValueError("moduli must be positive")
-        if self.R1 <= 0 or self.R2 <= 0:
+        if not (self.R1 > 0 and self.R2 > 0):
             raise ValueError("radii must be positive")
 
 
@@ -187,7 +187,7 @@ def hertz_case(
         raise ValueError(f"nx must be at least 3, got {nx}")
     geom = hertz_geometry(params)
     H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
-    if H <= geom.half_width:
+    if not H > geom.half_width:
         raise ValueError(f"domain half-size {H} must exceed the contact half-width {geom.half_width}")
 
     timer = PhaseTimer()

@@ -35,7 +35,7 @@ class Material:
     formulation: str = "plane-stress"
 
     def __post_init__(self) -> None:
-        if self.E <= 0:
+        if not self.E > 0:
             raise ValueError(f"Young's modulus must be positive, got {self.E}")
         if not -1.0 < self.nu < 0.5:
             raise ValueError(f"Poisson ratio must lie in (-1, 0.5), got {self.nu}")

@@ -9,7 +9,7 @@ downstream (supports, stencils, assembly) works on the arrays stored here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,7 +60,7 @@ class Circle:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
     @property
@@ -130,7 +130,7 @@ class DomainShape:
         return c[rows, best], np.stack(normals, axis=1)[rows, best]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSet:
     """Flat arrays describing one point-cloud discretization.
 
@@ -138,13 +138,11 @@ class NodeSet:
     normals   : (N, 2) float, outward unit normal of each boundary node and a
                 zero row for each interior node: a node is a boundary node
                 iff its normal row is nonzero
-    spacing   : (N,) float, distance to the nearest other node, set by finalize
     """
 
     positions: np.ndarray
     normals: np.ndarray
     domain: DomainShape
-    spacing: np.ndarray | None = field(default=None, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -162,17 +160,15 @@ class NodeSet:
         return replace(self, **kwargs)
 
     def finalize(self) -> None:
-        """Set spacing to each node's nearest-neighbor distance; raise ValueError on a broken invariant."""
+        """Raise ValueError on a broken invariant of the cloud."""
         N = self.n
         if N < 2:
-            raise ValueError("spacing undefined for fewer than 2 nodes")
+            raise ValueError("a cloud needs at least 2 nodes")
         if self.normals.shape != (N, 2):
             raise ValueError("inconsistent array shapes in NodeSet")
         # Checked before the tree, which rejects non-finite data with its own message.
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("non-finite node positions")
-        d, _ = cKDTree(self.positions).query(self.positions, k=2, workers=-1)
-        self.spacing = d[:, 1].copy()
 
         tol = BOUNDARY_TOL * self.domain.rect.diagonal
         sd = self.domain.signed_distance(self.positions)
@@ -187,7 +183,7 @@ class NodeSet:
         if not np.all(np.abs(nrm - 1.0) <= 1e-12):
             raise ValueError("boundary normal not unit length")
 
-        if np.min(self.spacing) <= 1e-12 * self.domain.rect.diagonal:
+        if cKDTree(self.positions).query_pairs(1e-12 * self.domain.rect.diagonal, output_type="ndarray").size:
             raise ValueError("coincident nodes")
 
     def to_csv(self, path, xy=None) -> None:
@@ -218,7 +214,7 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
 
 def _grid(rect: Rect, h: float) -> NodeSet:
     """build_rectangle_grid's nodes, not yet finalized."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"spacing must be positive, got {h}")
     if h > rect.width or h > rect.height:
         raise ValueError(f"spacing {h} exceeds a rectangle side of {rect}")

@@ -52,7 +52,7 @@ def refine_levels(nodes: NodeSet, regions: list[RefineRegion]) -> NodeSet:
     for pass_no in range(1, max_level + 1):
         active = [r.rect for r in regions if r.level >= pass_no]
         out = _refine_pass(out, active)
-    if out is not nodes:  # some pass added nodes: refresh spacing and check the cloud
+    if out is not nodes:  # some pass added nodes: check the cloud
         out.finalize()
     return out
 

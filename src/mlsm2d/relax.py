@@ -57,7 +57,8 @@ def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
 
     Returns a new NodeSet; the input is left untouched. Interior nodes that
     would step outside the domain are clamped to sit just inside the
-    boundary crossing. Each sweep builds one kd-tree, then queries it and
+    boundary crossing, by _ESCAPE_MARGIN of their nearest-neighbor distance
+    in the input cloud. Each sweep builds one kd-tree, then queries it and
     computes the offsets with the rows split between two threads by
     parallel._split_rows.
     """
@@ -69,6 +70,7 @@ def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
         return nodes.replace(positions=positions)
 
     k = min(NEIGHBORS + 1, nodes.n)
+    spacing = cKDTree(positions).query(positions[interior], k=2)[0][:, 1]
     for _ in range(iterations):
         tree = cKDTree(positions)
         start = positions[interior]
@@ -83,8 +85,7 @@ def relax(nodes: NodeSet, iterations: int = ITERATIONS) -> NodeSet:
         sd = nodes.domain.signed_distance(proposed)
         escaped = np.nonzero(sd >= 0.0)[0]
         if escaped.size:
-            i = interior[escaped]
-            proposed[escaped] = _clamp_step(nodes.domain, positions[i], offsets[escaped], nodes.spacing[i])
+            proposed[escaped] = _clamp_step(nodes.domain, start[escaped], offsets[escaped], spacing[escaped])
         positions[interior] = proposed
 
     out = nodes.replace(positions=positions)

@@ -79,7 +79,7 @@ class WeightSpec:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError(f"weight sigma must be positive, got {self.sigma}")
 
 
@@ -98,7 +98,7 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("monomial-9", "gaussian-9"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError(f"basis sigma must be positive, got {self.sigma}")
         if self.kind == "monomial-9" and self.sigma != BasisSpec.sigma:
             raise ValueError("basis sigma is read only by gaussian-9")

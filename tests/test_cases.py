@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import (
     BeamParams,
@@ -39,7 +40,7 @@ from mlsm2d.cases.hertz import (
 from mlsm2d.cases.metrics import error_einf
 from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
-from mlsm2d.refine import RefineRegion, refine_levels
+from mlsm2d.refine import RefineRegion, refine_levels, refine_once
 from mlsm2d.relax import relax
 from mlsm2d.solve import ND, SolverConfig
 from mlsm2d.timing import PhaseTimer, TimingReport
@@ -238,6 +239,19 @@ class TestPerturbNodes:
         assert np.all(moves <= sigma * 0.25 + 1e-12)
         assert np.abs(moves[nodes.interior_mask]).max() > 0.0
 
+    def test_shift_scales_with_the_nearest_neighbor_distance(self):
+        # brute-force distances over every pair, on each kind of cloud
+        drilled = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
+        refined = refine_once(drilled, Rect(1.2, 2.8, 0.2, 1.8))
+        for nodes in (build_rectangle_grid(Rect(0, 2, 0, 1), 0.25), drilled, refined, relax(refined, 2)):
+            d = np.hypot(*(nodes.positions[:, None, :] - nodes.positions[None, :, :]).T)
+            np.fill_diagonal(d, np.inf)
+            interior = nodes.interior_mask
+            draws = np.random.default_rng(5).uniform(0.0, 1.0, size=(interior.sum(), 2))
+            expected = nodes.positions[interior] + 0.3 * draws * d.min(axis=0)[interior, None]
+            out = perturb_nodes(nodes, 0.3, seed=5)
+            np.testing.assert_allclose(out.positions[interior], expected, rtol=1e-14)
+
     def test_boundary_fixed_and_seed_reproducible(self):
         nodes = build_rectangle_grid(Rect(0, 2, 0, 1), 0.25)
         a = perturb_nodes(nodes, 0.2, seed=3)
@@ -280,9 +294,10 @@ class TestCantileverCase:
         assert result.errors["e_inf_sigma"] < 0.2
         assert result.solve_report.residual <= 1e-10
 
-    def test_negative_perturbation_is_rejected(self):
+    @pytest.mark.parametrize("sigma", [-0.3, np.nan])
+    def test_negative_perturbation_is_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be nonnegative"):
-            cantilever_case(n_target=500, perturb_sigma=-0.3)
+            cantilever_case(n_target=500, perturb_sigma=sigma)
 
     def test_all_essential_mode_is_more_accurate(self):
         free = cantilever_case(n_target=1000)
@@ -382,6 +397,15 @@ class TestHertzAnalytic:
         assert geom.e_star == pytest.approx(72.1e9 / (2 * (1 - 0.33**2)), rel=1e-12)
         assert geom.half_width == pytest.approx(0.13e-3, rel=0.02)
         assert geom.peak_pressure == pytest.approx(2.6e6, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("load", "load must be positive"), ("E1", "moduli must be positive"), ("R2", "radii must be positive")],
+    )
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_invalid_params_rejected(self, field, message, value):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            HertzParams(**{field: value})
 
     def test_flat_partner_keeps_the_cylinder_radius(self):
         geom = hertz_geometry(HertzParams())
@@ -519,7 +543,7 @@ class TestDrilledCase:
         ring_gaps = [
             abs(np.hypot(peak[0] - c.cx, peak[1] - c.cy) - c.radius) for c in params.holes
         ]
-        spacing_at_peak = nodes.spacing[int(default_run.extras["peak_vm_node"])]
+        spacing_at_peak = cKDTree(nodes.positions).query(peak, k=2)[0][1]
         assert min(ring_gaps) <= 1.5 * spacing_at_peak
 
     def test_holes_soften_the_beam(self, default_run):
@@ -540,9 +564,10 @@ class TestDrilledBeamParams:
         assert params.rect == BeamParams().rect
         assert len(DrilledBeamParams().holes) == 3
 
-    def test_dimensions_are_checked_like_the_beam(self):
-        with pytest.raises(ValueError, match="positive"):
-            DrilledBeamParams(height=0.0)
+    @pytest.mark.parametrize("height", [0.0, np.nan])
+    def test_dimensions_are_checked_like_the_beam(self, height):
+        with pytest.raises(ValueError, match="^beam dimensions must be positive$"):
+            DrilledBeamParams(height=height)
 
 
 class TestHoleRefinedCloud:

@@ -137,35 +137,45 @@ class TestExitCodes:
             (["--case", "cantilever", "--nx", 2], "exceeds a rectangle side"),
             (["--case", "cantilever", "--nx", 1], "nx must be at least 2, got 1"),
             (["--case", "cantilever", "--sigma-w", -1], "weight sigma must be positive, got -1.0"),
+            (["--case", "cantilever", "--sigma-w", "nan"], "weight sigma must be positive, got nan"),
             (["--case", "cantilever", "--basis", "g9", "--sigma-b", -1], "basis sigma must be positive, got -1.0"),
+            (["--case", "cantilever", "--basis", "g9", "--sigma-b", "nan"], "basis sigma must be positive, got nan"),
             (["--case", "cantilever", "--tol", 1.5], "tolerance must be in (0, 1), got 1.5"),
             (["--case", "cantilever", "--tol", 0], "tolerance must be in (0, 1), got 0.0"),
             (["--case", "cantilever", "--spacing", -1], "spacing must be positive, got -1.0"),
+            (["--case", "cantilever", "--spacing", "nan"], "spacing must be positive, got nan"),
             (["--case", "cantilever", "--n-target", 3], "need at least 4 nodes, got 3"),
             (["--case", "cantilever", "--perturb-sigma", -0.1], "sigma must be nonnegative, got -0.1"),
+            (["--case", "cantilever", "--perturb-sigma", "nan"], "sigma must be nonnegative, got nan"),
             (["--case", "cantilever", "--sweep-n", "500,2"], "need at least 4 nodes, got 2"),
             (["--case", "cantilever", "--sweep-sigma", "0,-1"], "sigma must be nonnegative, got -1.0"),
+            (["--case", "cantilever", "--sweep-sigma", "0,nan"], "sigma must be nonnegative, got nan"),
             (["--case", "hertz", "--refine-levels", 11], f"{LEVELS} 11 and 2"),
             (["--case", "hertz", "--refine-levels", -1], f"{LEVELS} -1 and 2"),
             (["--case", "hertz", "--secondary-levels", 3], f"{LEVELS} 10 and 3"),
             (["--case", "hertz", "--hertz-h", -1], "domain half-size -1.0 must exceed the contact half-width"),
+            (["--case", "hertz", "--hertz-h", "nan"], "domain half-size nan must exceed the contact half-width"),
             (["--case", "hertz", "--sweep-refine", "0,11"], f"{LEVELS} 11 and 2"),
             (["--case", "hertz", "--sweep-refine", "0,-1"], f"{LEVELS} -1 and 2"),
             (["--case", "drilled-beam", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
             (["--case", "drilled-beam", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
             (["--case", "drilled-beam", "--spacing", 0], "spacing must be positive, got 0.0"),
+            (["--case", "drilled-beam", "--sigma-w", "nan"], "weight sigma must be positive, got nan"),
             (["--case", "refine-demo", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
             (["--case", "refine-demo", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
             (["--case", "refine-demo", "--spacing", 0], "spacing must be positive, got 0.0"),
         ],
         ids=[
             "hertz-nx", "cantilever-spacing", "cantilever-nx",
-            "cantilever-nx-1", "cantilever-sigma-w", "cantilever-sigma-b", "cantilever-tol-1.5", "cantilever-tol-0",
-            "cantilever-negative-spacing", "cantilever-n-target", "cantilever-perturb-sigma",
-            "cantilever-sweep-n", "cantilever-sweep-sigma",
-            "hertz-refine-levels-11", "hertz-refine-levels--1", "hertz-secondary-levels", "hertz-h",
+            "cantilever-nx-1", "cantilever-sigma-w", "cantilever-sigma-w-nan",
+            "cantilever-sigma-b", "cantilever-sigma-b-nan", "cantilever-tol-1.5", "cantilever-tol-0",
+            "cantilever-negative-spacing", "cantilever-nan-spacing", "cantilever-n-target",
+            "cantilever-perturb-sigma", "cantilever-perturb-sigma-nan",
+            "cantilever-sweep-n", "cantilever-sweep-sigma", "cantilever-sweep-sigma-nan",
+            "hertz-refine-levels-11", "hertz-refine-levels--1", "hertz-secondary-levels", "hertz-h", "hertz-h-nan",
             "hertz-sweep-refine-11", "hertz-sweep-refine--1",
             "drilled-beam-refine-levels", "drilled-beam-relax-iterations", "drilled-beam-spacing",
+            "drilled-beam-sigma-w-nan",
             "refine-demo-refine-levels", "refine-demo-relax-iterations", "refine-demo-spacing",
         ],
     )
@@ -207,8 +217,9 @@ class TestExitCodes:
             (["--case", "hertz", "--secondary-levels", 3, "--sweep-refine", "1,2"], f"{LEVELS} 1 and 3"),
             (["--case", "cantilever", "--sweep-n", "500,2"], "need at least 4 nodes, got 2"),
             (["--case", "cantilever", "--n-target", 20000, "--sweep-sigma", "0.1,-1"], "sigma must be nonnegative, got -1.0"),
+            (["--case", "cantilever", "--n", 13, "--sweep-sigma", "0.1,nan"], "sigma must be nonnegative, got nan"),
         ],
-        ids=["refine", "refine-secondary", "n", "sigma"],
+        ids=["refine", "refine-secondary", "n", "sigma", "sigma-nan"],
     )
     def test_bad_sweep_entry_stops_before_any_run(self, tmp_path, capsys, case_calls, args, message):
         # each entry meets its owner's check before the first run, not when its own run starts

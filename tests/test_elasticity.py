@@ -56,6 +56,7 @@ class TestLameParameters:
         "args, message",
         [
             ((0.0, 0.3), "Young's modulus must be positive, got 0.0"),
+            ((float("nan"), 0.3), "Young's modulus must be positive, got nan"),
             ((1.0, 0.5), "Poisson ratio must lie in (-1, 0.5), got 0.5"),
             ((1.0, 0.3, "plane"), "unknown formulation 'plane'"),
         ],
@@ -169,8 +170,8 @@ class TestAssembly:
         normals = np.zeros((m, 2))
         normals[0] = (-1.0, 0.0)
         normals[m - 1] = (1.0, 0.0)
-        # not a valid domain cloud, so spacing is set here instead of by finalize
-        nodes = grid.replace(positions=positions, normals=normals, spacing=np.full(m, 0.25))
+        # not a valid domain cloud, so it is never finalized
+        nodes = grid.replace(positions=positions, normals=normals)
         shapes = build_shape_set(nodes, build_supports(nodes, 9))
         mat = Material(E=1.0, nu=0.3)
         bcs = BoundaryConditions.empty(m)

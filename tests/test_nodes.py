@@ -1,5 +1,6 @@
 """Point-cloud construction and domain geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,11 @@ class TestDomainShape:
         assert sd[2] == pytest.approx(0.0, abs=1e-12)
         assert sd[3] > 0
         assert sd[4] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.2, np.nan])
+    def test_circle_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="^circle radius must be positive"):
+            Circle(0.5, 0.5, radius)
 
     def test_contains(self):
         domain = DomainShape(UNIT_SQUARE, (Circle(0.5, 0.5, 0.2),))
@@ -145,9 +151,9 @@ class TestRectangleGrid:
         corner = np.nonzero((nodes.positions == [1.0, 1.0]).all(axis=1))[0][0]
         assert np.allclose(nodes.normals[corner], [1 / math.sqrt(2)] * 2)
 
-    @pytest.mark.parametrize("h", [0.0, -0.5, 2.0])
+    @pytest.mark.parametrize("h", [0.0, -0.5, 2.0, np.nan])
     def test_bad_spacing_rejected(self, h):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^spacing "):
             build_rectangle_grid(UNIT_SQUARE, h)
 
 
@@ -198,7 +204,6 @@ class TestDrilledDomain:
         monkeypatch.setattr(NodeSet, "finalize", counted)
         nodes = build_drilled_domain(Rect(-2.0, 2.0, -2.0, 2.0), (Circle(0.0, 0.0, 1.0),), 0.25)
         assert finalized == [nodes.n]
-        assert nodes.spacing is not None
 
 
 class TestNodeSet:
@@ -239,12 +244,25 @@ class TestNodeSet:
         np.testing.assert_array_equal(nodes.boundary_mask, nonzero)
         np.testing.assert_array_equal(nodes.interior_mask, ~nonzero)
 
-    def test_coincident_nodes_rejected(self):
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-12])
+    def test_coincident_nodes_rejected(self, gap):
+        # two interior nodes within 1e-12 of the diagonal are one node
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
         positions = nodes.positions.copy()
-        positions[7] = positions[6]  # two interior nodes
+        positions[7] = positions[6] + (gap * UNIT_SQUARE.diagonal, 0.0)
         with pytest.raises(ValueError, match="coincident"):
             nodes.replace(positions=positions).finalize()
+
+    def test_close_but_distinct_nodes_pass(self):
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.25)
+        positions = nodes.positions.copy()
+        positions[7] = positions[6] + (2e-12 * UNIT_SQUARE.diagonal, 0.0)
+        nodes.replace(positions=positions).finalize()
+
+    def test_fields_cannot_be_assigned(self):
+        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nodes.positions = nodes.positions + 1.0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_finalize_names_non_finite_positions(self, value):
@@ -254,37 +272,6 @@ class TestNodeSet:
         positions[6, 1] = value
         with pytest.raises(ValueError, match="^non-finite node positions$"):
             nodes.replace(positions=positions).finalize()
-
-    def test_finalize_sets_nearest_neighbor_spacing(self):
-        nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)
-        assert np.allclose(nodes.spacing, 0.5)
-        positions = nodes.positions.copy()
-        positions[4] += 0.1  # the center node, toward the top-right corner
-        moved = nodes.replace(positions=positions)
-        moved.finalize()
-        d = np.hypot(*(positions[:, None, :] - positions[None, :, :]).T)
-        np.fill_diagonal(d, np.inf)
-        np.testing.assert_allclose(moved.spacing, d.min(axis=0), rtol=1e-14)
-
-    def test_every_cloud_builder_leaves_nearest_neighbor_spacing(self):
-        # Spacing is derived only by finalize, which each builder ends with.
-        from mlsm2d.cases.beam import perturb_nodes
-        from mlsm2d.refine import refine_once
-        from mlsm2d.relax import relax
-
-        drilled = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
-        refined = refine_once(drilled, Rect(1.2, 2.8, 0.2, 1.8))
-        clouds = [
-            build_rectangle_grid(Rect(0, 2, 0, 1), 0.25),
-            drilled,
-            refined,
-            relax(refined, 2),
-            perturb_nodes(drilled, 0.3, seed=5),
-        ]
-        for nodes in clouds:
-            d = np.hypot(*(nodes.positions[:, None, :] - nodes.positions[None, :, :]).T)
-            np.fill_diagonal(d, np.inf)
-            np.testing.assert_allclose(nodes.spacing, d.min(axis=0), rtol=1e-14)
 
     def test_csv_round_trip_layout(self, tmp_path):
         nodes = build_rectangle_grid(UNIT_SQUARE, 0.5)

@@ -135,8 +135,6 @@ class TestRefineLevels:
         assert out.n > nodes.n
         np.testing.assert_array_equal(out.positions, chained.positions)
         np.testing.assert_array_equal(out.normals, chained.normals)
-        d, _ = cKDTree(out.positions).query(out.positions, k=2)
-        np.testing.assert_array_equal(out.spacing, d[:, 1])
 
     def test_nested_regions_refine_deepest_last(self):
         h = 0.25

@@ -98,28 +98,33 @@ class TestRelax:
         interior = out.positions[out.interior_mask]
         assert np.all(out.domain.signed_distance(interior) < 0.0)
 
-    def test_escaping_step_is_clamped_inside(self, monkeypatch):
+    @pytest.mark.parametrize("finalized", [True, False], ids=["finalized", "replaced"])
+    def test_escaping_step_is_clamped_inside(self, monkeypatch, finalized):
         # (0.125, 0.001) sits 0.04 below (0.125, 0.041), which pushes it
         # through the bottom edge in one sweep; the clamp stops it a margin
-        # of 1e-3 of its spacing inside.
+        # of 1e-3 of its spacing inside. The spacing is the relaxed cloud's
+        # own, whether or not it was finalized.
         grid = build_rectangle_grid(Rect(0, 1, 0, 1), 0.25)
         extra = np.array([[0.125, 0.001], [0.125, 0.041]])
         nodes = grid.replace(
             positions=np.vstack([grid.positions, extra]),
             normals=np.vstack([grid.normals, np.zeros((2, 2))]),
         )
-        nodes.finalize()
-        clamped = []
+        if finalized:
+            nodes.finalize()
+        clamped, spacings = [], []
         clamp = relax_module._clamp_step
 
         def spy(domain, start, offset, spacing):
             out = clamp(domain, start, offset, spacing)
             clamped.append(out)
+            spacings.append(spacing)
             return out
 
         monkeypatch.setattr(relax_module, "_clamp_step", spy)
         out = relax(nodes, 1)
         assert len(clamped) == 1 and clamped[0].shape == (1, 2)
+        assert spacings[0] == pytest.approx([0.04], rel=1e-12)
         np.testing.assert_array_equal(out.positions[-2], clamped[0][0])
         assert out.positions[-2, 0] == pytest.approx(0.125, abs=1e-12)
         assert out.positions[-2, 1] == pytest.approx(1e-3 * 0.04, rel=1e-6)
