@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -104,6 +105,17 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
     return bcs
 
 
+def cantilever_measure(params: BeamParams, nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
+    x, y = nodes.positions[:, 0], nodes.positions[:, 1]
+    u_ref, v_ref = timoshenko_displacement(x, y, params)
+    sxx, syy, sxy = timoshenko_stress(x, y, params)
+    errors = {
+        "e_inf_u": error_einf((u, v), (u_ref, v_ref)),
+        "e_inf_sigma": error_einf((stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy)),
+    }
+    return errors, {}
+
+
 def check_perturbation(sigma: float) -> None:
     """Raise ValueError unless sigma is a perturbation scale perturb_nodes takes."""
     if not sigma >= 0:
@@ -170,22 +182,12 @@ def cantilever_case(
         if perturb_sigma != 0.0:
             nodes = perturb_nodes(nodes, perturb_sigma, seed)
 
-    def measure(nodes, u, v, stress):
-        x, y = nodes.positions[:, 0], nodes.positions[:, 1]
-        u_ref, v_ref = timoshenko_displacement(x, y, params)
-        sxx, syy, sxy = timoshenko_stress(x, y, params)
-        errors = {
-            "e_inf_u": error_einf((u, v), (u_ref, v_ref)),
-            "e_inf_sigma": error_einf((stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy)),
-        }
-        return errors, {}
-
     return solve_on_cloud(
         timer,
         nodes,
         Material(params.E, params.nu, "plane-stress"),
         lambda nodes: cantilever_bcs(nodes, params, all_essential),
-        measure,
+        partial(cantilever_measure, params),
         basis=basis,
         support_n=support_n,
         weight=weight,

@@ -5,8 +5,8 @@ comparison against the solid-beam reference and the location of the von
 Mises maximum, which should sit on a hole boundary where the stress
 concentrates. Node positioning (optional refinement around the holes plus
 relaxation) exercises the irregular-cloud pipeline end to end; it is
-`hole_refined_cloud`, which `refine_demo` runs alone on a square with one
-hole.
+`hole_refined_cloud`, which builds the cloud of any drilled rectangle
+without solving.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from ..nodes import Circle, NodeSet, Rect, build_drilled_domain
 from ..relax import ITERATIONS, relax
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
-from ..timing import PhaseTimer, TimingReport
+from ..timing import PhaseTimer
 from .beam import BeamParams
 from .metrics import CaseResult, solve_on_cloud
 
@@ -46,6 +46,15 @@ def drilled_bcs(nodes: NodeSet, params: DrilledBeamParams) -> BoundaryConditions
     bcs.set_essential(bnd[clamped], (0.0, 0.0))
     bcs.set_traction(bnd[~clamped], traction[~clamped])
     return bcs
+
+
+def drilled_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
+    """Deflection of the node nearest the loaded end's midpoint, and the von Mises peak."""
+    tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))
+    vm = stress.von_mises
+    peak = int(np.argmax(vm))
+    extras = {"tip_node": tip, "peak_vm_node": peak, "peak_vm": float(vm[peak])}
+    return {"tip_deflection": float(v[tip])}, extras
 
 
 def _hole_box(hole: Circle, rect: Rect, margin: float) -> Rect:
@@ -95,20 +104,6 @@ def hole_refined_cloud(
     return nodes
 
 
-# The refine-demo domain: a square with one hole in the middle.
-DEMO_RECT = Rect(0.0, 10.0, 0.0, 10.0)
-DEMO_HOLES = (Circle(5.0, 5.0, 1.0),)
-
-
-def refine_demo(
-    spacing: float = 0.5, *, refine_levels: int = 4, relax_iterations: int = ITERATIONS
-) -> tuple[NodeSet, TimingReport]:
-    """The drilled case's node positioning alone, on the demo square; nothing is solved."""
-    timer = PhaseTimer()
-    nodes = hole_refined_cloud(timer, DEMO_RECT, DEMO_HOLES, spacing, refine_levels, relax_iterations)
-    return nodes, timer.report()
-
-
 def drilled_cantilever_case(
     spacing: float = 0.25,
     *,
@@ -131,20 +126,12 @@ def drilled_cantilever_case(
     """
     timer = PhaseTimer()
     nodes = hole_refined_cloud(timer, params.rect, params.holes, spacing, refine_levels, relax_iterations)
-
-    def measure(nodes, u, v, stress):
-        tip = int(np.argmin(np.hypot(nodes.positions[:, 0] - 0.0, nodes.positions[:, 1])))
-        vm = stress.von_mises
-        peak = int(np.argmax(vm))
-        extras = {"tip_node": tip, "peak_vm_node": peak, "peak_vm": float(vm[peak])}
-        return {"tip_deflection": float(v[tip])}, extras
-
     return solve_on_cloud(
         timer,
         nodes,
         Material(params.E, params.nu, "plane-stress"),
         lambda nodes: drilled_bcs(nodes, params),
-        measure,
+        drilled_measure,
         basis=basis,
         support_n=support_n,
         weight=weight,

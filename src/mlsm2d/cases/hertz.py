@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .. import refine
 from ..elasticity import BoundaryConditions, Material
-from ..nodes import Rect, build_rectangle_grid
+from ..nodes import NodeSet, Rect, build_rectangle_grid
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
@@ -60,8 +61,8 @@ class HertzParams:
     def __post_init__(self) -> None:
         if not self.load > 0:
             raise ValueError(f"load must be positive, got {self.load}")
-        if not (self.E1 > 0 and self.E2 > 0):
-            raise ValueError("moduli must be positive")
+        Material(self.E1, self.nu1)
+        Material(self.E2, self.nu2)
         if not (self.R1 > 0 and self.R2 > 0):
             raise ValueError("radii must be positive")
 
@@ -164,6 +165,39 @@ def hertz_bcs(nodes, pressure_fn) -> BoundaryConditions:
     return bcs
 
 
+def hertz_measure(geom: HertzGeometry, nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
+    x, y = nodes.positions[:, 0], nodes.positions[:, 1]
+    sxx, syy, sxy = hertz_stress(x, y, geom.half_width, geom.peak_pressure)
+    errors = {
+        "e_inf_sigma": error_einf(
+            (stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=geom.peak_pressure
+        )
+    }
+    return errors, {"geometry": geom}
+
+
+def hertz_cloud(
+    timer: PhaseTimer, params: HertzParams = HertzParams(), *, nx: int = 69,
+    refine_levels: int = len(PRIMARY_FACTORS), secondary_levels: int = len(SECONDARY_FACTORS),
+) -> NodeSet:
+    """The contact cloud, timed as the domain and refinement phases of timer.
+
+    A coarse nx-point grid on [-H, H] x [-H, 0] (H = params.half_size, or 1000
+    contact half-widths) refined by `refinement_schedule`: about 3e4 nodes.
+    """
+    if nx < 3:
+        raise ValueError(f"nx must be at least 3, got {nx}")
+    geom = hertz_geometry(params)
+    H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
+    if not H > geom.half_width:
+        raise ValueError(f"domain half-size {H} must exceed the contact half-width {geom.half_width}")
+    with timer.phase("domain"):
+        nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / (nx - 1))
+    with timer.phase("refinement"):
+        regions = refinement_schedule(geom.half_width, refine_levels, secondary_levels)
+        return refine.refine_levels(nodes, regions)
+
+
 def hertz_case(
     params: HertzParams = HertzParams(),
     *,
@@ -175,45 +209,16 @@ def hertz_case(
     weight: WeightSpec = WeightSpec(),
     solver: SolverConfig = SolverConfig(),
 ) -> CaseResult:
-    """Solve the contact benchmark on a refined half-plane square.
-
-    The defaults are a desk-scale budget of roughly 3e4 nodes: a coarse
-    69-point base grid refined toward the contact by the refine_levels
-    leading PRIMARY_FACTORS (all ten) and toward its edges by the
-    secondary_levels leading SECONDARY_FACTORS (both). support_n = 15
-    keeps the refinement-interface supports full rank.
-    """
-    if nx < 3:
-        raise ValueError(f"nx must be at least 3, got {nx}")
-    geom = hertz_geometry(params)
-    H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
-    if not H > geom.half_width:
-        raise ValueError(f"domain half-size {H} must exceed the contact half-width {geom.half_width}")
-
+    """Solve the contact benchmark on `hertz_cloud`; 15-node supports keep the refinement interfaces full rank."""
     timer = PhaseTimer()
-    with timer.phase("domain"):
-        rect = Rect(-H, H, -H, 0.0)
-        nodes = build_rectangle_grid(rect, 2.0 * H / (nx - 1))
-    with timer.phase("refinement"):
-        regions = refinement_schedule(geom.half_width, refine_levels, secondary_levels)
-        nodes = refine.refine_levels(nodes, regions)
-
-    def measure(nodes, u, v, stress):
-        x, y = nodes.positions[:, 0], nodes.positions[:, 1]
-        sxx, syy, sxy = hertz_stress(x, y, geom.half_width, geom.peak_pressure)
-        errors = {
-            "e_inf_sigma": error_einf(
-                (stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=geom.peak_pressure
-            )
-        }
-        return errors, {"geometry": geom}
-
+    nodes = hertz_cloud(timer, params, nx=nx, refine_levels=refine_levels, secondary_levels=secondary_levels)
+    geom = hertz_geometry(params)
     return solve_on_cloud(
         timer,
         nodes,
         Material(params.E1, params.nu1, "plane-stress"),
         lambda nodes: hertz_bcs(nodes, lambda xx: hertz_pressure(xx, geom.half_width, geom.peak_pressure)),
-        measure,
+        partial(hertz_measure, geom),
         basis=basis,
         support_n=support_n,
         weight=weight,

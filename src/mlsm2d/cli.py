@@ -37,7 +37,6 @@ CASE_FUNCTIONS = {
     "cantilever": (beam, "cantilever_case"),
     "drilled-beam": (drilled, "drilled_cantilever_case"),
     "hertz": (hertz, "hertz_case"),
-    "refine-demo": (drilled, "refine_demo"),
 }
 CASES = tuple(CASE_FUNCTIONS)
 BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
@@ -60,7 +59,6 @@ CASE_FLAGS = {
     "cantilever": _SOLVE_FLAGS + ("nx", "spacing", "n_target", "perturb_sigma", "seed", "sweep_n", "sweep_sigma"),
     "drilled-beam": _SOLVE_FLAGS + ("spacing", "refine_levels", "relax_iterations"),
     "hertz": _SOLVE_FLAGS + ("nx", "hertz_h", "refine_levels", "secondary_levels", "sweep_refine"),
-    "refine-demo": ("spacing", "refine_levels", "relax_iterations"),
 }
 
 
@@ -224,13 +222,6 @@ def run(config: argparse.Namespace) -> None:
         elif sweep == "sweep_refine":  # its bounds do not depend on the half-width
             hertz.refinement_schedule(1.0, value, **_user_values(secondary_levels=config.secondary_levels))
     outdir = Path(config.out if config.out is not None else os.environ.get(OUT_ENV, "mlsm2d-out"))
-    if config.case == "refine-demo":
-        nodes, timings = case_fn(**kwargs)
-        outdir.mkdir(parents=True, exist_ok=True)
-        nodes.to_csv(outdir / "nodes.csv")
-        timings.to_csv(outdir / "timing.csv")
-        return
-
     sweep_rows: list[dict] = []
     for overrides in runs:
         result = case_fn(**{**kwargs, **overrides})

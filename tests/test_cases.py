@@ -17,14 +17,11 @@ from mlsm2d.cases.beam import (
     timoshenko_stress,
 )
 from mlsm2d.cases.drilled import (
-    DEMO_HOLES,
-    DEMO_RECT,
     DrilledBeamParams,
     _hole_box,
     drilled_bcs,
     drilled_cantilever_case,
     hole_refined_cloud,
-    refine_demo,
 )
 from mlsm2d.cases.hertz import (
     PRIMARY_FACTORS,
@@ -32,6 +29,7 @@ from mlsm2d.cases.hertz import (
     HertzParams,
     hertz_bcs,
     hertz_case,
+    hertz_cloud,
     hertz_geometry,
     hertz_pressure,
     hertz_stress,
@@ -400,11 +398,23 @@ class TestHertzAnalytic:
 
     @pytest.mark.parametrize(
         "field, message",
-        [("load", "load must be positive"), ("E1", "moduli must be positive"), ("R2", "radii must be positive")],
+        [
+            ("load", "load must be positive"),
+            ("E1", "Young's modulus must be positive"),
+            ("R2", "radii must be positive"),
+            ("E2", "Young's modulus must be positive"),
+        ],
     )
     @pytest.mark.parametrize("value", [0.0, np.nan])
     def test_invalid_params_rejected(self, field, message, value):
         with pytest.raises(ValueError, match=f"^{message}"):
+            HertzParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["nu1", "nu2"])
+    @pytest.mark.parametrize("value", [np.nan, 0.7])
+    def test_poisson_ratio_outside_the_material_bounds_rejected(self, field, value):
+        # Material owns the bound, so the ratio fails here and not later as a half-width
+        with pytest.raises(ValueError, match=r"^Poisson ratio must lie in \(-1, 0\.5\)"):
             HertzParams(**{field: value})
 
     def test_flat_partner_keeps_the_cylinder_radius(self):
@@ -490,6 +500,16 @@ class TestRefinementSchedule:
 def test_level_counts_outside_the_schedule_are_rejected(levels):
     with pytest.raises(ValueError, match=r"refine_levels must be in \[0, 10\] and secondary_levels in \[0, 2\]"):
         hertz_case(**levels)
+
+
+@pytest.fixture(scope="module")
+def hertz_l4_run():
+    return hertz_case(refine_levels=4)
+
+
+def test_hertz_case_solves_on_hertz_cloud(hertz_l4_run):
+    nodes = hertz_cloud(PhaseTimer(), refine_levels=4)
+    assert hertz_l4_run.nodes.positions.tobytes() == nodes.positions.tobytes()
 
 
 class TestTruncatedSchedules:
@@ -604,12 +624,6 @@ class TestHoleRefinedCloud:
         assert nodes.positions.tobytes() == expected.positions.tobytes()
         assert list(timer.report().phases) == ["domain", "refinement", "relaxation"]
 
-    def test_refine_demo_positions_the_demo_square(self):
-        nodes, timings = refine_demo(1.0, refine_levels=2, relax_iterations=3)
-        expected = hole_refined_cloud(PhaseTimer(), DEMO_RECT, DEMO_HOLES, 1.0, 2, 3)
-        assert nodes.positions.tobytes() == expected.positions.tobytes()
-        assert list(timings.phases) == ["domain", "refinement", "relaxation"]
-
 
 class TestTimingReport:
     def test_validate_rejects_negative_phase(self):
@@ -658,16 +672,21 @@ class TestCaseTimings:
                 "drilled",
                 ["domain", "refinement", "relaxation", "supports", "shapes", "assembly", "preconditioner", "solve", "postprocess"],
             ),
-            ("refine-demo", ["domain", "refinement", "relaxation"]),
+            ("hertz-cloud", ["domain", "refinement"]),
         ],
-        ids=["cantilever", "hertz", "drilled", "refine-demo"],
+        ids=["cantilever", "hertz", "drilled", "hertz-cloud"],
     )
     def test_phases_in_run_order(self, request, case, phases):
+        def cloud_timings():
+            timer = PhaseTimer()
+            hertz_cloud(timer)
+            return timer.report()
+
         timings = {
             "cantilever": lambda: cantilever_case(n_target=2000).timings,
-            "hertz": lambda: hertz_case(refine_levels=4).timings,
+            "hertz": lambda: request.getfixturevalue("hertz_l4_run").timings,
             "drilled": lambda: request.getfixturevalue("default_run").timings,
-            "refine-demo": lambda: refine_demo()[1],
+            "hertz-cloud": cloud_timings,
         }[case]()
         assert list(timings.phases) == phases
 

@@ -161,9 +161,6 @@ class TestExitCodes:
             (["--case", "drilled-beam", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
             (["--case", "drilled-beam", "--spacing", 0], "spacing must be positive, got 0.0"),
             (["--case", "drilled-beam", "--sigma-w", "nan"], "weight sigma must be positive, got nan"),
-            (["--case", "refine-demo", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
-            (["--case", "refine-demo", "--relax-iterations", -1], "iterations must be nonnegative, got -1"),
-            (["--case", "refine-demo", "--spacing", 0], "spacing must be positive, got 0.0"),
         ],
         ids=[
             "hertz-nx", "cantilever-spacing", "cantilever-nx",
@@ -176,7 +173,6 @@ class TestExitCodes:
             "hertz-sweep-refine-11", "hertz-sweep-refine--1",
             "drilled-beam-refine-levels", "drilled-beam-relax-iterations", "drilled-beam-spacing",
             "drilled-beam-sigma-w-nan",
-            "refine-demo-refine-levels", "refine-demo-relax-iterations", "refine-demo-spacing",
         ],
     )
     def test_value_the_case_rejects_is_a_config_error(self, tmp_path, capsys, args, message):
@@ -191,7 +187,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args", [["--case", "cantilever", "--nx", 31], ["--case", "refine-demo", "--spacing", 1]], ids=["cantilever", "refine-demo"]
+        "args", [["--case", "cantilever", "--nx", 31]], ids=["cantilever"]
     )
     def test_output_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys, args):
         # --out names a regular file, so making the directory after the run raises OSError
@@ -425,22 +421,6 @@ class TestArtifacts:
         dumped = (tmp_path / "matrix.txt").read_bytes()
         assert dumped.count(b"\n") == system.nnz
         assert dumped == (tmp_path / "independent.txt").read_bytes()
-
-    def test_refine_demo_emits_nodes_only(self, tmp_path):
-        rc = run_cli(
-            [
-                "--case", "refine-demo",
-                "--spacing", 1.0,
-                "--refine-levels", 2,
-                "--relax-iterations", 5,
-                "--out", tmp_path,
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "nodes.csv").exists()
-        timing = (tmp_path / "timing.csv").read_text().splitlines()
-        assert [line.split(",")[0] for line in timing] == ["phase", "domain", "refinement", "relaxation", "total"]
-        assert not (tmp_path / "fields.csv").exists()
 
     def test_sweep_rows_follow_the_requested_sizes(self, tmp_path):
         rc = run_cli(

@@ -1,0 +1,104 @@
+"""Answers that do not depend on node numbering (ROADMAP item 16).
+
+Each cloud comes from a library builder. It is solved as built and under two
+fixed random permutations of its nodes; mapped back to the built numbering,
+the solutions must agree to 1e-8 of max|u| and of max|sigma|. The check
+needs no exact solution, so the drilled beam, which has none, takes it too.
+"""
+from functools import partial
+
+import numpy as np
+import pytest
+
+from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_measure
+from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_measure, hole_refined_cloud
+from mlsm2d.cases.hertz import HertzParams, hertz_bcs, hertz_cloud, hertz_geometry, hertz_measure, hertz_pressure
+from mlsm2d.cases.metrics import solve_on_cloud
+from mlsm2d.elasticity import Material
+from mlsm2d.nodes import build_rectangle_grid
+from mlsm2d.shapes import BasisSpec, WeightSpec
+from mlsm2d.solve import SolverConfig
+from mlsm2d.timing import PhaseTimer
+
+TOLERANCE = 1e-8
+PERMUTATION_SEEDS = (1, 2)
+
+
+def cantilever_problem(spacing=BeamParams().length / 59, support_n=9):
+    """A grid on the beam, by default the CLI's: 60 nodes along it, 9-node supports."""
+    params = BeamParams()
+    nodes = build_rectangle_grid(params.rect, spacing)
+    bcs = partial(cantilever_bcs, params=params)
+    return nodes, Material(params.E, params.nu), bcs, partial(cantilever_measure, params), support_n
+
+
+def drilled_problem():
+    """The drilled case's default cloud: spacing 0.25, one refinement level, relaxed."""
+    params = DrilledBeamParams()
+    nodes = hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, 1)
+    return nodes, Material(params.E, params.nu), partial(drilled_bcs, params=params), drilled_measure, 15
+
+
+def hertz_problem():
+    """The default Hertz schedule cut to 8 primary levels, 15-node supports."""
+    params = HertzParams()
+    geom = hertz_geometry(params)
+    nodes = hertz_cloud(PhaseTimer(), params, refine_levels=8)
+    pressure = partial(hertz_pressure, half_width=geom.half_width, peak=geom.peak_pressure)
+    bcs = partial(hertz_bcs, pressure_fn=pressure)
+    return nodes, Material(params.E1, params.nu1), bcs, partial(hertz_measure, geom), 15
+
+
+def solved(nodes, material, bcs, measure, support_n):
+    return solve_on_cloud(
+        PhaseTimer(),
+        nodes,
+        material,
+        bcs,
+        measure,
+        basis=BasisSpec(),
+        support_n=support_n,
+        weight=WeightSpec(),
+        solver=SolverConfig(),
+    )
+
+
+def fields(result):
+    return np.stack([result.u, result.v]), np.stack([result.stress.sxx, result.stress.syy, result.stress.sxy])
+
+
+def one_sided(moved):
+    return pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15: knn breaks distance ties by node index, so a support that"
+        f" cuts a distance shell keeps the lower-numbered part of it; renumbering moved {moved}",
+    )
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        cantilever_problem,
+        pytest.param(
+            partial(cantilever_problem, 0.25, 9), marks=one_sided("u by 0.046-0.059 and sigma by 0.066-0.083")
+        ),
+        pytest.param(
+            partial(cantilever_problem, 0.25, 15), marks=one_sided("u by 0.018 and sigma by 0.046-0.047")
+        ),
+        pytest.param(drilled_problem, marks=one_sided("u by 0.0078-0.0086 and sigma by 0.0085")),
+        pytest.param(hertz_problem, marks=one_sided("u by 0.12-0.14 and sigma by 0.15-0.30")),
+    ],
+    ids=["cantilever", "grid-h0.25-n9", "grid-h0.25-n15", "drilled", "hertz-L8"],
+)
+def test_renumbered_cloud_gives_the_same_solution(problem):
+    nodes, *setup = problem()
+    u, sigma = fields(solved(nodes, *setup))
+    for seed in PERMUTATION_SEEDS:
+        order = np.random.default_rng(seed).permutation(nodes.n)
+        renumbered = nodes.replace(positions=nodes.positions[order], normals=nodes.normals[order])
+        u_new, sigma_new = fields(solved(renumbered, *setup))
+        # node i of the renumbered cloud is node order[i] of the built one
+        u_back, sigma_back = np.empty_like(u), np.empty_like(sigma)
+        u_back[:, order], sigma_back[:, order] = u_new, sigma_new
+        assert np.max(np.abs(u_back - u)) <= TOLERANCE * np.max(np.abs(u))
+        assert np.max(np.abs(sigma_back - sigma)) <= TOLERANCE * np.max(np.abs(sigma))

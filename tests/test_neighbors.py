@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import perturb_nodes
 from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
-from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
+from mlsm2d.cases.hertz import hertz_cloud
 from mlsm2d.neighbors import _lattice_k, build_supports, knn
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -96,14 +96,6 @@ def test_supports_on_a_refined_cloud_match_brute_force(n):
     assert_supports_match_brute_force(nodes.positions, n)
 
 
-def default_hertz_cloud():
-    """hertz_case's default cloud: the 69-point base grid and the full schedule."""
-    geom = hertz_geometry()
-    H = 1000.0 * geom.half_width
-    nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
-    return refine_levels(nodes, refinement_schedule(geom.half_width))
-
-
 @pytest.fixture(scope="module", params=["grid", "drilled", "hertz"])
 def case_cloud(request):
     if request.param == "grid":
@@ -111,7 +103,7 @@ def case_cloud(request):
     if request.param == "drilled":
         params = DrilledBeamParams()
         return hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, 1)
-    return default_hertz_cloud()
+    return hertz_cloud(PhaseTimer())
 
 
 @pytest.mark.parametrize("n, n_wide", [(9, 13), (15, 21)])
