@@ -118,10 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--refine-levels", type=int)
     ap.add_argument("--secondary-levels", type=int, help="hertz edge-refinement levels")
     ap.add_argument("--relax-iterations", type=int)
-    ap.add_argument("--perturb-sigma", type=float)
+    ap.add_argument("--perturb-sigma", type=float, help="scale of the random shift of each interior cantilever node, in units of its nearest-neighbor distance; needs --n 11 or more, since at --n 9 and 10 a boundary support is rank 8 and the run exits 3")
     ap.add_argument("--hertz-h", type=float, help="contact domain half-size in meters")
     ap.add_argument("--sweep-n", type=_int_list, help="comma-separated node counts")
-    ap.add_argument("--sweep-sigma", type=_float_list, help="comma-separated perturbation sigmas")
+    ap.add_argument("--sweep-sigma", type=_float_list, help="comma-separated perturbation sigmas; needs --n 11 or more, as --perturb-sigma does")
     ap.add_argument("--sweep-refine", type=_int_list, help="comma-separated hertz refine levels")
     ap.add_argument("--vtk", action="store_true", default=None)
     ap.add_argument("--dump-matrix", action="store_true", default=None)

@@ -1,23 +1,22 @@
-"""Row-independent batches split between the calling thread and one worker.
+"""Row-independent batches computed in bounded chunks on two threads.
 
 numpy's batched SVD and matmul and cKDTree.query release the GIL, so a
 batch whose rows are computed independently runs on two cores when the
-calling thread computes its first half while a persistent worker thread
-computes the second. Each row goes through the same arithmetic either
-way, so the joined result is bit-identical to one call over the batch.
+calling thread and a persistent worker thread take its row ranges from
+one shared queue. Each row goes through the same arithmetic either way,
+so the joined result is bit-identical to one call over the batch.
 """
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-# Rows per call on the worker: its thread has a malloc arena of its own,
-# which grows with the temporaries of one call and keeps what it took.
+# Rows per call, on either thread and inline: each thread's malloc arena
+# grows with the temporaries of one call, so this bounds the batch's peak.
 _CHUNK = 256
-# Smaller batches run inline, where a handover would cost more than it saves.
-_MIN_ROWS = 2 * _CHUNK
 
 # The worker; its thread starts on the first split and then stays.
 _worker = ThreadPoolExecutor(1)
@@ -38,24 +37,35 @@ def _cpus() -> int:
 
 
 def _split_rows(fn, n: int):
-    """fn(0, n), computed as fn over row ranges on two threads.
+    """fn(0, n), computed as fn over _CHUNK-row ranges on two threads.
 
     fn(lo, hi) returns an array, or a tuple or dict of arrays, whose rows
     are rows lo to hi - 1 of the batch; the parts are joined in row order.
-    Runs fn(0, n) inline on a single CPU or for a batch below _MIN_ROWS.
-    The calling thread computes the first half and the worker the second,
-    _CHUNK rows per call.
+    The calling thread and the worker take ranges from one shared queue
+    until it is empty, and once a call raises no range is handed out. The
+    calling thread takes them all on a single CPU or for a single range.
     """
-    if n < _MIN_ROWS or _cpus() < 2:
-        return fn(0, n)
-    half = n // 2
-    tail = _worker.submit(lambda: [fn(lo, min(lo + _CHUNK, n)) for lo in range(half, n, _CHUNK)])
+    ranges = range(0, n, _CHUNK)
+    # next() on a range iterator holds the GIL, so each start goes to one thread.
+    starts, parts = iter(ranges), [None] * len(ranges)
+
+    def take() -> None:
+        try:
+            for lo in starts:
+                parts[lo // _CHUNK] = fn(lo, min(lo + _CHUNK, n))
+        except BaseException:
+            deque(starts, maxlen=0)
+            raise
+
+    helpers = [_worker.submit(take)] if n > _CHUNK and _cpus() > 1 else []
     try:
-        head = fn(0, half)
+        take()
     finally:
         # Never return, or raise, while the worker still runs on the batch.
-        wait([tail])
-    return _join([head, *tail.result()])
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return _join(parts)
 
 
 def _join(parts: list):

@@ -70,6 +70,14 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, rc", [(9, 3), (11, 0)])
+    def test_perturbed_cantilever_needs_11_node_supports(self, tmp_path, capsys, n, rc):
+        # The bound that --perturb-sigma's help states, on the default 60-node grid.
+        assert run_cli(["--case", "cantilever", "--perturb-sigma", 0.1, "--n", n, "--out", tmp_path]) == rc
+        if rc:
+            expected = "numerical failure: rank-8 support does not determine the dx stencil at node 1"
+            assert expected in capsys.readouterr().err
+
     def test_solver_breakdown_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mlsm2d.solve.spla, "bicgstab", lambda matrix, rhs, **kwargs: (np.full_like(rhs, np.nan), 0))
         assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path]) == 3

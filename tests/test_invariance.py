@@ -1,14 +1,17 @@
-"""Answers that do not depend on node numbering (ROADMAP item 16).
+"""Answers that do not depend on node numbering or handedness (ROADMAP item 16).
 
 Each cloud comes from a library builder. It is solved as built and under two
 fixed random permutations of its nodes; mapped back to the built numbering,
 the solutions must agree to 1e-8 of max|u| and of max|sigma|. The check
 needs no exact solution, so the drilled beam, which has none, takes it too.
+The Hertz cloud is its own mirror image under x -> -x, and so must its
+as-built solution be: u odd in x, v even, sxx and syy even, sxy odd.
 """
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_measure
 from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_measure, hole_refined_cloud
@@ -67,6 +70,13 @@ def fields(result):
     return np.stack([result.u, result.v]), np.stack([result.stress.sxx, result.stress.syy, result.stress.sxy])
 
 
+@cache
+def as_built(problem):
+    """A problem's cloud, its setup and its fields solved on the cloud as built, once per module run."""
+    nodes, *setup = problem()
+    return nodes, setup, fields(solved(nodes, *setup))
+
+
 def one_sided(moved):
     return pytest.mark.xfail(
         strict=True,
@@ -91,8 +101,7 @@ def one_sided(moved):
     ids=["cantilever", "grid-h0.25-n9", "grid-h0.25-n15", "drilled", "hertz-L8"],
 )
 def test_renumbered_cloud_gives_the_same_solution(problem):
-    nodes, *setup = problem()
-    u, sigma = fields(solved(nodes, *setup))
+    nodes, setup, (u, sigma) = as_built(problem)
     for seed in PERMUTATION_SEEDS:
         order = np.random.default_rng(seed).permutation(nodes.n)
         renumbered = nodes.replace(positions=nodes.positions[order], normals=nodes.normals[order])
@@ -102,3 +111,32 @@ def test_renumbered_cloud_gives_the_same_solution(problem):
         u_back[:, order], sigma_back[:, order] = u_new, sigma_new
         assert np.max(np.abs(u_back - u)) <= TOLERANCE * np.max(np.abs(u))
         assert np.max(np.abs(sigma_back - sigma)) <= TOLERANCE * np.max(np.abs(sigma))
+
+
+def mirror_image(nodes):
+    """The distance from each node's image under x -> -x to the nearest node, and that node."""
+    return cKDTree(nodes.positions).query(nodes.positions * [-1.0, 1.0])
+
+
+def test_hertz_cloud_is_its_own_mirror_image():
+    nodes, _, _ = as_built(hertz_problem)
+    distance, image = mirror_image(nodes)
+    assert np.max(distance) <= 1e-12 * nodes.domain.rect.diagonal
+    np.testing.assert_array_equal(np.sort(image), np.arange(nodes.n))
+    assert np.max(np.abs(nodes.normals[image] - nodes.normals * [-1.0, 1.0])) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15: knn breaks distance ties by node index, so mirror-image supports keep"
+    " different parts of a cut distance shell; |u(x) + u(-x)| reaches 1.37 of max|u|, |v(x) - v(-x)|"
+    " 0.094 of max|v|, and the stress parts up to 0.015 of max|sigma|",
+)
+def test_hertz_solution_is_mirror_symmetric():
+    nodes, _, (u, sigma) = as_built(hertz_problem)
+    _, image = mirror_image(nodes)
+    stress_scale = np.max(np.abs(sigma))
+    checks = [(u[0], -1, np.max(np.abs(u[0]))), (u[1], 1, np.max(np.abs(u[1])))]
+    checks += [(component, parity, stress_scale) for component, parity in zip(sigma, (1, 1, -1))]
+    for field, parity, scale in checks:
+        assert np.max(np.abs(field - parity * field[image])) <= TOLERANCE * scale

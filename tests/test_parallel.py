@@ -1,14 +1,18 @@
-"""Row batches split between the calling thread and the persistent worker.
+"""Row batches computed in chunks by the calling thread and the persistent worker.
 
 The split must be invisible in the results: the stencils of
 build_shape_set and the positions of relax are compared byte for byte
-between a run forced inline (one CPU) and a run forced to split into
-small, ragged chunks. Errors raised on the worker's half surface as on
-one thread, and a forked child builds its own worker.
+between a run on the calling thread alone (one CPU) and a run forced to
+split into small, ragged chunks. Every call sees at most one chunk, the
+parts join in row order whichever thread ends last, an error surfaces
+only once the worker has stopped and ends the queue, and a forked child
+builds its own worker.
 """
 
 import multiprocessing
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,10 +29,9 @@ from mlsm2d.timing import PhaseTimer
 
 
 def force(monkeypatch, split: bool) -> None:
-    """Run every batch inline, or split every batch of two rows or more in chunks of 97."""
+    """Run every batch on the calling thread, or split every batch in shared chunks of 97."""
     monkeypatch.setattr(parallel, "_cpus", lambda: 2 if split else 1)
     if split:
-        monkeypatch.setattr(parallel, "_MIN_ROWS", 2)
         monkeypatch.setattr(parallel, "_CHUNK", 97)
 
 
@@ -53,49 +56,108 @@ def shape_bytes(nodes, n):
 
 
 class TestSplitRows:
-    def test_rows_ranges_threads_and_join(self, monkeypatch):
-        force(monkeypatch, split=True)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_calls_are_bounded_chunks_joined_in_row_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(parallel, "_cpus", lambda: cpus)
+        n, chunk = 10_000, parallel._CHUNK
         calls = []
 
         def fn(lo, hi):
-            calls.append((lo, hi, threading.get_ident()))
+            calls.append((lo, hi))
             rows = np.arange(lo, hi, dtype=float)
             return {"a": rows[:, None] * [1.0, 2.0]}, rows.astype(int)
 
-        joined, ints = parallel._split_rows(fn, 500)
-        np.testing.assert_array_equal(joined["a"], np.arange(500.0)[:, None] * [1.0, 2.0])
-        np.testing.assert_array_equal(ints, np.arange(500))
-        main = threading.get_ident()
-        assert [c[:2] for c in calls if c[2] == main] == [(0, 250)]
-        worker = sorted(c[:2] for c in calls if c[2] != main)
-        assert worker == [(250, 347), (347, 444), (444, 500)]
+        joined, ints = parallel._split_rows(fn, n)
+        np.testing.assert_array_equal(joined["a"], np.arange(float(n))[:, None] * [1.0, 2.0])
+        np.testing.assert_array_equal(ints, np.arange(n))
+        assert sorted(calls) == [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
-    @pytest.mark.parametrize("cpus, n", [(1, 10_000), (2, parallel._MIN_ROWS - 1)])
-    def test_one_cpu_or_a_small_batch_runs_inline(self, monkeypatch, cpus, n):
+    @pytest.mark.parametrize("cpus, n", [(1, 10_000), (2, parallel._CHUNK)])
+    def test_one_cpu_or_one_chunk_stays_on_the_calling_thread(self, monkeypatch, cpus, n):
         monkeypatch.setattr(parallel, "_cpus", lambda: cpus)
-        calls = []
+        monkeypatch.setattr(parallel, "_worker", None)  # a handover would raise
+        threads = set()
 
         def fn(lo, hi):
-            calls.append((lo, hi, threading.get_ident()))
+            threads.add(threading.get_ident())
             return np.zeros(hi - lo)
 
-        out = parallel._split_rows(fn, n)
-        assert calls == [(0, n, threading.get_ident())]
-        assert out.shape == (n,)
+        assert parallel._split_rows(fn, n).shape == (n,)
+        assert threads == {threading.get_ident()}
 
-    def test_error_in_the_first_half_waits_for_the_worker(self, monkeypatch):
+    def test_both_threads_take_chunks(self, monkeypatch):
         force(monkeypatch, split=True)
-        done = []
+        caller, worker_took = threading.get_ident(), threading.Event()
 
         def fn(lo, hi):
-            if lo == 0:
-                raise KeyError("head")
-            done.append(hi)
+            if threading.get_ident() == caller:
+                assert worker_took.wait(timeout=10)
+            else:
+                worker_took.set()
+            return np.arange(lo, hi)
+
+        np.testing.assert_array_equal(parallel._split_rows(fn, 20 * 97), np.arange(20 * 97))
+
+    @pytest.mark.parametrize("slow", ["caller", "worker"])
+    def test_parts_join_in_row_order_when_chunks_end_out_of_order(self, monkeypatch, slow):
+        force(monkeypatch, split=True)
+        caller, finished = threading.get_ident(), []
+        slow_started, fast_ahead = threading.Event(), threading.Event()
+
+        def fn(lo, hi):
+            if (threading.get_ident() == caller) == (slow == "caller"):
+                slow_started.set()
+                assert fast_ahead.wait(timeout=10)
+            else:
+                assert slow_started.wait(timeout=10)
+            finished.append(lo)
+            if len(finished) >= 2:
+                fast_ahead.set()
+            return np.arange(lo, hi)
+
+        np.testing.assert_array_equal(parallel._split_rows(fn, 10 * 97), np.arange(10 * 97))
+        assert sorted(finished) == list(range(0, 10 * 97, 97))
+        assert finished != sorted(finished)
+
+    def test_each_range_goes_to_one_call_under_frequent_switches(self, monkeypatch):
+        force(monkeypatch, split=True)
+        monkeypatch.setattr(parallel, "_CHUNK", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                starts = []
+
+                def fn(lo, hi):
+                    starts.append(lo)
+                    return np.arange(lo, hi)
+
+                np.testing.assert_array_equal(parallel._split_rows(fn, 500), np.arange(500))
+                assert sorted(starts) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_an_error_surfaces_after_the_worker_stops_and_ends_the_queue(self, monkeypatch, failing):
+        force(monkeypatch, split=True)
+        caller, events = threading.get_ident(), []
+        other_started = threading.Event()
+
+        def fn(lo, hi):
+            on_caller = threading.get_ident() == caller
+            events.append("start")
+            if on_caller == (failing == "caller"):
+                assert other_started.wait(timeout=10)
+                events.append("raise")
+                raise KeyError(failing)
+            other_started.set()
+            time.sleep(0.3)  # ample time for the failing thread to end the queue
+            events.append("end")
             return np.zeros(hi - lo)
 
-        with pytest.raises(KeyError, match="head"):
-            parallel._split_rows(fn, 300)
-        assert done == [247, 300]
+        with pytest.raises(KeyError, match=failing):
+            parallel._split_rows(fn, 10 * 97)
+        assert events == ["start", "start", "raise", "end"]
 
 
 @pytest.mark.parametrize("cloud, n", [(drilled_cloud, 15), (hertz_cloud, 15)], ids=["drilled", "hertz"])
