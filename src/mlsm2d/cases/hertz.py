@@ -173,7 +173,7 @@ def hertz_measure(geom: HertzGeometry, nodes: NodeSet, u, v, stress) -> tuple[di
             (stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=geom.peak_pressure
         )
     }
-    return errors, {"geometry": geom}
+    return errors, {}
 
 
 def hertz_cloud(

@@ -59,7 +59,7 @@ def solve_on_cloud(
     weight: WeightSpec,
     solver: SolverConfig,
 ) -> CaseResult:
-    """Supports, shapes, assembly, solve and stress recovery on a finished cloud.
+    """Supports, shapes, assembly, solve and stress recovery on a finished cloud, each timed on timer.
 
     make_bcs(nodes) runs inside the assembly phase; measure(nodes, u, v,
     stress) runs inside the postprocess phase and returns the case's errors
@@ -75,9 +75,7 @@ def solve_on_cloud(
         return assemble(nodes, shapes, material, make_bcs(nodes))
 
     # Timed by decorating and unnamed here, so solve frees it before factoring.
-    (u, v), report = solve(timer.phase("assembly")(assembled)(), solver)
-    for name, seconds in report.phases.items():
-        timer.add(name, seconds)
+    (u, v), report = solve(timer.phase("assembly")(assembled)(), solver, timer)
     with timer.phase("postprocess"):
         stress = compute_stresses(shapes, material, u, v)
         errors, extras = measure(nodes, u, v, stress)

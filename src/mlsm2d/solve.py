@@ -41,8 +41,8 @@ LU_PANEL = 4 columns, not SuperLU's 20, shrink the work arrays of the 1e5-
 node cantilever from 65 to 13 MB. The pivot threshold is 0, so a diagonal
 pivot is taken unless it is exactly zero: any threshold above 0 lets
 partial pivoting break the ordering, and a tiny pivot is caught by the
-true-residual check and mended by restarts. Callers choose only the
-method and the tolerance; the iteration budget is 10 sqrt(dim) + 1000,
+true-residual check and mended by restarts. Callers choose the method,
+the tolerance and the timer; the iteration budget is 1000 + 10 sqrt(dim),
 and an iterate that stops improving short of the tolerance raises
 NonConvergenceError as a stall, or as a breakdown if it is not finite.
 
@@ -65,7 +65,6 @@ skipped where the C library lacks them.
 from __future__ import annotations
 
 import ctypes
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +72,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .elasticity import SparseSystem
+from .timing import PhaseTimer
 
 
 class NonConvergenceError(RuntimeError):
@@ -140,9 +140,6 @@ class SolveReport:
     residual: float
     factor_nnz: int = 0  # nonzeros of L + U
     ordering: str = ""  # ND, or the permc_spec that SuperLU ordered with
-    # Seconds per phase run, in run order: "ordering" (graph, nested
-    # dissection and permutation; ND only), "preconditioner", "solve".
-    phases: dict[str, float] = field(default_factory=dict)
     residual_history: list[float] = field(default_factory=list)
     precision: str = ""  # the factor's data type in the solve that was returned: "float32" or "float64"
 
@@ -215,13 +212,15 @@ def _node_graph(system: SparseSystem) -> tuple[np.ndarray, np.ndarray]:
     return rows[edge], cols[edge]
 
 
-def _dissection_order(system: SparseSystem) -> np.ndarray | None:
-    """Unknown order [u_k, v_k] by nested dissection, or None where minimum degree is kept."""
-    A = system.matrix.tocsr()
-    if system.positions is None or np.diff(A.indptr).max(initial=0) > 2 * ND_MAX_SUPPORT:
-        return None
+def _dissectable(system: SparseSystem) -> bool:
+    """Whether nested dissection orders the direct solve: positions known, at most ND_MAX_SUPPORT nodes per support."""
+    return system.positions is not None and np.diff(system.matrix.tocsr().indptr).max(initial=0) <= 2 * ND_MAX_SUPPORT
+
+
+def _dissection_order(system: SparseSystem) -> np.ndarray:
+    """Unknown order [u_k, v_k] by nested dissection."""
     order = np.argsort(dissection_keys(system.positions, *_node_graph(system)), kind="stable")
-    order = order.astype(A.indices.dtype)  # int32 unless the matrix's entries need int64
+    order = order.astype(system.matrix.tocsr().indices.dtype)  # int32 unless the matrix's entries need int64
     return np.stack([order, order + system.n_nodes], axis=1).ravel()
 
 
@@ -273,7 +272,6 @@ def _iterate(matrix: sp.csc_matrix, rhs: np.ndarray, factor, dtype, target: floa
         if dtype is np.float32 and not report.residual_history[-1] <= SINGLE_GAIN**-report.iterations:
             raise _Abandoned
 
-    t0 = time.perf_counter()
     x, x0, best = np.zeros(matrix.shape[0]), None, np.inf
     try:
         while report.iterations < maxiter:
@@ -292,50 +290,49 @@ def _iterate(matrix: sp.csc_matrix, rhs: np.ndarray, factor, dtype, target: floa
             x0 = x
     except _Abandoned:
         return None
-    finally:
-        report.phases["solve"] = report.phases.get("solve", 0.0) + time.perf_counter() - t0
     report.residual = _relative_residual(matrix, rhs, x)
     return x
 
 
-def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[tuple[np.ndarray, np.ndarray], SolveReport]:
+def solve(
+    system: SparseSystem, config: SolverConfig = SolverConfig(), timer: PhaseTimer | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray], SolveReport]:
     """Solve for the displacement vectors (u, v).
 
     Returns the solution split into its u and v halves together with a
-    report of iteration count, achieved relative residual and phase times.
+    report of iteration count and achieved relative residual, and times
+    "ordering" (ND only), "preconditioner" and "solve" on timer or a fresh one.
     """
+    timer = PhaseTimer() if timer is None else timer
     N = system.n_nodes
     report = SolveReport(config.method, 0, np.inf)
-    t0 = time.perf_counter()
-    perm = _dissection_order(system) if config.method == "direct" else None
-    if perm is not None:  # P A P^T x' = P b, where P puts unknown perm[k] at k
-        system = SparseSystem(system.matrix.tocsr()[perm][:, perm], system.rhs[perm], N)
-        report.phases["ordering"] = time.perf_counter() - t0
-    t0 = time.perf_counter()  # the preconditioner phase includes the row scaling
-    matrix, rhs = _equilibrate(system)
-    del system  # neither the given nor a permuted system outlives its scaled copy
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    if _mallopt is not None:
-        _mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    report.phases["preconditioner"] = time.perf_counter() - t0
     direct = config.method == "direct"
-    report.ordering = ("MMD_AT_PLUS_A" if perm is None else ND) if direct else "COLAMD"
+    report.ordering = (ND if _dissectable(system) else "MMD_AT_PLUS_A") if direct else "COLAMD"
+    if report.ordering == ND:
+        with timer.phase("ordering"):  # P A P^T x' = P b, where P puts unknown perm[k] at k
+            perm = _dissection_order(system)
+            system = SparseSystem(system.matrix.tocsr()[perm][:, perm], system.rhs[perm], N)
+    with timer.phase("preconditioner"):
+        matrix, rhs = _equilibrate(system)
+        del system  # neither the given nor a permuted system outlives its scaled copy
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+        if _mallopt is not None:
+            _mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     rungs = [(np.float32, config.tolerance / 100)] if direct else []  # (factor dtype, BiCGSTAB target)
     for dtype, target in rungs + [(np.float64, config.tolerance)]:
         report.precision, report.iterations, report.residual_history = np.dtype(dtype).name, 0, []
-        t0 = time.perf_counter()
         try:
-            factor = _factor(matrix, report.ordering, dtype)
+            with timer.phase("preconditioner"):
+                factor = _factor(matrix, report.ordering, dtype)
         except RuntimeError as exc:
             if dtype is np.float64:
                 name = f"complete LU ({report.ordering}, diagonal pivots)" if direct else "incomplete LU"
                 raise NonConvergenceError(f"{name} factorization failed: {exc}") from exc
             continue
-        finally:
-            report.phases["preconditioner"] += time.perf_counter() - t0
         report.factor_nnz = int(factor.nnz)
-        x = _iterate(matrix, rhs, factor, dtype, target, report)
+        with timer.phase("solve"):
+            x = _iterate(matrix, rhs, factor, dtype, target, report)
         del factor  # a float32 factor is freed before the float64 one is made
         if x is not None and report.residual <= config.tolerance:
             break
@@ -346,6 +343,6 @@ def solve(system: SparseSystem, config: SolverConfig = SolverConfig()) -> tuple[
         raise NonConvergenceError(f"BiCGSTAB stalled at relative residual {report.residual:.3e} after {report.iterations}"
                                   f" iterations (tolerance {config.tolerance:.1e})", report.residual_history)
 
-    if perm is not None:
+    if report.ordering == ND:
         x[perm] = x.copy()  # unknown perm[k] was solved for at k
     return (x[:N], x[N:]), report

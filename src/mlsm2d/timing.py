@@ -46,9 +46,6 @@ class PhaseTimer:
         finally:
             self._phases[name] = self._phases.get(name, 0.0) + time.perf_counter() - t0
 
-    def add(self, name: str, seconds: float) -> None:
-        self._phases[name] = self._phases.get(name, 0.0) + seconds
-
     def report(self) -> TimingReport:
         report = TimingReport(phases=dict(self._phases), total=time.perf_counter() - self._start)
         report.validate()

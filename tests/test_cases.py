@@ -646,18 +646,24 @@ class TestTimingReport:
 
     def test_phase_timer_accumulates(self):
         timer = PhaseTimer()
-        time.sleep(0.02)
-        timer.add("solve", 0.004)
-        timer.add("solve", 0.004)
+        for _ in range(2):
+            with timer.phase("solve"):
+                time.sleep(0.01)
+            time.sleep(0.05)  # between the blocks, so in the total only
         report = timer.report()
-        assert report.phases["solve"] == pytest.approx(0.008)
-        assert report.total >= report.phases["solve"]
+        assert list(report.phases) == ["solve"]
+        assert 0.02 <= report.phases["solve"] < 0.1
+        assert report.total >= report.phases["solve"] + 0.1
 
 
 class TestCaseTimings:
-    def test_phases_sum_close_to_the_total(self):
-        result = cantilever_case(n_target=2000)
-        report = result.timings
+    @pytest.mark.parametrize("case", ["cantilever", "drilled", "hertz"])
+    def test_phases_sum_close_to_the_total(self, request, case):
+        report = {
+            "cantilever": lambda: cantilever_case(n_target=2000).timings,
+            "drilled": lambda: request.getfixturevalue("default_run").timings,
+            "hertz": lambda: request.getfixturevalue("hertz_l4_run").timings,
+        }[case]()
         report.validate()
         assert sum(report.phases.values()) <= report.total
         assert sum(report.phases.values()) >= 0.9 * report.total
@@ -692,16 +698,11 @@ class TestCaseTimings:
 
     def test_dissected_solve_records_its_ordering_phase(self):
         result = cantilever_case(n_target=2000)
-        report = result.solve_report
-        assert report.ordering == ND
-        assert list(report.phases) == ["ordering", "preconditioner", "solve"]
-        assert report.phases["ordering"] > 0
-        for name, seconds in report.phases.items():
-            assert result.timings.phases[name] == seconds
+        assert result.solve_report.ordering == ND
+        assert result.timings.phases["ordering"] > 0
 
     def test_minimum_degree_solve_has_no_ordering_phase(self, default_run):
         assert default_run.solve_report.ordering == "MMD_AT_PLUS_A"
-        assert list(default_run.solve_report.phases) == ["preconditioner", "solve"]
         assert "ordering" not in default_run.timings.phases
 
     def test_tiny_run_report_is_well_formed(self):

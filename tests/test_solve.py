@@ -26,6 +26,7 @@ from mlsm2d.solve import (
     SINGLE_GAIN,
     NonConvergenceError,
     SolverConfig,
+    _dissectable,
     _dissection_order,
     _equilibrate,
     _node_graph,
@@ -136,14 +137,14 @@ class TestDirect:
     )
     def test_default_reaches_tolerance_on_irregular_clouds(self, make_system):
         system = make_system()
-        config = SolverConfig()
-        (u, v), report = solve(system, config)
+        config, timer = SolverConfig(), PhaseTimer()
+        (u, v), report = solve(system, config, timer)
         matrix, rhs = _equilibrate(system)
         residual = _relative_residual(matrix, rhs, np.concatenate([u, v]))
         assert residual <= config.tolerance
         assert report.residual == pytest.approx(residual, rel=1e-9)
         assert report.method == "direct"
-        assert report.phases["preconditioner"] > 0
+        assert timer.report().phases["preconditioner"] > 0
 
     # The refined system is singular (see test_direct_and_ilut_solutions_agree),
     # so on that cloud the test checks a factor of a residual solve, not an answer.
@@ -367,6 +368,32 @@ class TestSinglePrecision:
         assert [d for d, _, _ in rest] == [np.float64]
         assert len(history) == 1 and history[0] > 1 / SINGLE_GAIN
 
+    def test_both_rungs_accumulate_on_one_timer(self, monkeypatch):
+        # the coarse drilled cloud falls back and solves; each rung's
+        # factorization and iterations add to the same two phases
+        system = drilled_cantilever_case(0.4).extras["assemble"]()
+        module, dtypes = sys.modules["mlsm2d.solve"], []
+        factor, iterate = module._factor, module._iterate
+
+        def slow_factor(matrix, ordering, dtype):
+            dtypes.append(dtype)
+            time.sleep(0.05)
+            return factor(matrix, ordering, dtype)
+
+        def slow_iterate(*args):
+            time.sleep(0.05)
+            return iterate(*args)
+
+        monkeypatch.setattr(module, "_factor", slow_factor)
+        monkeypatch.setattr(module, "_iterate", slow_iterate)
+        timer = PhaseTimer()
+        (_, _), report = solve(system, timer=timer)
+        assert report.precision == "float64" and dtypes == [np.float32, np.float64]
+        phases = timer.report().phases
+        assert list(phases) == ["preconditioner", "solve"]
+        assert phases["preconditioner"] >= 0.1
+        assert phases["solve"] >= 0.1
+
 
 class TestEquilibration:
     def test_rows_scaled_to_unit_max(self):
@@ -394,8 +421,9 @@ class TestEquilibration:
 
         # the package re-exports the function solve under the module's name
         monkeypatch.setattr(sys.modules["mlsm2d.solve"], "_equilibrate", slow_equilibrate)
-        (_, _), report = solve(diagonal_system([1.0, 2.0, 3.0, 4.0]))
-        assert report.phases["preconditioner"] >= 0.05
+        timer = PhaseTimer()
+        solve(diagonal_system([1.0, 2.0, 3.0, 4.0]), timer=timer)
+        assert timer.report().phases["preconditioner"] >= 0.05
 
 
 class TestOneMatrixCopy:
@@ -654,7 +682,8 @@ class TestNestedDissection:
             return splu(matrix, *args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", spied)
-        (_, _), report = solve(system)
+        timer = PhaseTimer()
+        (_, _), report = solve(system, timer=timer)
         assert report.ordering == ordering
         # one factorization per precision tried: float32, then float64 where that falls back
         assert len(calls) == {"float32": 1, "float64": 2}[report.precision]
@@ -664,9 +693,29 @@ class TestNestedDissection:
             # the narrow panel on both orderings
             assert kwargs.get("panel_size") == LU_PANEL
         # the phases solve ran, in run order; only dissection has an ordering phase
-        assert list(report.phases) == (["ordering"] if ordering == ND else []) + ["preconditioner", "solve"]
-        assert all(seconds > 0 for seconds in report.phases.values())
-        assert (_dissection_order(system) is not None) == (ordering == ND)
+        phases = timer.report().phases
+        assert list(phases) == (["ordering"] if ordering == ND else []) + ["preconditioner", "solve"]
+        assert all(seconds > 0 for seconds in phases.values())
+        assert _dissectable(system) == (ordering == ND)
+
+    def test_ordering_phase_holds_the_dissection(self, monkeypatch):
+        keys = sys.modules["mlsm2d.solve"].dissection_keys
+
+        def slow_keys(*args):
+            time.sleep(0.05)
+            return keys(*args)
+
+        monkeypatch.setattr(sys.modules["mlsm2d.solve"], "dissection_keys", slow_keys)
+        timer = PhaseTimer()
+        solve(beam_system(), timer=timer)
+        assert timer.report().phases["ordering"] >= 0.05
+
+    def test_ilut_records_no_ordering_phase(self):
+        # ILUT takes COLAMD even where the direct solve would dissect; the
+        # minimum-degree path is test_rule's 13-node case
+        timer = PhaseTimer()
+        solve(beam_system(), SolverConfig(method="bicgstab-ilut"), timer)
+        assert list(timer.report().phases) == ["preconditioner", "solve"]
 
     def test_agrees_with_minimum_degree(self):
         system = beam_system(n_target=10_000)
