@@ -7,8 +7,8 @@ refinement. "bicgstab-ilut" is a threshold incomplete LU at fixed
 settings, the memory-bounded alternative kept as an oracle. "direct" (the
 default) is a complete LU in SuperLU's symmetric mode with diagonal
 pivots, made in float32 first (mixed-precision refinement: Buttari et
-al., ACM TOMS 34(4), 2008; Higham 2002, ch. 12) from a float32 copy of
-the data on the float64 matrix's own index arrays, with the same ordering
+al., ACM TOMS 34(4), 2008; Higham 2002, ch. 12) from the data rounded to
+float32 on the float64 matrix's own index arrays, with the same ordering
 and options; every product and residual stays float64. BiCGSTAB iterates
 toward tol / 100 and succeeds once the true residual is at most tol.
 Float32 entries take 8 bytes, not 12, which cuts the peak RSS of the
@@ -60,7 +60,12 @@ on top of it (62 MB on the 1e5-node cantilever). It then pins glibc's
 mmap threshold, which those frees had raised, to MMAP_THRESHOLD (mallopt),
 so each block that SuperLU frees is unmapped at once instead of staying
 in a grown heap (hertz's heap grew by 15 MB in splu). Both calls are
-skipped where the C library lacks them.
+skipped where the C library lacks them. While the float32 LU is made,
+the float64 values are freed (and the heap trimmed again): _split holds
+them exactly as the float32 data that SuperLU factors plus int32
+remainders, 8 bytes per entry instead of 12, and _join rebuilds them bit
+for bit. A matrix with a value that float32 cannot hold that way (-0.0,
+non-finite, subnormal or flushed to zero) keeps a float32 copy instead.
 """
 from __future__ import annotations
 
@@ -101,6 +106,8 @@ ND = "nested-dissection"
 
 # Columns per SuperLU panel (see the module docstring).
 LU_PANEL = 4
+
+SPLIT_CHUNK = 1 << 13  # entries per chunk of _split and _join: 64 KiB float64 temporaries, below MMAP_THRESHOLD
 
 SINGLE_GAIN = 10.0  # least residual fall per float32 iteration (see the module docstring)
 
@@ -243,16 +250,56 @@ def _equilibrate(system: SparseSystem) -> tuple[sp.csc_matrix, np.ndarray]:
     return C, d * system.rhs
 
 
+@np.errstate(invalid="ignore", over="ignore")  # the values that fail the check below
+def _split(data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """data's float32 rounding hi, and a fresh float64 buffer holding int32 remainders lo in its upper half.
+
+    data == hi + ldexp(lo, frexp(hi).exponent - 54) bit for bit, as the error
+    of a float32 rounding is a multiple of 2^(e - 54) below 2^(e - 25). The
+    buffer is None unless every hi is finite and every value's bits return.
+    """
+    hi, buffer = data.astype(np.float32), np.empty(data.size)
+    lo = buffer.view(np.int32)[data.size :]
+    for start in range(0, data.size, SPLIT_CHUNK):
+        part = slice(start, start + SPLIT_CHUNK)
+        h, d, e = hi[part], data[part], np.frexp(hi[part])[1]
+        lo[part] = np.ldexp(d - h, 54 - e)
+        if not (np.isfinite(h).all() and np.array_equal((h + np.ldexp(lo[part], e - 54)).view(np.int64), d.view(np.int64))):
+            return hi, None
+    return hi, buffer
+
+
+def _join(hi: np.ndarray, buffer: np.ndarray) -> None:
+    """Rebuilds _split's values into its buffer: in ascending chunks, value i overwrites only remainders already read."""
+    lo = buffer.view(np.int32)[buffer.size :]
+    for start in range(0, buffer.size, SPLIT_CHUNK):
+        part = slice(start, start + SPLIT_CHUNK)
+        buffer[part] = hi[part] + np.ldexp(lo[part], np.frexp(hi[part])[1] - 54)
+
+
 def _factor(matrix: sp.csc_matrix, ordering: str, dtype: type) -> spla.SuperLU:
-    """ILUT under COLAMD, else a complete LU in symmetric mode with diagonal pivots, of the data in dtype."""
-    if dtype is not np.float64:  # a copy of the data on the float64 matrix's own index arrays
-        matrix = sp.csc_matrix((matrix.data.astype(dtype), matrix.indices, matrix.indptr), matrix.shape)
+    """ILUT under COLAMD, else a complete LU in symmetric mode with diagonal pivots, of the data in dtype.
+
+    A float32 LU factors float32 data on the matrix's own index arrays. While
+    it runs, matrix.data is _split's buffer where the split is exact, rebuilt
+    before this returns or raises; elsewhere the float32 data is a copy.
+    """
     if ordering == "COLAMD":
         return spla.spilu(matrix, fill_factor=ILUT_FILL_FACTOR, drop_tol=ILUT_DROP_TOL)
-    return spla.splu(  # relax=None keeps SuperLU's default
-        matrix, permc_spec="NATURAL" if ordering == ND else ordering, diag_pivot_thresh=0.0,
-        relax=None if ordering == ND else 1, panel_size=LU_PANEL, options=dict(SymmetricMode=True),
-    )
+    single, buffer = (None, None) if dtype is np.float64 else _split(matrix.data)
+    if buffer is not None:
+        matrix.data = buffer  # frees the float64 values
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+    try:
+        return spla.splu(  # relax=None keeps SuperLU's default
+            matrix if single is None else sp.csc_matrix((single, matrix.indices, matrix.indptr), matrix.shape),
+            permc_spec="NATURAL" if ordering == ND else ordering, diag_pivot_thresh=0.0,
+            relax=None if ordering == ND else 1, panel_size=LU_PANEL, options=dict(SymmetricMode=True),
+        )
+    finally:
+        if buffer is not None:
+            _join(single, buffer)
 
 
 class _Abandoned(Exception):

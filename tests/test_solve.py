@@ -4,6 +4,7 @@ import dataclasses
 import platform
 import sys
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -24,13 +25,16 @@ from mlsm2d.solve import (
     ND,
     ND_LEAF,
     SINGLE_GAIN,
+    SPLIT_CHUNK,
     NonConvergenceError,
     SolverConfig,
     _dissectable,
     _dissection_order,
     _equilibrate,
+    _join,
     _node_graph,
     _relative_residual,
+    _split,
     dissection_keys,
     solve,
 )
@@ -395,6 +399,125 @@ class TestSinglePrecision:
         assert phases["solve"] >= 0.1
 
 
+def spread_values(size, seed=0):
+    """Full-mantissa values of both signs, log-uniform over 1e-30 to 1e30."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-30.0, 30.0, size)
+
+
+class TestExactSplit:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            spread_values(5000),
+            np.nextafter(2.0 ** np.arange(-125, 128), 0.0),
+            -np.nextafter(2.0 ** np.arange(-125, 128), 0.0),
+            [1.0],
+            [-1.0, -0.1, -np.pi, -3e-20],
+            spread_values(2 * SPLIT_CHUNK + 5, seed=1),
+        ],
+        ids=["spread", "below-powers-of-two", "negative-below-powers-of-two", "one", "negative", "chunk-boundary"],
+    )
+    def test_round_trip_is_bit_exact(self, values):
+        data = np.asarray(values, dtype=np.float64)
+        single, buffer = _split(data.copy())
+        assert buffer is not None and buffer.dtype == np.float64 and buffer.size == data.size
+        assert single.dtype == np.float32 and np.array_equal(single, data.astype(np.float32))
+        _join(single, buffer)
+        assert np.array_equal(buffer.view(np.int64), data.view(np.int64))
+
+    def test_values_below_a_power_of_two_round_up_a_binade(self):
+        powers = 2.0 ** np.arange(-125, 128)
+        single, buffer = _split(np.nextafter(powers, 0.0))
+        assert buffer is not None and np.array_equal(single, powers)
+
+    @pytest.mark.parametrize("bad", [-0.0, np.nan, 1e39, 1e-40, 1e-50])
+    def test_unrepresentable_value_falls_back_without_a_warning(self, bad):
+        # in the second chunk, after a first chunk that splits exactly
+        data = np.ones(SPLIT_CHUNK + 3)
+        data[-2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single, buffer = _split(data)
+        assert buffer is None
+        with np.errstate(over="ignore"):
+            assert np.array_equal(single, data.astype(np.float32), equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "make_system, ordering",
+        [(beam_system, ND), (lambda: drilled_cantilever_case(0.4).extras["assemble"](), "MMD_AT_PLUS_A")],
+        ids=["beam-dissection", "drilled-minimum-degree"],
+    )
+    def test_same_solve_as_a_float32_copy(self, monkeypatch, make_system, ordering):
+        system, module = make_system(), sys.modules["mlsm2d.solve"]
+        split, exact = module._split, []
+
+        def spied(data):
+            single, buffer = split(data)
+            exact.append(buffer is not None)
+            return single, buffer
+
+        def outcome():
+            (u, v), report = solve(system)
+            assert report.ordering == ordering
+            return np.concatenate([u, v]), report
+
+        monkeypatch.setattr(module, "_split", spied)
+        x, report = outcome()
+        monkeypatch.setattr(module, "_split", lambda data: (data.astype(np.float32), None))
+        x_copy, copied = outcome()
+        assert exact == [True]
+        assert np.array_equal(x, x_copy)
+        fields = ("iterations", "residual_history", "factor_nnz", "precision")
+        assert [getattr(report, f) for f in fields] == [getattr(copied, f) for f in fields]
+
+    def test_float64_values_are_freed_while_the_float32_factor_runs(self, monkeypatch):
+        module = sys.modules["mlsm2d.solve"]
+        equilibrate, splu = module._equilibrate, spla.splu
+        refs, alive = [], []
+
+        def scaled(system):
+            matrix, rhs = equilibrate(system)
+            refs.append(weakref.ref(matrix.data))
+            return matrix, rhs
+
+        def spied(matrix, *args, **kwargs):
+            alive.append((matrix.dtype, refs[0]() is not None))
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_equilibrate", scaled)
+        monkeypatch.setattr(spla, "splu", spied)
+        (_, _), report = solve(beam_system())
+        assert report.precision == "float32"
+        assert alive == [(np.float32, False)]
+
+    @pytest.mark.parametrize("float32_fails", [False, True], ids=["abandoned", "raised"])
+    def test_float64_rung_factors_the_float64_values(self, monkeypatch, float32_fails):
+        # the twice-refined drilled beam abandons its float32 attempt after one iteration
+        system, module = drilled_system(2, 20), sys.modules["mlsm2d.solve"]
+        if float32_fails:
+            TestSinglePrecision.float64_only(monkeypatch)
+        equilibrate, factor = module._equilibrate, module._factor
+        scaled, factored = [], []
+
+        def spied_equilibrate(system):
+            matrix, rhs = equilibrate(system)
+            scaled.append(matrix.data.copy())
+            return matrix, rhs
+
+        def spied_factor(matrix, ordering, dtype):
+            factored.append((dtype, matrix.data.copy()))
+            return factor(matrix, ordering, dtype)
+
+        monkeypatch.setattr(module, "_equilibrate", spied_equilibrate)
+        monkeypatch.setattr(module, "_factor", spied_factor)
+        (_, _), report = solve(system)
+        assert report.precision == "float64"
+        assert [dtype for dtype, _ in factored] == [np.float32, np.float64]
+        for _, data in factored:
+            assert data.dtype == np.float64 and np.array_equal(data.view(np.int64), scaled[0].view(np.int64))
+
+
 class TestEquilibration:
     def test_rows_scaled_to_unit_max(self):
         system = beam_system()
@@ -523,7 +646,7 @@ class TestHeapReturnedBeforeFactorization:
         ],
         ids=["grid-9", "irregular-15", "ilut"],
     )
-    def test_once_per_solve_after_the_assembled_matrix_is_freed_and_before_the_factor(
+    def test_after_the_assembled_matrix_is_freed_and_before_the_factor(
         self, monkeypatch, method, kwargs, factor, ordering
     ):
         metrics, solve_module = sys.modules["mlsm2d.cases.metrics"], sys.modules["mlsm2d.solve"]
@@ -561,8 +684,10 @@ class TestHeapReturnedBeforeFactorization:
         result = cantilever_case(n_target=400, solver=SolverConfig(method=method), **kwargs)
         assert result.solve_report.ordering == ordering
         # after the scaled copy, with no assembled matrix alive, then the
-        # mmap threshold pinned to 128 KiB, and both before the factor
-        assert events == [("scaled",), ("trim", 0, [False]), ("pin", -3, 131072), (factor,)]
+        # mmap threshold pinned to 128 KiB, and both before the factor; the
+        # float32 LU trims once more after the float64 values are split off
+        again = [("trim", 0, [False])] if method == "direct" else []
+        assert events == [("scaled",), ("trim", 0, [False]), ("pin", -3, 131072), *again, (factor,)]
 
     @pytest.mark.parametrize(
         "method, make_system",
