@@ -7,7 +7,6 @@ that own an artifact (`nodes`, `timing`, `elasticity`) can use `_table`.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -120,13 +119,13 @@ def write_vtk(path, fields: dict) -> None:
 
 def write_case_outputs(outdir, result: CaseResult, vtk: bool = False) -> None:
     """nodes.csv, fields.csv, optional fields.vtk, then timing.csv with their writing as the output phase."""
-    t0 = time.perf_counter()
-    # Each field value is formatted once; every file that writes it reuses the text.
-    columns = field_columns(result.nodes, result.u, result.v, result.stress)
-    text = {name: _text(column) for name, column in columns.items()}
-    result.nodes.to_csv(outdir / "nodes.csv", xy=(text["x"], text["y"]))
-    write_fields_csv(outdir / "fields.csv", text)
-    if vtk:
-        write_vtk(outdir / "fields.vtk", text)
-    phases = {**result.timings.phases, "output": time.perf_counter() - t0}
-    replace(result.timings, phases=phases).to_csv(outdir / "timing.csv")
+    timings = replace(result.timings, phases=dict(result.timings.phases))
+    with timings.phase("output"):
+        # Each field value is formatted once; every file that writes it reuses the text.
+        columns = field_columns(result.nodes, result.u, result.v, result.stress)
+        text = {name: _text(column) for name, column in columns.items()}
+        result.nodes.to_csv(outdir / "nodes.csv", xy=(text["x"], text["y"]))
+        write_fields_csv(outdir / "fields.csv", text)
+        if vtk:
+            write_vtk(outdir / "fields.vtk", text)
+    timings.to_csv(outdir / "timing.csv")

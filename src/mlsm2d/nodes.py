@@ -207,13 +207,6 @@ def build_rectangle_grid(rect: Rect, h: float) -> NodeSet:
     so grid lines always hit the corners exactly. Corner normals are the
     normalized average of the two adjacent edge normals.
     """
-    nodes = _grid(rect, h)
-    nodes.finalize()
-    return nodes
-
-
-def _grid(rect: Rect, h: float) -> NodeSet:
-    """build_rectangle_grid's nodes, not yet finalized."""
     if not h > 0:
         raise ValueError(f"spacing must be positive, got {h}")
     if h > rect.width or h > rect.height:
@@ -240,7 +233,9 @@ def _grid(rect: Rect, h: float) -> NodeSet:
     normals[on_top, 1] += 1.0
     lengths = np.hypot(normals[:, 0], normals[:, 1])
     normals[bnd] /= lengths[bnd, None]
-    return NodeSet(positions, normals, DomainShape(rect))
+    nodes = NodeSet(positions, normals, DomainShape(rect))
+    nodes.finalize()
+    return nodes
 
 
 def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h: float) -> NodeSet:
@@ -265,7 +260,7 @@ def build_drilled_domain(rect: Rect, holes: tuple[Circle, ...] | list[Circle], h
             if math.hypot(a.cx - b.cx, a.cy - b.cy) <= a.radius + b.radius:
                 raise ValueError(f"holes {a} and {b} overlap")
 
-    grid = _grid(rect, h)
+    grid = build_rectangle_grid(rect, h)
     keep = np.ones(grid.n, dtype=bool)
     for hole in holes:
         r = np.hypot(grid.positions[:, 0] - hole.cx, grid.positions[:, 1] - hole.cy)

@@ -35,7 +35,8 @@ only on q and on u = |p - p0| / (sigma_w * p_min). build_shape_set runs it
 once per bit-distinct (q, u) key. ShapeSet keeps those rows per key, in
 local units, with each node's key and p_min, and forms a node's physical
 row on access, so every row equals a per-node solve while a grid of 1e5
-nodes stores a few hundred rows. compute_shapes runs it on a single support.
+nodes stores a few hundred rows. compute_shapes is build_shape_set on a
+single support: the single-support rows are the batched rows, bit for bit.
 """
 from __future__ import annotations
 
@@ -161,8 +162,6 @@ def _stencils(
     """
     N, n = u.shape
     m = basis.m
-    if n < m:
-        raise ValueError(f"support size {n} is below basis size {m}")
 
     centers = q[:, :m, :]
     B = _basis_rows(q, centers, basis, "val")
@@ -203,33 +202,27 @@ def compute_shapes(
 ) -> dict[str, np.ndarray]:
     """Stencil rows at the center of one support, keyed by operator name.
 
-    support_positions is (n, 2) with the center usually its first row. Row
-    entries align with the support ordering. Runs the batched kernel of
-    build_shape_set on this one support. Raises IllConditionedStencilError
-    when a requested operator is not determined by a rank-deficient
-    support, and ValueError for an operator name that OPS does not hold.
+    support_positions is (n, 2) and holds center. This is build_shape_set on
+    the one support, ranked by distance from the center as knn ranks it, so
+    the rows are the batched rows bit for bit; their entries follow the
+    caller's order. Raises ValueError for a support without its center or an
+    operator name that OPS does not hold, and IllConditionedStencilError
+    (from ShapeSet.require) for a requested operator that a rank-deficient
+    support does not determine.
     """
     if unknown := sorted(set(ops) - OPS.keys()):
         raise ValueError(f"unknown operators {unknown}")
     pos = np.asarray(support_positions, dtype=float)
-    center = np.asarray(center, dtype=float)
-    diff = pos - center
-    d = np.hypot(diff[:, 0], diff[:, 1])
-    zero = d == 0.0
-    if np.count_nonzero(zero) > 1:
-        raise IllConditionedStencilError("coincident support nodes")
-    p_min = float(np.min(d[~zero])) if np.any(~zero) else 0.0
-    if p_min <= 0:
-        raise IllConditionedStencilError("degenerate support")
-
-    u = d / (weight_spec.sigma * p_min)
-    rows, ranks, ambiguous = _stencils((diff / p_min)[None], u[None], basis, ops)
+    dx, dy = (pos - center).T
+    dist = np.sqrt(dx * dx + dy * dy)
+    order = np.argsort(dist, kind="stable")
+    if np.any(pos[order[0]] != center):
+        raise ValueError("the support does not hold its center")
+    shapes = build_shape_set(pos, SupportSet(order[None], dist[None, order]), basis, weight_spec)
     for op in ops:
-        if ambiguous[op][0]:
-            raise IllConditionedStencilError(
-                f"rank-{int(ranks[0])} support does not determine the {op} stencil"
-            )
-    return {op: row[0] / p_min ** sum(OPS[op]) for op, row in rows.items()}
+        shapes.require(op)
+    back = np.argsort(order)
+    return {op: shapes.rows[op][0, back] for op in ops}
 
 
 class _Rows(Mapping):
@@ -310,30 +303,34 @@ class ShapeSet:
 
 
 def build_shape_set(
-    nodes: NodeSet,
+    nodes: NodeSet | np.ndarray,
     supports: SupportSet,
     basis: BasisSpec = BasisSpec(),
     weight_spec: WeightSpec = WeightSpec(),
 ) -> ShapeSet:
     """Stencils for all nodes, one batched SVD row per distinct local geometry.
 
-    The kernel runs on the first node of each distinct (q, u) key, the
-    keys split between two threads by parallel._split_rows; its ranks and
-    masks are scattered to every node of the key, its rows kept once per
-    key.
+    nodes is a NodeSet or an (N, 2) array of positions, and each support's
+    center is its first column. The kernel runs on the first node of each
+    distinct (q, u) key, the keys split between two threads by
+    parallel._split_rows; its ranks and masks are scattered to every node
+    of the key, its rows kept once per key. compute_shapes is this call on
+    a single support.
 
-    Unlike compute_shapes this never raises on rank-deficient supports; it
-    fills the ambiguity masks and leaves enforcement to ShapeSet.require,
-    since which operators a node must determine depends on how the caller
-    consumes it.
+    It never raises on rank-deficient supports; it fills the ambiguity
+    masks and leaves enforcement to ShapeSet.require, since which operators
+    a node must determine depends on how the caller consumes it.
     """
+    positions = nodes.positions if isinstance(nodes, NodeSet) else nodes
     idx = supports.indices
+    if idx.shape[1] < basis.m:
+        raise ValueError(f"support size {idx.shape[1]} is below basis size {basis.m}")
     dist = supports.distances
     p_min = dist[:, 1].copy()
     if np.any(p_min <= 0):
         raise IllConditionedStencilError("degenerate support", node=int(np.argmin(p_min)))
 
-    q = (nodes.positions[idx] - nodes.positions[:, None, :]) / p_min[:, None, None]
+    q = (positions[idx] - positions[idx[:, :1]]) / p_min[:, None, None]
     u = dist / (weight_spec.sigma * p_min[:, None])
     # Bytes, not float equality: -0.0 and 0.0 must stay distinct keys.
     key = np.concatenate([q.reshape(len(q), -1), u], axis=1)

@@ -18,6 +18,15 @@ class TimingReport:
     phases: dict[str, float] = field(default_factory=dict)
     total: float = 0.0
 
+    @contextmanager
+    def phase(self, name: str):
+        """Add the wall time of the with-block (or decorated call) to phase name."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - t0
+
     def validate(self) -> None:
         if any(t < 0 for t in self.phases.values()):
             raise ValueError("negative phase time")
@@ -31,22 +40,14 @@ class TimingReport:
             fh.write(_table([list(seconds), list(seconds.values())], fmt="%.6f"))
 
 
-class PhaseTimer:
-    """Accumulates named phase durations; create one per run."""
+class PhaseTimer(TimingReport):
+    """A run's report while it runs: its phases accumulate and report() adds the total; create one per run."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._start = time.perf_counter()
-        self._phases: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._phases[name] = self._phases.get(name, 0.0) + time.perf_counter() - t0
 
     def report(self) -> TimingReport:
-        report = TimingReport(phases=dict(self._phases), total=time.perf_counter() - self._start)
+        report = TimingReport(phases=dict(self.phases), total=time.perf_counter() - self._start)
         report.validate()
         return report

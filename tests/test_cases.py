@@ -626,6 +626,19 @@ class TestHoleRefinedCloud:
 
 
 class TestTimingReport:
+    def test_phase_adds_to_the_report_it_is_called_on(self):
+        # the one clock: a run's PhaseTimer and a finished report time their
+        # phases with the same context manager
+        report = TimingReport(phases={"domain": 1.0}, total=2.0)
+        with report.phase("domain"):
+            pass
+        with report.phase("output"):
+            pass
+        assert list(report.phases) == ["domain", "output"]
+        assert report.phases["domain"] >= 1.0 and report.phases["output"] >= 0.0
+        assert report.total == 2.0
+        assert PhaseTimer.phase is TimingReport.phase
+
     def test_validate_rejects_negative_phase(self):
         report = TimingReport(phases={"solve": -1.0}, total=2.0)
         with pytest.raises(ValueError):

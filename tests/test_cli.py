@@ -538,6 +538,11 @@ class TestWriterBytes:
         io.write_vtk(alone / "fields.vtk", io.field_columns(nodes, u, v, stress))
         for name in ("nodes.csv", "fields.csv", "fields.vtk"):
             assert (tmp_path / name).read_bytes() == (alone / name).read_bytes()
+        # the output phase is timed on a copy of the run's report, after its total
+        assert [line.split(",")[0] for line in (tmp_path / "timing.csv").read_text().splitlines()] == [
+            "phase", "output", "total",
+        ]
+        assert result.timings == TimingReport(total=1.0)
 
     def test_repeated_values_are_formatted_once_with_the_same_bytes(self, tmp_path, monkeypatch):
         # at most half the values are distinct, so each distinct bit pattern

@@ -193,7 +193,8 @@ class TestDrilledDomain:
         with pytest.raises(ValueError):
             build_drilled_domain(UNIT_SQUARE, holes, 0.05)
 
-    def test_only_the_drilled_cloud_is_finalized(self, monkeypatch):
+    def test_the_grid_and_then_the_drilled_cloud_are_finalized(self, monkeypatch):
+        # the grid is build_rectangle_grid's, checked before the holes are cut
         finalized = []
         original = NodeSet.finalize
 
@@ -203,7 +204,7 @@ class TestDrilledDomain:
 
         monkeypatch.setattr(NodeSet, "finalize", counted)
         nodes = build_drilled_domain(Rect(-2.0, 2.0, -2.0, 2.0), (Circle(0.0, 0.0, 1.0),), 0.25)
-        assert finalized == [nodes.n]
+        assert finalized == [17 * 17, nodes.n]
 
 
 class TestNodeSet:

@@ -260,6 +260,12 @@ class TestRankDeficiency:
         with pytest.raises(ValueError, match="dxxx"):
             compute_shapes(pos, pos[0], M9, WeightSpec(), ops=("dxxx",))
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_support_below_the_basis_size_is_a_value_error(self, n):
+        pos = grid_support()[:n]
+        with pytest.raises(ValueError, match=f"^support size {n} is below basis size 9$"):
+            compute_shapes(pos, pos[0], M9, WeightSpec())
+
     def test_coincident_nodes_rejected(self):
         pos = grid_support()
         pos[3] = pos[0]
@@ -322,6 +328,10 @@ def test_generic_13_supports_are_full_rank(seed):
     assert rows["val"].sum() == pytest.approx(1.0, abs=1e-8)
 
 
+def exact_grid():
+    return build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), 9
+
+
 def perturbed_cloud():
     return perturb_nodes(build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), 0.1, seed=3), 13
 
@@ -331,10 +341,15 @@ def refined_cloud():
     return refine_levels(base, [RefineRegion(Rect(0.0, 1.0, 0.0, 0.5), 2)]), 15
 
 
-@pytest.mark.parametrize("cloud", [perturbed_cloud, refined_cloud])
+def relaxed_drilled_cloud():
+    base = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
+    return relax(refine_levels(base, [RefineRegion(Rect(1.2, 2.8, 0.2, 1.8), 1)])), 15
+
+
+@pytest.mark.parametrize("cloud", [perturbed_cloud, refined_cloud, relaxed_drilled_cloud])
 @pytest.mark.parametrize("basis", [M9, G9], ids=["m9", "g9"])
 def test_single_support_rows_equal_batched_rows(cloud, basis):
-    """compute_shapes and build_shape_set agree on every node of a cloud.
+    """compute_shapes and build_shape_set agree bit for bit on every node of a cloud.
 
     Where a rank-deficient support leaves an operator ambiguous, the batch
     flags it and the single-support call raises for it.
@@ -347,20 +362,32 @@ def test_single_support_rows_equal_batched_rows(cloud, basis):
         determined = tuple(op for op in OPS if not shapes.ambiguous[op][i])
         rows = compute_shapes(pos, nodes.positions[i], basis, WeightSpec(), ops=determined)
         for op in determined:
-            batched = shapes.rows[op][i]
-            np.testing.assert_allclose(rows[op], batched, rtol=0, atol=1e-12 * np.abs(batched).max())
+            assert np.array_equal(rows[op], shapes.rows[op][i]), (i, op)
         for op in set(OPS) - set(determined):
             with pytest.raises(IllConditionedStencilError):
                 compute_shapes(pos, nodes.positions[i], basis, WeightSpec(), ops=(op,))
 
 
-def exact_grid():
-    return build_rectangle_grid(Rect(0, 2, 0, 1), 0.1), 9
+def test_single_support_rows_follow_the_callers_order():
+    # the support is ranked by distance inside; the rows come back permuted
+    # to the order the caller gave, so shuffling the support shuffles them
+    rng = np.random.default_rng(9)
+    pos = scattered_support(15, rng)
+    perm = np.concatenate([[0], 1 + rng.permutation(14)])
+    for basis in (M9, G9):
+        a = compute_shapes(pos, pos[0], basis, WeightSpec())
+        b = compute_shapes(pos[perm], pos[0], basis, WeightSpec())
+        for op in OPS:
+            assert np.array_equal(b[op], a[op][perm]), (basis.kind, op)
 
 
-def relaxed_drilled_cloud():
-    base = build_drilled_domain(Rect(0, 4, 0, 2), [Circle(2.0, 1.0, 0.5)], 0.25)
-    return relax(refine_levels(base, [RefineRegion(Rect(1.2, 2.8, 0.2, 1.8), 1)])), 15
+def test_a_support_without_its_center_is_a_value_error():
+    # a fit about a point off the support's nodes is not made at all
+    pos = scattered_support(14, np.random.default_rng(10))
+    with pytest.raises(ValueError, match="^the support does not hold its center$"):
+        compute_shapes(pos[1:], pos[0], M9, WeightSpec())
+    with pytest.raises(ValueError, match="^the support does not hold its center$"):
+        compute_shapes(pos, pos[0] + 1e-9, M9, WeightSpec())
 
 
 def local_geometry(nodes, supports, weight_spec):
