@@ -206,9 +206,10 @@ def compute_shapes(
     the one support, ranked by distance from the center as knn ranks it, so
     the rows are the batched rows bit for bit; their entries follow the
     caller's order. Raises ValueError for a support without its center or an
-    operator name that OPS does not hold, and IllConditionedStencilError
-    (from ShapeSet.require) for a requested operator that a rank-deficient
-    support does not determine.
+    operator name that OPS does not hold, and IllConditionedStencilError for
+    a requested operator that a rank-deficient support does not determine;
+    it names no node (node is None), and its support indexes
+    support_positions in the caller's order.
     """
     if unknown := sorted(set(ops) - OPS.keys()):
         raise ValueError(f"unknown operators {unknown}")
@@ -220,7 +221,10 @@ def compute_shapes(
         raise ValueError("the support does not hold its center")
     shapes = build_shape_set(pos, SupportSet(order[None], dist[None, order]), basis, weight_spec)
     for op in ops:
-        shapes.require(op)
+        if shapes.ambiguous[op][0]:
+            raise IllConditionedStencilError(
+                f"rank-{int(shapes.ranks[0])} support does not determine the {op} stencil", support=np.arange(len(pos))
+            )
     back = np.argsort(order)
     return {op: shapes.rows[op][0, back] for op in ops}
 

@@ -248,8 +248,11 @@ class TestRankDeficiency:
         assert rows["dx"] @ f == pytest.approx(2.0)
         assert rows["dxx"] @ f == pytest.approx(1.0)
         for op in ("dy", "dyy", "dxy"):
-            with pytest.raises(IllConditionedStencilError):
+            # the one-support cloud has no node of the caller's to name
+            with pytest.raises(IllConditionedStencilError, match=f"^rank-3 support does not determine the {op} stencil$") as info:
                 compute_shapes(pos, pos[0], M9, WeightSpec(), ops=(op,))
+            assert info.value.node is None
+            assert info.value.support.tolist() == list(range(9))
 
     def test_unknown_operator_name_is_a_value_error(self):
         pos = grid_support()

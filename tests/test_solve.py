@@ -24,6 +24,7 @@ from mlsm2d.solve import (
     LU_PANEL,
     ND,
     ND_LEAF,
+    ROUNDING,
     SINGLE_GAIN,
     SPLIT_CHUNK,
     NonConvergenceError,
@@ -547,6 +548,86 @@ class TestEquilibration:
         timer = PhaseTimer()
         solve(diagonal_system([1.0, 2.0, 3.0, 4.0]), timer=timer)
         assert timer.report().phases["preconditioner"] >= 0.05
+
+
+def scaled_rows(system, perm=None):
+    """D A (of P A P^T given perm) in CSC without exact zeros, D scaling each row to unit max: the rule's input."""
+    A = system.matrix.tocsr()
+    if perm is not None:
+        A = A[perm][:, perm]
+    C = (sp.diags(1.0 / abs(A).max(axis=1).toarray().ravel()) @ A).tocsc()
+    C.eliminate_zeros()
+    return C
+
+
+def round_off(C):
+    """Mask of C's off-diagonal entries at most ROUNDING in magnitude."""
+    column = np.repeat(np.arange(C.shape[1]), np.diff(C.indptr))
+    return (np.abs(C.data) <= ROUNDING) & (C.indices != column)
+
+
+def spy_factor(monkeypatch):
+    """Each _factor call's matrix arrays as they stand when the call starts."""
+    module, calls = sys.modules["mlsm2d.solve"], []
+    factor = module._factor
+
+    def spied(matrix, ordering, dtype):
+        calls.append((matrix.nnz, matrix.indptr.copy(), matrix.indices, matrix.data.copy(), matrix.data.base is None))
+        return factor(matrix, ordering, dtype)
+
+    monkeypatch.setattr(module, "_factor", spied)
+    return calls
+
+
+class TestRoundingRule:
+    def test_dissection_factors_only_the_entries_above_the_rule(self, monkeypatch):
+        system = beam_system()
+        scaled = scaled_rows(system, _dissection_order(system))
+        small = round_off(scaled)
+        assert 0 < small.sum() < scaled.nnz
+        kept = scaled.copy()
+        kept.data[small] = 0.0
+        kept.eliminate_zeros()
+        calls = spy_factor(monkeypatch)
+        (_, _), report = solve(system)
+        assert report.ordering == ND and report.precision == "float32"
+        (nnz, indptr, indices, data, owned), = calls
+        # right-sized arrays, not views of the full-size ones
+        assert indices.size == data.size == nnz == kept.nnz and indices.base is None and owned
+        assert np.array_equal(indptr, kept.indptr) and np.array_equal(indices, kept.indices)
+        assert np.array_equal(data.view(np.int64), kept.data.view(np.int64))
+        factored = sp.csc_matrix((data, indices, indptr), scaled.shape)
+        assert not round_off(factored).any()
+        assert np.count_nonzero(factored.diagonal()) == scaled.shape[0]
+
+    @pytest.mark.parametrize(
+        "make_system, method, ordering",
+        [
+            (lambda: beam_system(n=13), "direct", "MMD_AT_PLUS_A"),
+            (lambda: drilled_cantilever_case(0.4).extras["assemble"](), "direct", "MMD_AT_PLUS_A"),
+            (beam_system, "bicgstab-ilut", "COLAMD"),
+        ],
+        ids=["13-node grid", "drilled", "ilut"],
+    )
+    def test_other_orderings_keep_the_pattern_with_explicit_zeros(self, monkeypatch, make_system, method, ordering):
+        system = make_system()
+        scaled = scaled_rows(system)
+        small = round_off(scaled)
+        assert small.any()
+        calls = spy_factor(monkeypatch)
+        (_, _), report = solve(system, SolverConfig(method=method))
+        assert report.ordering == ordering
+        _, indptr, indices, data, _ = calls[0]
+        assert np.array_equal(indptr, scaled.indptr) and np.array_equal(indices, scaled.indices)
+        assert not data[small].view(np.int64).any()  # +0.0, whose bits are all zero
+        assert np.array_equal(data[~small].view(np.int64), scaled.data[~small].view(np.int64))
+
+    def test_diagonal_below_the_rule_is_kept(self):
+        dense = np.array([[1e-15, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1e-15], [0.0, 0.0, 1.0, 1.0]])
+        matrix, _ = _equilibrate(SparseSystem(sp.csr_matrix(dense), np.ones(4), n_nodes=2))
+        assert matrix.nnz == 8  # the zeroed entry stays in the pattern
+        assert matrix[0, 0] == 1e-15  # a diagonal entry, whatever its size
+        assert matrix[2, 3] == 0.0 and not np.signbit(matrix[2, 3])  # stored as +0.0
 
 
 class TestOneMatrixCopy:
