@@ -1,10 +1,10 @@
 """Cantilever beam benchmark with the classical Timoshenko reference solution.
 
-The beam occupies [0, L] x [-D/2, D/2] with a parabolic shear load of
-resultant P applied at the free left end and the right end held at the
-analytic displacement. Plane stress. The closed-form fields used both for
-boundary data and for error measurement are the standard thick-beam
-solution:
+The paper's fixed verification problem, held in module constants: the beam
+RECT = [0, L] x [-D/2, D/2] of MATERIAL (E, NU, plane stress), a parabolic
+shear load of resultant P at the free left end, and the right end held at
+the analytic displacement. The closed-form fields used both for boundary
+data and for error measurement are the standard thick-beam solution:
 
     I = D^3 / 12
     sigma_xx = P x y / I
@@ -17,8 +17,6 @@ solution:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,56 +28,41 @@ from ..solve import SolverConfig
 from ..timing import PhaseTimer
 from .metrics import CaseResult, error_einf, solve_on_cloud
 
-
-@dataclass(frozen=True)
-class BeamParams:
-    length: float = 30.0
-    height: float = 5.0
-    E: float = 72.1e9
-    nu: float = 0.33
-    load: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if not (self.length > 0 and self.height > 0):
-            raise ValueError("beam dimensions must be positive")
-
-    @property
-    def inertia(self) -> float:
-        return self.height**3 / 12.0
-
-    @property
-    def rect(self) -> Rect:
-        return Rect(0.0, self.length, -self.height / 2.0, self.height / 2.0)
+L = 30.0
+D = 5.0
+E = 72.1e9
+NU = 0.33
+P = 1000.0
+I = D**3 / 12.0
+RECT = Rect(0.0, L, -D / 2.0, D / 2.0)
+MATERIAL = Material(E, NU, "plane-stress")
 
 
-def timoshenko_stress(x, y, params: BeamParams = BeamParams()):
+def timoshenko_stress(x, y):
     """Reference stresses (sxx, syy, sxy); vectorized over x, y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    I = params.inertia
-    sxx = params.load * x * y / I
+    sxx = P * x * y / I
     syy = np.zeros_like(sxx)
-    sxy = params.load / (2.0 * I) * (params.height**2 / 4.0 - y * y)
+    sxy = P / (2.0 * I) * (D**2 / 4.0 - y * y)
     return sxx, syy, sxy
 
 
-def timoshenko_displacement(x, y, params: BeamParams = BeamParams()):
+def timoshenko_displacement(x, y):
     """Reference displacements (u, v); vectorized over x, y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    P, E, nu = params.load, params.E, params.nu
-    L, D, I = params.length, params.height, params.inertia
     c = P / (24.0 * E * I)
-    u = c * y * (3.0 * D * D * (1.0 + nu) - 4.0 * (3.0 * L * L + (nu + 2.0) * y * y - 3.0 * x * x))
+    u = c * y * (3.0 * D * D * (1.0 + NU) - 4.0 * (3.0 * L * L + (NU + 2.0) * y * y - 3.0 * x * x))
     v = -c * (
-        3.0 * D * D * (1.0 + nu) * (L - x)
+        3.0 * D * D * (1.0 + NU) * (L - x)
         + 4.0 * (L - x) ** 2 * (2.0 * L + x)
-        + 12.0 * nu * x * y * y
+        + 12.0 * NU * x * y * y
     )
     return u, v
 
 
-def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = False) -> BoundaryConditions:
+def cantilever_bcs(nodes: NodeSet, all_essential: bool = False) -> BoundaryConditions:
     """Analytic displacement on the right edge, analytic traction elsewhere.
 
     Traction vectors are the reference stress tensor contracted with each
@@ -90,10 +73,10 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
     bnd = np.nonzero(nodes.boundary_mask)[0]
     x = nodes.positions[bnd, 0]
     y = nodes.positions[bnd, 1]
-    on_right = x == params.rect.x_hi
+    on_right = x == RECT.x_hi
 
-    u_ref, v_ref = timoshenko_displacement(x, y, params)
-    sxx, syy, sxy = timoshenko_stress(x, y, params)
+    u_ref, v_ref = timoshenko_displacement(x, y)
+    sxx, syy, sxy = timoshenko_stress(x, y)
     n1 = nodes.normals[bnd, 0]
     n2 = nodes.normals[bnd, 1]
     t1 = sxx * n1 + sxy * n2
@@ -105,10 +88,10 @@ def cantilever_bcs(nodes: NodeSet, params: BeamParams, all_essential: bool = Fal
     return bcs
 
 
-def cantilever_measure(params: BeamParams, nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
+def cantilever_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
     x, y = nodes.positions[:, 0], nodes.positions[:, 1]
-    u_ref, v_ref = timoshenko_displacement(x, y, params)
-    sxx, syy, sxy = timoshenko_stress(x, y, params)
+    u_ref, v_ref = timoshenko_displacement(x, y)
+    sxx, syy, sxy = timoshenko_stress(x, y)
     errors = {
         "e_inf_u": error_einf((u, v), (u_ref, v_ref)),
         "e_inf_sigma": error_einf((stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy)),
@@ -140,11 +123,11 @@ def perturb_nodes(nodes: NodeSet, sigma: float, seed: int = 0) -> NodeSet:
     return out
 
 
-def grid_spacing_for(params: BeamParams, n_target: int) -> float:
+def grid_spacing_for(n_target: int) -> float:
     """Spacing that puts roughly n_target nodes on the beam rectangle."""
     if n_target < 4:
         raise ValueError(f"need at least 4 nodes, got {n_target}")
-    return math.sqrt(params.length * params.height / n_target)
+    return math.sqrt(L * D / n_target)
 
 
 def cantilever_case(
@@ -152,7 +135,6 @@ def cantilever_case(
     *,
     nx: int | None = None,
     n_target: int | None = None,
-    params: BeamParams = BeamParams(),
     basis: BasisSpec = BasisSpec(),
     support_n: int = 9,
     weight: WeightSpec = WeightSpec(),
@@ -169,25 +151,25 @@ def cantilever_case(
     if sum(value is not None for value in (nx, spacing, n_target)) > 1:
         raise ValueError("give at most one of nx, spacing or n_target")
     if n_target is not None:
-        spacing = grid_spacing_for(params, n_target)
+        spacing = grid_spacing_for(n_target)
     elif spacing is None:
         nx = 60 if nx is None else nx
         if nx < 2:
             raise ValueError(f"nx must be at least 2, got {nx}")
-        spacing = params.length / (nx - 1)
+        spacing = L / (nx - 1)
 
     timer = PhaseTimer()
     with timer.phase("domain"):
-        nodes = build_rectangle_grid(params.rect, spacing)
+        nodes = build_rectangle_grid(RECT, spacing)
         if perturb_sigma != 0.0:
             nodes = perturb_nodes(nodes, perturb_sigma, seed)
 
     return solve_on_cloud(
         timer,
         nodes,
-        Material(params.E, params.nu, "plane-stress"),
-        lambda nodes: cantilever_bcs(nodes, params, all_essential),
-        partial(cantilever_measure, params),
+        MATERIAL,
+        lambda nodes: cantilever_bcs(nodes, all_essential),
+        cantilever_measure,
         basis=basis,
         support_n=support_n,
         weight=weight,

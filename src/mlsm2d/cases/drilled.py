@@ -1,40 +1,33 @@
 """Cantilever with drilled holes: an irregular-domain engineering demo.
 
-No closed-form solution exists; the case reports the tip deflection for
-comparison against the solid-beam reference and the location of the von
-Mises maximum, which should sit on a hole boundary where the stress
-concentrates. Node positioning (optional refinement around the holes plus
-relaxation) exercises the irregular-cloud pipeline end to end; it is
-`hole_refined_cloud`, which builds the cloud of any drilled rectangle
-without solving.
+The cantilever's RECT and MATERIAL (module `beam`) with the three fixed
+HOLES drilled through it, clamped on the right and pushed down on the left
+by a uniform traction of resultant P. No closed-form solution exists; the
+case reports the tip deflection for comparison against the solid-beam
+reference and the location of the von Mises maximum, which should sit on a
+hole boundary where the stress concentrates. Node positioning (optional
+refinement around the holes plus relaxation) exercises the irregular-cloud
+pipeline end to end; it is `hole_refined_cloud`, which builds the cloud of
+any drilled rectangle without solving.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .. import refine
-from ..elasticity import BoundaryConditions, Material
+from ..elasticity import BoundaryConditions
 from ..nodes import Circle, NodeSet, Rect, build_drilled_domain
 from ..relax import ITERATIONS, relax
 from ..shapes import BasisSpec, WeightSpec
 from ..solve import SolverConfig
 from ..timing import PhaseTimer
-from .beam import BeamParams
+from .beam import D, MATERIAL, P, RECT
 from .metrics import CaseResult, solve_on_cloud
 
-
-@dataclass(frozen=True)
-class DrilledBeamParams(BeamParams):
-    holes: tuple[Circle, ...] = (
-        Circle(8.0, 0.5, 1.5),
-        Circle(15.0, -0.6, 1.0),
-        Circle(22.0, 0.4, 1.25),
-    )
+HOLES = (Circle(8.0, 0.5, 1.5), Circle(15.0, -0.6, 1.0), Circle(22.0, 0.4, 1.25))
 
 
-def drilled_bcs(nodes: NodeSet, params: DrilledBeamParams) -> BoundaryConditions:
+def drilled_bcs(nodes: NodeSet) -> BoundaryConditions:
     """Clamp the right edge, push down uniformly on the left, free elsewhere."""
     bcs = BoundaryConditions.empty(nodes.n)
     rect = nodes.domain.rect
@@ -42,7 +35,7 @@ def drilled_bcs(nodes: NodeSet, params: DrilledBeamParams) -> BoundaryConditions
     x = nodes.positions[bnd, 0]
     clamped = x == rect.x_hi
     traction = np.zeros((bnd.size, 2))
-    traction[x == rect.x_lo, 1] = -params.load / params.height
+    traction[x == rect.x_lo, 1] = -P / D
     bcs.set_essential(bnd[clamped], (0.0, 0.0))
     bcs.set_traction(bnd[~clamped], traction[~clamped])
     return bcs
@@ -107,7 +100,6 @@ def hole_refined_cloud(
 def drilled_cantilever_case(
     spacing: float = 0.25,
     *,
-    params: DrilledBeamParams = DrilledBeamParams(),
     basis: BasisSpec = BasisSpec(),
     support_n: int = 15,
     weight: WeightSpec = WeightSpec(),
@@ -125,12 +117,12 @@ def drilled_cantilever_case(
     support_n = 15 keeps hole-ring and interface supports full rank.
     """
     timer = PhaseTimer()
-    nodes = hole_refined_cloud(timer, params.rect, params.holes, spacing, refine_levels, relax_iterations)
+    nodes = hole_refined_cloud(timer, RECT, HOLES, spacing, refine_levels, relax_iterations)
     return solve_on_cloud(
         timer,
         nodes,
-        Material(params.E, params.nu, "plane-stress"),
-        lambda nodes: drilled_bcs(nodes, params),
+        MATERIAL,
+        drilled_bcs,
         drilled_measure,
         basis=basis,
         support_n=support_n,

@@ -7,11 +7,15 @@ classical elliptic pressure distribution
 
 with contact half-width b = 2 sqrt(P R / (pi E*)) and peak pressure
 p0 = sqrt(P E* / (pi R)), where 1/R = 1/R1 + 1/R2 and
-1/E* = (1 - nu1^2)/E1 + (1 - nu2^2)/E2. The benchmark models the half-plane
-as a large square [-H, H] x [-H, 0]: the top edge carries the pressure as a
-traction, the remaining edges are held fixed. Stresses are compared against
-the McEwen closed-form subsurface field, which is evaluated with the
-auxiliary quantities
+1/E* = (1 - nu1^2)/E1 + (1 - nu2^2)/E2. The paper's problem is fixed: a
+cylinder of radius R = 1 on a flat (R2 = inf) of the same material
+(E = 72.1e9, nu = 0.33) under P = 543, so E*, b and p0 are the module
+constants E_STAR, HALF_WIDTH and PEAK_PRESSURE. The benchmark models the
+half-plane as a large square [-H, H] x [-H, 0]: the top edge carries the
+pressure as a traction, the remaining edges are held fixed. H is the one
+setting, `hertz_cloud`'s half_size (1000 b by default). Stresses are
+compared against the McEwen closed-form subsurface field, which is
+evaluated with the auxiliary quantities
 
     m^2, n^2 = (sqrt((b^2 - x^2 + y^2)^2 + 4 x^2 y^2) +- (b^2 - x^2 + y^2)) / 2,
 
@@ -28,8 +32,6 @@ a count of primary and of secondary levels into the nested regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,44 +48,15 @@ PRIMARY_FACTORS = (500.0, 200.0, 100.0, 50.0, 20.0, 10.0, 5.0, 4.0, 3.0, 2.0)
 # Additional refinement toward the pressure edges x = +-b, in units of b.
 SECONDARY_FACTORS = (0.4, 0.3)
 
-
-@dataclass(frozen=True)
-class HertzParams:
-    load: float = 543.0
-    E1: float = 72.1e9
-    E2: float = 72.1e9
-    nu1: float = 0.33
-    nu2: float = 0.33
-    R1: float = 1.0
-    R2: float = math.inf
-    half_size: float | None = None  # None: 1000 contact half-widths
-
-    def __post_init__(self) -> None:
-        if not self.load > 0:
-            raise ValueError(f"load must be positive, got {self.load}")
-        Material(self.E1, self.nu1)
-        Material(self.E2, self.nu2)
-        if not (self.R1 > 0 and self.R2 > 0):
-            raise ValueError("radii must be positive")
-
-
-@dataclass(frozen=True)
-class HertzGeometry:
-    radius: float
-    e_star: float
-    half_width: float
-    peak_pressure: float
-
-
-def hertz_geometry(params: HertzParams = HertzParams()) -> HertzGeometry:
-    """Effective radius and modulus, contact half-width and peak pressure."""
-    inv_r = 1.0 / params.R1 + (0.0 if math.isinf(params.R2) else 1.0 / params.R2)
-    radius = 1.0 / inv_r
-    inv_e = (1.0 - params.nu1**2) / params.E1 + (1.0 - params.nu2**2) / params.E2
-    e_star = 1.0 / inv_e
-    half_width = 2.0 * math.sqrt(params.load * radius / (math.pi * e_star))
-    peak = math.sqrt(params.load * e_star / (math.pi * radius))
-    return HertzGeometry(radius, e_star, half_width, peak)
+P = 543.0
+E = 72.1e9
+NU = 0.33
+R = 1.0
+# Written as the two-body sums above, which fix the bits of every Hertz output.
+E_STAR = 1.0 / ((1.0 - NU**2) / E + (1.0 - NU**2) / E)
+HALF_WIDTH = 2.0 * math.sqrt(P * R / (math.pi * E_STAR))
+PEAK_PRESSURE = math.sqrt(P * E_STAR / (math.pi * R))
+MATERIAL = Material(E, NU, "plane-stress")
 
 
 def hertz_pressure(x, half_width: float, peak: float) -> np.ndarray:
@@ -147,11 +120,8 @@ def refinement_schedule(
     return regions
 
 
-def hertz_bcs(nodes, pressure_fn) -> BoundaryConditions:
-    """Pressure traction on the top edge, zero displacement elsewhere.
-
-    pressure_fn maps an array of top-edge x coordinates to their pressures.
-    """
+def hertz_bcs(nodes) -> BoundaryConditions:
+    """The contact pressure as a traction on the top edge, zero displacement elsewhere."""
     bcs = BoundaryConditions.empty(nodes.n)
     rect = nodes.domain.rect
     bnd = np.nonzero(nodes.boundary_mask)[0]
@@ -159,48 +129,47 @@ def hertz_bcs(nodes, pressure_fn) -> BoundaryConditions:
     y = nodes.positions[bnd, 1]
     on_top = (y == rect.y_hi) & (x > rect.x_lo) & (x < rect.x_hi)
     traction = np.zeros((on_top.sum(), 2))
-    traction[:, 1] = -pressure_fn(x[on_top])
+    traction[:, 1] = -hertz_pressure(x[on_top], HALF_WIDTH, PEAK_PRESSURE)
     bcs.set_traction(bnd[on_top], traction)
     bcs.set_essential(bnd[~on_top], (0.0, 0.0))
     return bcs
 
 
-def hertz_measure(geom: HertzGeometry, nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
+def hertz_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:
     x, y = nodes.positions[:, 0], nodes.positions[:, 1]
-    sxx, syy, sxy = hertz_stress(x, y, geom.half_width, geom.peak_pressure)
+    sxx, syy, sxy = hertz_stress(x, y, HALF_WIDTH, PEAK_PRESSURE)
     errors = {
-        "e_inf_sigma": error_einf(
-            (stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=geom.peak_pressure
-        )
+        "e_inf_sigma": error_einf((stress.sxx, stress.syy, stress.sxy), (sxx, syy, sxy), scale=PEAK_PRESSURE)
     }
     return errors, {}
 
 
 def hertz_cloud(
-    timer: PhaseTimer, params: HertzParams = HertzParams(), *, nx: int = 69,
+    timer: PhaseTimer, *, half_size: float | None = None, nx: int = 69,
     refine_levels: int = len(PRIMARY_FACTORS), secondary_levels: int = len(SECONDARY_FACTORS),
 ) -> NodeSet:
     """The contact cloud, timed as the domain and refinement phases of timer.
 
-    A coarse nx-point grid on [-H, H] x [-H, 0] (H = params.half_size, or 1000
+    A coarse nx-point grid on [-H, H] x [-H, 0] (H = half_size, or 1000
     contact half-widths) refined by `refinement_schedule`: about 3e4 nodes.
+    H must be finite and exceed HALF_WIDTH.
     """
     if nx < 3:
         raise ValueError(f"nx must be at least 3, got {nx}")
-    geom = hertz_geometry(params)
-    H = params.half_size if params.half_size is not None else 1000.0 * geom.half_width
-    if not H > geom.half_width:
-        raise ValueError(f"domain half-size {H} must exceed the contact half-width {geom.half_width}")
+    H = 1000.0 * HALF_WIDTH if half_size is None else half_size
+    if not HALF_WIDTH < H < math.inf:
+        bound = "be finite" if H == math.inf else f"exceed the contact half-width {HALF_WIDTH}"
+        raise ValueError(f"domain half-size {H} must {bound}")
     with timer.phase("domain"):
         nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / (nx - 1))
     with timer.phase("refinement"):
-        regions = refinement_schedule(geom.half_width, refine_levels, secondary_levels)
+        regions = refinement_schedule(HALF_WIDTH, refine_levels, secondary_levels)
         return refine.refine_levels(nodes, regions)
 
 
 def hertz_case(
-    params: HertzParams = HertzParams(),
     *,
+    half_size: float | None = None,
     nx: int = 69,
     refine_levels: int = len(PRIMARY_FACTORS),
     secondary_levels: int = len(SECONDARY_FACTORS),
@@ -211,14 +180,15 @@ def hertz_case(
 ) -> CaseResult:
     """Solve the contact benchmark on `hertz_cloud`; 15-node supports keep the refinement interfaces full rank."""
     timer = PhaseTimer()
-    nodes = hertz_cloud(timer, params, nx=nx, refine_levels=refine_levels, secondary_levels=secondary_levels)
-    geom = hertz_geometry(params)
+    nodes = hertz_cloud(
+        timer, half_size=half_size, nx=nx, refine_levels=refine_levels, secondary_levels=secondary_levels
+    )
     return solve_on_cloud(
         timer,
         nodes,
-        Material(params.E1, params.nu1, "plane-stress"),
-        lambda nodes: hertz_bcs(nodes, lambda xx: hertz_pressure(xx, geom.half_width, geom.peak_pressure)),
-        partial(hertz_measure, geom),
+        MATERIAL,
+        hertz_bcs,
+        hertz_measure,
         basis=basis,
         support_n=support_n,
         weight=weight,

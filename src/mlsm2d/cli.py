@@ -43,13 +43,13 @@ BASES = {"m9": "monomial-9", "g9": "gaussian-9"}
 OUT_ENV = "MLSM2D_OUT"
 
 # Flags passed to the case function under another name.
-RENAMES = {"n": "support_n"}
+RENAMES = {"n": "support_n", "hertz_h": "half_size"}
 # Each sweep flag and the case argument that takes its values in turn.
 SWEEPS = {"sweep_n": "n_target", "sweep_sigma": "perturb_sigma", "sweep_refine": "refine_levels"}
 # Flags that are no argument of a case function: those folded into a field
-# of its default basis, weight, solver or params object, the outputs and
-# the sweeps. Every other flag of a case is one, under RENAMES.
-NOT_ARGUMENTS = ("basis", "sigma_b", "sigma_w", "solver", "tol", "hertz_h", "vtk", "dump_matrix", *SWEEPS)
+# of its default basis, weight or solver object, the outputs and the
+# sweeps. Every other flag of a case is one, under RENAMES.
+NOT_ARGUMENTS = ("basis", "sigma_b", "sigma_w", "solver", "tol", "vtk", "dump_matrix", *SWEEPS)
 
 # Flags each case reads besides --case and --out; every case accepts --seed.
 _SOLVE_FLAGS = (
@@ -208,7 +208,6 @@ def run(config: argparse.Namespace) -> None:
         basis=_merged(parameters, "basis", kind=BASES.get(config.basis), sigma=config.sigma_b),
         weight=_merged(parameters, "weight", sigma=config.sigma_w),
         solver=_merged(parameters, "solver", method=config.solver, tolerance=config.tol),
-        params=_merged(parameters, "params", half_size=config.hertz_h),
         **{RENAMES.get(flag, flag): getattr(config, flag) for flag in arguments},
     )
     # Keyword overrides of each run of a sweep; one run without a sweep.
@@ -216,7 +215,7 @@ def run(config: argparse.Namespace) -> None:
     runs = [{SWEEPS[sweep]: value} for value in getattr(config, sweep)] if sweep else [{}]
     for value in getattr(config, sweep) if sweep else ():  # the owners' checks, before any run
         if sweep == "sweep_n":
-            beam.grid_spacing_for(beam.BeamParams(), value)
+            beam.grid_spacing_for(value)
         elif sweep == "sweep_sigma":
             beam.check_perturbation(value)
         elif sweep == "sweep_refine":  # its bounds do not depend on the half-width

@@ -10,17 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from mlsm2d.cases.beam import BeamParams, cantilever_case
+from mlsm2d.cases import hertz
+from mlsm2d.cases.beam import L, MATERIAL, RECT, cantilever_case
 from mlsm2d.cases.hertz import (
+    HALF_WIDTH,
+    PEAK_PRESSURE,
     PRIMARY_FACTORS,
     SECONDARY_FACTORS,
-    HertzParams,
     hertz_case,
-    hertz_geometry,
     hertz_pressure,
     hertz_stress,
 )
-from mlsm2d.elasticity import Material, assemble
+from mlsm2d.elasticity import assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -220,21 +221,19 @@ def test_criterion_05_perturbation_stability():
 
 
 def test_criterion_06_contact_geometry():
-    geom = hertz_geometry()
-    assert geom.half_width == pytest.approx(0.13e-3, rel=0.02)
-    assert geom.peak_pressure == pytest.approx(2.6e6, rel=0.02)
-    x = np.linspace(-geom.half_width, geom.half_width, 20001)
-    total = np.trapezoid(hertz_pressure(x, geom.half_width, geom.peak_pressure), x)
-    assert total == pytest.approx(HertzParams().load, rel=1e-6)
+    assert HALF_WIDTH == pytest.approx(0.13e-3, rel=0.02)
+    assert PEAK_PRESSURE == pytest.approx(2.6e6, rel=0.02)
+    x = np.linspace(-HALF_WIDTH, HALF_WIDTH, 20001)
+    total = np.trapezoid(hertz_pressure(x, HALF_WIDTH, PEAK_PRESSURE), x)
+    assert total == pytest.approx(hertz.P, rel=1e-6)
     print(
-        f"[criterion 06] PASS b={geom.half_width * 1e3:.4f}mm p0={geom.peak_pressure / 1e6:.3f}MPa "
-        f"integral within {abs(total / HertzParams().load - 1):.1e}"
+        f"[criterion 06] PASS b={HALF_WIDTH * 1e3:.4f}mm p0={PEAK_PRESSURE / 1e6:.3f}MPa "
+        f"integral within {abs(total / hertz.P - 1):.1e}"
     )
 
 
 def test_criterion_07_contact_field_self_checks():
-    geom = hertz_geometry()
-    b, p0 = geom.half_width, geom.peak_pressure
+    b, p0 = HALF_WIDTH, PEAK_PRESSURE
     sxx, syy, sxy = hertz_stress(0.0, 0.0, b, p0)
     assert sxx == pytest.approx(-p0, rel=1e-9)
     assert syy == pytest.approx(-p0, rel=1e-9)
@@ -246,13 +245,13 @@ def test_criterion_07_contact_field_self_checks():
 
 
 def test_criterion_08_refinement_beats_truncation_budget():
-    refined = hertz_case(HertzParams())
-    primary_only = hertz_case(HertzParams(), secondary_levels=0)
+    refined = hertz_case()
+    primary_only = hertz_case(secondary_levels=0)
     budget = refined.n_nodes
     nx = int(round(np.sqrt(2.0 * budget)))
     if nx % 2 == 0:
         nx += 1
-    unrefined = hertz_case(HertzParams(), nx=nx, refine_levels=0, secondary_levels=0)
+    unrefined = hertz_case(nx=nx, refine_levels=0, secondary_levels=0)
     e_full = refined.errors["e_inf_sigma"]
     e_prim = primary_only.errors["e_inf_sigma"]
     e_unref = unrefined.errors["e_inf_sigma"]
@@ -268,13 +267,12 @@ def test_criterion_08_refinement_beats_truncation_budget():
 def test_criterion_09_sparsity_structure():
     checked = 0
     for nx, n in ((13, 9), (31, 9), (31, 13)):
-        params = BeamParams()
-        spacing = params.length / (nx - 1)
-        nodes = build_rectangle_grid(params.rect, spacing)
+        spacing = L / (nx - 1)
+        nodes = build_rectangle_grid(RECT, spacing)
         shapes = build_shape_set(nodes, build_supports(nodes, n))
         from mlsm2d.cases.beam import cantilever_bcs
 
-        system = assemble(nodes, shapes, Material(params.E, params.nu), cantilever_bcs(nodes, params))
+        system = assemble(nodes, shapes, MATERIAL, cantilever_bcs(nodes))
         assert system.nnz <= 2 * n * system.dim + system.dim
         checked += 1
         if nodes.n == 39:
@@ -288,15 +286,14 @@ def test_criterion_09_sparsity_structure():
 def test_criterion_10_iterative_matches_direct():
     from mlsm2d.cases.beam import cantilever_bcs, grid_spacing_for, perturb_nodes
 
-    params = BeamParams()
     systems = []
     for n_target, n, sigma in ((400, 9, 0.0), (2000, 9, 0.0), (4800, 13, 0.1)):
-        nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, n_target))
+        nodes = build_rectangle_grid(RECT, grid_spacing_for(n_target))
         if sigma > 0:
             nodes = perturb_nodes(nodes, sigma, seed=1)
         shapes = build_shape_set(nodes, build_supports(nodes, n))
         systems.append(
-            assemble(nodes, shapes, Material(params.E, params.nu), cantilever_bcs(nodes, params))
+            assemble(nodes, shapes, MATERIAL, cantilever_bcs(nodes))
         )
     worst = 0.0
     for system in systems:

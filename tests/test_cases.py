@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from mlsm2d.cases import beam, hertz
 from mlsm2d.cases.beam import (
-    BeamParams,
+    MATERIAL,
+    RECT,
     cantilever_bcs,
     cantilever_case,
     grid_spacing_for,
@@ -17,78 +19,76 @@ from mlsm2d.cases.beam import (
     timoshenko_stress,
 )
 from mlsm2d.cases.drilled import (
-    DrilledBeamParams,
+    HOLES,
     _hole_box,
     drilled_bcs,
     drilled_cantilever_case,
+    drilled_measure,
     hole_refined_cloud,
 )
 from mlsm2d.cases.hertz import (
+    E_STAR,
+    HALF_WIDTH,
+    PEAK_PRESSURE,
     PRIMARY_FACTORS,
     SECONDARY_FACTORS,
-    HertzParams,
     hertz_bcs,
     hertz_case,
     hertz_cloud,
-    hertz_geometry,
     hertz_pressure,
     hertz_stress,
     refinement_schedule,
 )
-from mlsm2d.cases.metrics import error_einf
+from mlsm2d.cases.metrics import error_einf, solve_on_cloud
 from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels, refine_once
 from mlsm2d.relax import relax
+from mlsm2d.shapes import BasisSpec, WeightSpec
 from mlsm2d.solve import ND, SolverConfig
 from mlsm2d.timing import PhaseTimer, TimingReport
 
 
 class TestTimoshenko:
     def test_stress_spot_values(self):
-        params = BeamParams()
-        sxx, syy, sxy = timoshenko_stress(params.length, params.height / 2, params)
+        sxx, syy, sxy = timoshenko_stress(beam.L, beam.D / 2)
         assert sxx == pytest.approx(1000 * 30 * 2.5 / (125 / 12))
         assert syy == 0.0
         assert sxy == pytest.approx(0.0)
 
     def test_free_end_carries_no_bending_stress(self):
-        sxx, _, _ = timoshenko_stress(0.0, 1.7, BeamParams())
+        sxx, _, _ = timoshenko_stress(0.0, 1.7)
         assert sxx == 0.0
 
     @pytest.mark.parametrize("x", [0.0, 7.5, 30.0])
     def test_top_and_bottom_are_traction_free(self, x):
-        params = BeamParams()
-        for y in (params.height / 2, -params.height / 2):
-            _, syy, sxy = timoshenko_stress(x, y, params)
+        for y in (beam.D / 2, -beam.D / 2):
+            _, syy, sxy = timoshenko_stress(x, y)
             assert syy == 0.0
             assert sxy == pytest.approx(0.0, abs=1e-12)
 
     def test_tip_deflection_value(self):
-        _, v = timoshenko_displacement(0.0, 0.0, BeamParams())
+        _, v = timoshenko_displacement(0.0, 0.0)
         assert v == pytest.approx(-1.2149375866851595e-05, rel=1e-12)
 
     def test_centerline_axial_displacement_vanishes(self):
-        u, _ = timoshenko_displacement(np.array([3.0, 11.0]), np.array([0.0, 0.0]), BeamParams())
+        u, _ = timoshenko_displacement(np.array([3.0, 11.0]), np.array([0.0, 0.0]))
         np.testing.assert_allclose(u, 0.0, atol=1e-18)
 
     def test_support_end_centerline_is_fixed(self):
-        params = BeamParams()
-        _, v = timoshenko_displacement(params.length, 0.0, params)
+        _, v = timoshenko_displacement(beam.L, 0.0)
         assert v == pytest.approx(0.0, abs=1e-18)
 
     def test_field_satisfies_the_momentum_balance(self):
         # the displacement field is cubic, so plain central differences are
         # exact for its second derivatives and the interior residual of the
         # balance equations must vanish
-        params = BeamParams()
-        material = Material(params.E, params.nu, "plane-stress")
-        lam, mu = material.lam, material.mu
+        lam, mu = MATERIAL.lam, MATERIAL.mu
         rng = np.random.default_rng(12)
         h = 1e-3
         for _ in range(20):
-            x = rng.uniform(1.0, params.length - 1.0)
-            y = rng.uniform(-params.height / 2 + 0.5, params.height / 2 - 0.5)
+            x = rng.uniform(1.0, beam.L - 1.0)
+            y = rng.uniform(-beam.D / 2 + 0.5, beam.D / 2 - 0.5)
 
             def d2(f, comp, mode):
                 if mode == "xx":
@@ -102,7 +102,7 @@ class TestTimoshenko:
                     + f(x - h, y - h)[comp]
                 ) / (4 * h**2)
 
-            disp = lambda xx, yy: timoshenko_displacement(xx, yy, params)
+            disp = timoshenko_displacement
             r_u = (lam + 2 * mu) * d2(disp, 0, "xx") + mu * d2(disp, 0, "yy") + (lam + mu) * d2(disp, 1, "xy")
             r_v = (lam + 2 * mu) * d2(disp, 1, "yy") + mu * d2(disp, 1, "xx") + (lam + mu) * d2(disp, 0, "xy")
             scale = max(
@@ -117,24 +117,22 @@ class TestTimoshenko:
 
 class TestCantileverBCs:
     def build(self):
-        params = BeamParams()
-        nodes = build_rectangle_grid(params.rect, 0.5)
-        return params, nodes
+        return build_rectangle_grid(RECT, 0.5)
 
     def test_support_edge_gets_analytic_displacements(self):
-        params, nodes = self.build()
-        bcs = cantilever_bcs(nodes, params)
-        i = int(np.nonzero((nodes.positions[:, 0] == params.length) & (nodes.positions[:, 1] == 0.5))[0][0])
-        u_ref, v_ref = timoshenko_displacement(params.length, 0.5, params)
+        nodes = self.build()
+        bcs = cantilever_bcs(nodes)
+        i = int(np.nonzero((nodes.positions[:, 0] == beam.L) & (nodes.positions[:, 1] == 0.5))[0][0])
+        u_ref, v_ref = timoshenko_displacement(beam.L, 0.5)
         assert bcs.kind[i] == BC_ESSENTIAL
         np.testing.assert_allclose(bcs.values[i], (u_ref, v_ref), rtol=1e-12)
 
     def test_top_edge_is_traction_free(self):
-        params, nodes = self.build()
-        bcs = cantilever_bcs(nodes, params)
-        on_top = (nodes.positions[:, 1] == params.height / 2) & (
+        nodes = self.build()
+        bcs = cantilever_bcs(nodes)
+        on_top = (nodes.positions[:, 1] == beam.D / 2) & (
             0 < nodes.positions[:, 0]
-        ) & (nodes.positions[:, 0] < params.length)
+        ) & (nodes.positions[:, 0] < beam.L)
         i = int(np.nonzero(on_top)[0][0])
         assert bcs.kind[i] == BC_TRACTION
         np.testing.assert_allclose(bcs.values[i], (0.0, 0.0), atol=1e-12)
@@ -142,24 +140,36 @@ class TestCantileverBCs:
     def test_load_edge_carries_the_shear_resultant(self):
         # traction on the free end is -sigma . x_hat, a parabola integrating
         # to the applied load
-        params, nodes = self.build()
-        bcs = cantilever_bcs(nodes, params)
+        nodes = self.build()
+        bcs = cantilever_bcs(nodes)
         on_left = nodes.positions[:, 0] == 0.0
-        idx = np.nonzero(on_left & (np.abs(nodes.positions[:, 1]) < params.height / 2))[0]
+        idx = np.nonzero(on_left & (np.abs(nodes.positions[:, 1]) < beam.D / 2))[0]
         assert np.all(bcs.kind[idx] == BC_TRACTION)
         ys = nodes.positions[idx, 1]
         ty = bcs.values[idx, 1]
-        _, _, sxy = timoshenko_stress(0.0, ys, params)
+        _, _, sxy = timoshenko_stress(0.0, ys)
         np.testing.assert_allclose(ty, -sxy, rtol=1e-12)
         order = np.argsort(ys)
-        y_full = np.concatenate([[-params.height / 2], ys[order], [params.height / 2]])
+        y_full = np.concatenate([[-beam.D / 2], ys[order], [beam.D / 2]])
         t_full = np.concatenate([[0.0], ty[order], [0.0]])
-        assert np.trapezoid(t_full, y_full) == pytest.approx(-params.load, rel=0.01)
+        assert np.trapezoid(t_full, y_full) == pytest.approx(-beam.P, rel=0.01)
 
     def test_all_essential_pins_every_boundary_node(self):
-        params, nodes = self.build()
-        bcs = cantilever_bcs(nodes, params, all_essential=True)
+        nodes = self.build()
+        bcs = cantilever_bcs(nodes, all_essential=True)
         assert np.all(bcs.kind[nodes.boundary_mask] == BC_ESSENTIAL)
+
+
+def test_hertz_bcs_press_the_top_edge_with_the_load():
+    b = HALF_WIDTH
+    nodes = build_rectangle_grid(Rect(-2.0 * b, 2.0 * b, -0.02 * b, 0.0), b / 200.0)
+    bcs = hertz_bcs(nodes)
+    top = np.nonzero(nodes.boundary_mask & (nodes.positions[:, 1] == 0.0))[0]
+    top = top[np.argsort(nodes.positions[top, 0])]
+    inner = top[1:-1]  # the corners are held fixed
+    assert np.all(bcs.kind[inner] == BC_TRACTION) and np.all(bcs.kind[top[[0, -1]]] == BC_ESSENTIAL)
+    assert np.all(bcs.values[top, 0] == 0.0)
+    assert np.trapezoid(bcs.values[top, 1], nodes.positions[top, 0]) == pytest.approx(-hertz.P, rel=1e-3)
 
 
 class TestBoundaryConditionsMatchPerNodeLoops:
@@ -171,27 +181,25 @@ class TestBoundaryConditionsMatchPerNodeLoops:
 
     @pytest.mark.parametrize("all_essential", [False, True])
     def test_cantilever(self, all_essential):
-        params = BeamParams()
-        nodes = build_rectangle_grid(params.rect, 0.5)
+        nodes = build_rectangle_grid(RECT, 0.5)
         ref = BoundaryConditions.empty(nodes.n)
         bnd = np.nonzero(nodes.boundary_mask)[0]
         x, y = nodes.positions[bnd, 0], nodes.positions[bnd, 1]
-        u_ref, v_ref = timoshenko_displacement(x, y, params)
-        sxx, syy, sxy = timoshenko_stress(x, y, params)
+        u_ref, v_ref = timoshenko_displacement(x, y)
+        sxx, syy, sxy = timoshenko_stress(x, y)
         n1, n2 = nodes.normals[bnd, 0], nodes.normals[bnd, 1]
         t1, t2 = sxx * n1 + sxy * n2, sxy * n1 + syy * n2
         for k, i in enumerate(bnd):
-            if all_essential or x[k] == params.rect.x_hi:
+            if all_essential or x[k] == RECT.x_hi:
                 ref.set_essential(i, (u_ref[k], v_ref[k]))
             else:
                 ref.set_traction(i, (t1[k], t2[k]))
-        assert self.same_bits(cantilever_bcs(nodes, params, all_essential), ref)
+        assert self.same_bits(cantilever_bcs(nodes, all_essential), ref)
 
     def test_hertz(self):
-        geom = hertz_geometry()
-        b = geom.half_width
+        b = HALF_WIDTH
         nodes = build_rectangle_grid(Rect(-2.0 * b, 2.0 * b, -2.0 * b, 0.0), b / 8.0)
-        pressure = lambda xx: hertz_pressure(xx, b, geom.peak_pressure)  # noqa: E731
+        pressure = lambda xx: hertz_pressure(xx, b, PEAK_PRESSURE)  # noqa: E731
         ref = BoundaryConditions.empty(nodes.n)
         rect = nodes.domain.rect
         bnd = np.nonzero(nodes.boundary_mask)[0]
@@ -203,11 +211,10 @@ class TestBoundaryConditionsMatchPerNodeLoops:
             else:
                 ref.set_essential(i, (0.0, 0.0))
         assert np.count_nonzero(ref.values[:, 1]) > 10
-        assert self.same_bits(hertz_bcs(nodes, pressure), ref)
+        assert self.same_bits(hertz_bcs(nodes), ref)
 
     def test_drilled(self):
-        params = DrilledBeamParams()
-        nodes = build_drilled_domain(params.rect, params.holes, 0.5)
+        nodes = build_drilled_domain(RECT, HOLES, 0.5)
         ref = BoundaryConditions.empty(nodes.n)
         rect = nodes.domain.rect
         bnd = np.nonzero(nodes.boundary_mask)[0]
@@ -216,10 +223,10 @@ class TestBoundaryConditionsMatchPerNodeLoops:
             if x[k] == rect.x_hi:
                 ref.set_essential(i, (0.0, 0.0))
             elif x[k] == rect.x_lo:
-                ref.set_traction(i, (0.0, -params.load / params.height))
+                ref.set_traction(i, (0.0, -beam.P / beam.D))
             else:
                 ref.set_traction(i, (0.0, 0.0))
-        assert self.same_bits(drilled_bcs(nodes, params), ref)
+        assert self.same_bits(drilled_bcs(nodes), ref)
 
 
 class TestPerturbNodes:
@@ -274,16 +281,14 @@ class TestCantileverCase:
             cantilever_case(nx=60, **kwargs)
 
     def test_default_grid_has_60_nodes_along_the_beam(self):
-        params = BeamParams()
-        grid = build_rectangle_grid(params.rect, params.length / 59)
+        grid = build_rectangle_grid(RECT, beam.L / 59)
         assert cantilever_case().nodes.positions.tobytes() == grid.positions.tobytes()
         with pytest.raises(ValueError, match="nx must be at least 2"):
             cantilever_case(nx=1)
 
     def test_grid_spacing_for_hits_the_target_count(self):
-        params = BeamParams()
         for target in (1000, 10_000):
-            nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, target))
+            nodes = build_rectangle_grid(RECT, grid_spacing_for(target))
             assert abs(nodes.n - target) <= 0.1 * target
 
     def test_moderate_grid_converges(self):
@@ -391,74 +396,60 @@ class TestErrorEinfMatchesTheTwoNormsItReplaced:
 
 class TestHertzAnalytic:
     def test_reference_geometry(self):
-        geom = hertz_geometry()
-        assert geom.e_star == pytest.approx(72.1e9 / (2 * (1 - 0.33**2)), rel=1e-12)
-        assert geom.half_width == pytest.approx(0.13e-3, rel=0.02)
-        assert geom.peak_pressure == pytest.approx(2.6e6, rel=0.02)
+        assert E_STAR == pytest.approx(72.1e9 / (2 * (1 - 0.33**2)), rel=1e-12)
+        assert HALF_WIDTH == pytest.approx(0.13e-3, rel=0.02)
+        assert PEAK_PRESSURE == pytest.approx(2.6e6, rel=0.02)
 
+    # The two-body modulus sum and R = 1 in the half-width and peak formulas
+    # give the bits that every earlier Hertz run used.
     @pytest.mark.parametrize(
-        "field, message",
+        "value, bits",
         [
-            ("load", "load must be positive"),
-            ("E1", "Young's modulus must be positive"),
-            ("R2", "radii must be positive"),
-            ("E2", "Young's modulus must be positive"),
+            (E_STAR, "0x1.2d6af711b2602p+35"),
+            (HALF_WIDTH, "0x1.122791193e645p-13"),
+            (PEAK_PRESSURE, "0x1.42cb1293e3763p+21"),
+            (beam.I, "0x1.4d55555555555p+3"),
         ],
+        ids=["E_STAR", "HALF_WIDTH", "PEAK_PRESSURE", "beam.I"],
     )
-    @pytest.mark.parametrize("value", [0.0, np.nan])
-    def test_invalid_params_rejected(self, field, message, value):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            HertzParams(**{field: value})
+    def test_constants_keep_their_bits(self, value, bits):
+        assert value.hex() == bits
 
-    @pytest.mark.parametrize("field", ["nu1", "nu2"])
-    @pytest.mark.parametrize("value", [np.nan, 0.7])
-    def test_poisson_ratio_outside_the_material_bounds_rejected(self, field, value):
-        # Material owns the bound, so the ratio fails here and not later as a half-width
-        with pytest.raises(ValueError, match=r"^Poisson ratio must lie in \(-1, 0\.5\)"):
-            HertzParams(**{field: value})
-
-    def test_flat_partner_keeps_the_cylinder_radius(self):
-        geom = hertz_geometry(HertzParams())
-        assert geom.radius == pytest.approx(1.0)
+    def test_both_bodies_and_the_beam_share_one_material(self):
+        assert beam.MATERIAL == hertz.MATERIAL == Material(72.1e9, 0.33, "plane-stress")
 
     def test_pressure_profile(self):
-        geom = hertz_geometry()
-        b, p0 = geom.half_width, geom.peak_pressure
+        b, p0 = HALF_WIDTH, PEAK_PRESSURE
         assert hertz_pressure(0.0, b, p0) == pytest.approx(p0)
         assert hertz_pressure(b, b, p0) == 0.0
         assert hertz_pressure(2 * b, b, p0) == 0.0
 
     def test_pressure_integrates_to_the_load(self):
-        geom = hertz_geometry()
-        b, p0 = geom.half_width, geom.peak_pressure
+        b, p0 = HALF_WIDTH, PEAK_PRESSURE
         x = np.linspace(-b, b, 20001)
         total = np.trapezoid(hertz_pressure(x, b, p0), x)
         assert total == pytest.approx(543.0, rel=1e-6)
 
     def test_stress_beneath_the_contact_center(self):
-        geom = hertz_geometry()
-        sxx, syy, sxy = hertz_stress(0.0, 0.0, geom.half_width, geom.peak_pressure)
-        assert sxx == pytest.approx(-geom.peak_pressure, rel=1e-9)
-        assert syy == pytest.approx(-geom.peak_pressure, rel=1e-9)
-        assert sxy == pytest.approx(0.0, abs=1e-9 * geom.peak_pressure)
+        sxx, syy, sxy = hertz_stress(0.0, 0.0, HALF_WIDTH, PEAK_PRESSURE)
+        assert sxx == pytest.approx(-PEAK_PRESSURE, rel=1e-9)
+        assert syy == pytest.approx(-PEAK_PRESSURE, rel=1e-9)
+        assert sxy == pytest.approx(0.0, abs=1e-9 * PEAK_PRESSURE)
 
     def test_surface_traction_matches_the_pressure(self):
-        geom = hertz_geometry()
-        b, p0 = geom.half_width, geom.peak_pressure
+        b, p0 = HALF_WIDTH, PEAK_PRESSURE
         x = np.linspace(-3 * b, 3 * b, 101)
         _, syy, sxy = hertz_stress(x, np.zeros_like(x), b, p0)
         np.testing.assert_allclose(syy, -hertz_pressure(x, b, p0), atol=1e-9 * p0)
         np.testing.assert_allclose(sxy, 0.0, atol=1e-9 * p0)
 
     def test_stresses_decay_with_depth(self):
-        geom = hertz_geometry()
-        b, p0 = geom.half_width, geom.peak_pressure
+        b, p0 = HALF_WIDTH, PEAK_PRESSURE
         sxx, syy, sxy = hertz_stress(0.0, -1000 * b, b, p0)
         assert max(abs(sxx), abs(syy), abs(sxy)) < 1e-2 * p0
 
     def test_symmetry_in_x(self):
-        geom = hertz_geometry()
-        b, p0 = geom.half_width, geom.peak_pressure
+        b, p0 = HALF_WIDTH, PEAK_PRESSURE
         y = -0.4 * b
         left = hertz_stress(-0.7 * b, y, b, p0)
         right = hertz_stress(0.7 * b, y, b, p0)
@@ -469,8 +460,7 @@ class TestHertzAnalytic:
 
 class TestRefinementSchedule:
     def test_default_region_layout(self):
-        geom = hertz_geometry()
-        regions = refinement_schedule(geom.half_width)
+        regions = refinement_schedule(HALF_WIDTH)
         assert len(regions) == 10 + 2 * 2
         levels = [r.level for r in regions]
         assert levels == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11, 12, 12]
@@ -512,6 +502,31 @@ def test_hertz_case_solves_on_hertz_cloud(hertz_l4_run):
     assert hertz_l4_run.nodes.positions.tobytes() == nodes.positions.tobytes()
 
 
+def test_hertz_case_builds_its_cloud_at_the_half_size():
+    levels = {"refine_levels": 4, "secondary_levels": 0}
+    nodes = hertz_cloud(PhaseTimer(), half_size=0.5, **levels)
+    assert nodes.domain.rect == Rect(-0.5, 0.5, -0.5, 0.0)
+    assert hertz_case(half_size=0.5, **levels).nodes.positions.tobytes() == nodes.positions.tobytes()
+
+
+@pytest.mark.parametrize("builder", ["hertz_cloud", "hertz_case"])
+@pytest.mark.parametrize("half_size", [0.0, HALF_WIDTH, -np.inf, np.nan, np.inf])
+def test_half_size_outside_its_bound_is_rejected(monkeypatch, builder, half_size):
+    # hertz_cloud owns the bound HALF_WIDTH < H < inf; no grid is built for a value outside it.
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(hertz, "build_rectangle_grid", no_grid)
+    timer = PhaseTimer()
+    bound = "be finite" if half_size == np.inf else "exceed the contact half-width"
+    with pytest.raises(ValueError, match=f"^domain half-size {half_size} must {bound}"):
+        if builder == "hertz_cloud":
+            hertz_cloud(timer, half_size=half_size)
+        else:
+            hertz_case(half_size=half_size)
+    assert timer.report().phases == {}
+
+
 class TestTruncatedSchedules:
     def sigma_errors(self, levels, **kwargs):
         return [hertz_case(refine_levels=L, **kwargs).errors["e_inf_sigma"] for L in levels]
@@ -537,17 +552,43 @@ def default_run():
 
 
 class TestDrilledCase:
-    def test_zero_load_gives_zero_displacement(self):
-        res = drilled_cantilever_case(
-            spacing=0.5, params=DrilledBeamParams(holes=(), load=0.0)
+    @staticmethod
+    def solid_beam(make_bcs):
+        """The drilled case's pipeline on the beam without holes, at spacing 0.5."""
+        timer = PhaseTimer()
+        nodes = hole_refined_cloud(timer, RECT, (), 0.5, 1)
+        return solve_on_cloud(
+            timer, nodes, MATERIAL, make_bcs, drilled_measure,
+            basis=BasisSpec(), support_n=15, weight=WeightSpec(), solver=SolverConfig(),
         )
+
+    def test_zero_load_gives_zero_displacement(self):
+        def unloaded(nodes):
+            bcs = BoundaryConditions.empty(nodes.n)
+            bnd = np.nonzero(nodes.boundary_mask)[0]
+            clamped = nodes.positions[bnd, 0] == RECT.x_hi
+            bcs.set_essential(bnd[clamped], (0.0, 0.0))
+            bcs.set_traction(bnd[~clamped], (0.0, 0.0))
+            return bcs
+
+        res = self.solid_beam(unloaded)
         assert np.abs(res.u).max() == pytest.approx(0.0, abs=1e-12)
         assert np.abs(res.v).max() == pytest.approx(0.0, abs=1e-12)
 
     def test_without_holes_tip_tracks_the_closed_form(self):
-        res = drilled_cantilever_case(spacing=0.5, params=DrilledBeamParams(holes=()))
+        res = self.solid_beam(drilled_bcs)
         tip_ref = timoshenko_displacement(0.0, 0.0)[1]
         assert res.errors["tip_deflection"] == pytest.approx(tip_ref, rel=0.2)
+
+    def test_loaded_end_carries_the_load_over_the_depth(self):
+        nodes = build_drilled_domain(RECT, HOLES, 0.5)
+        bcs = drilled_bcs(nodes)
+        loaded = np.nonzero(nodes.boundary_mask & (nodes.positions[:, 0] == RECT.x_lo))[0]
+        assert loaded.size == 11
+        assert np.all(bcs.kind[loaded] == BC_TRACTION)
+        assert np.all(bcs.values[loaded] == (0.0, -beam.P / beam.D))
+        y = np.sort(nodes.positions[loaded, 1])
+        assert np.trapezoid(bcs.values[loaded, 1], y) == -beam.P
 
     def test_solver_converges_and_stress_is_finite(self, default_run):
         assert default_run.solve_report.residual <= 1e-8
@@ -559,10 +600,7 @@ class TestDrilledCase:
     def test_peak_stress_sits_at_a_hole(self, default_run):
         nodes = default_run.nodes
         peak = nodes.positions[int(default_run.extras["peak_vm_node"])]
-        params = DrilledBeamParams()
-        ring_gaps = [
-            abs(np.hypot(peak[0] - c.cx, peak[1] - c.cy) - c.radius) for c in params.holes
-        ]
+        ring_gaps = [abs(np.hypot(peak[0] - c.cx, peak[1] - c.cy) - c.radius) for c in HOLES]
         spacing_at_peak = cKDTree(nodes.positions).query(peak, k=2)[0][1]
         assert min(ring_gaps) <= 1.5 * spacing_at_peak
 
@@ -574,20 +612,6 @@ class TestDrilledCase:
 @pytest.mark.parametrize("case", [cantilever_case, hertz_case, drilled_cantilever_case])
 def test_every_case_solves_at_the_library_default(case):
     assert inspect.signature(case).parameters["solver"].default == SolverConfig()
-
-
-class TestDrilledBeamParams:
-    def test_adds_holes_to_the_beam_params(self):
-        params = DrilledBeamParams(holes=(), load=0.0)
-        assert isinstance(params, BeamParams)
-        assert (params.length, params.height, params.E, params.nu) == (30.0, 5.0, 72.1e9, 0.33)
-        assert params.rect == BeamParams().rect
-        assert len(DrilledBeamParams().holes) == 3
-
-    @pytest.mark.parametrize("height", [0.0, np.nan])
-    def test_dimensions_are_checked_like_the_beam(self, height):
-        with pytest.raises(ValueError, match="^beam dimensions must be positive$"):
-            DrilledBeamParams(height=height)
 
 
 class TestHoleRefinedCloud:

@@ -16,10 +16,10 @@ import scipy.sparse as sp
 import mlsm2d
 import mlsm2d.solve
 from mlsm2d import cli, io
-from mlsm2d.cases import beam, hertz
+from mlsm2d.cases import beam
 from mlsm2d.cases.metrics import CaseResult
 from mlsm2d.cli import CASES, main
-from mlsm2d.elasticity import Material, SparseSystem, StressField, assemble
+from mlsm2d.elasticity import SparseSystem, StressField, assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import DomainShape, NodeSet, Rect, build_rectangle_grid
 from mlsm2d.shapes import BasisSpec, WeightSpec, build_shape_set
@@ -163,6 +163,7 @@ class TestExitCodes:
             (["--case", "hertz", "--secondary-levels", 3], f"{LEVELS} 10 and 3"),
             (["--case", "hertz", "--hertz-h", -1], "domain half-size -1.0 must exceed the contact half-width"),
             (["--case", "hertz", "--hertz-h", "nan"], "domain half-size nan must exceed the contact half-width"),
+            (["--case", "hertz", "--hertz-h", "inf"], "domain half-size inf must be finite"),
             (["--case", "hertz", "--sweep-refine", "0,11"], f"{LEVELS} 11 and 2"),
             (["--case", "hertz", "--sweep-refine", "0,-1"], f"{LEVELS} -1 and 2"),
             (["--case", "drilled-beam", "--refine-levels", -1], "refine_levels must be nonnegative, got -1"),
@@ -178,6 +179,7 @@ class TestExitCodes:
             "cantilever-perturb-sigma", "cantilever-perturb-sigma-nan",
             "cantilever-sweep-n", "cantilever-sweep-sigma", "cantilever-sweep-sigma-nan",
             "hertz-refine-levels-11", "hertz-refine-levels--1", "hertz-secondary-levels", "hertz-h", "hertz-h-nan",
+            "hertz-h-inf",
             "hertz-sweep-refine-11", "hertz-sweep-refine--1",
             "drilled-beam-refine-levels", "drilled-beam-relax-iterations", "drilled-beam-spacing",
             "drilled-beam-sigma-w-nan",
@@ -366,12 +368,17 @@ class TestCaseDefaults:
     def test_flags_reach_the_case_by_name(self, tmp_path, case_calls):
         with pytest.raises(_Stop):
             run_cli(["--case", "hertz", "--n", 13, "--refine-levels", 4, "--hertz-h", 0.5, "--out", tmp_path])
-        assert case_calls == [((), {"support_n": 13, "refine_levels": 4, "params": hertz.HertzParams(half_size=0.5)})]
+        assert case_calls == [((), {"support_n": 13, "refine_levels": 4, "half_size": 0.5})]
 
     def test_hertz_solver_flag_keeps_the_case_tolerance(self, tmp_path, case_calls):
         with pytest.raises(_Stop):
             run_cli(["--case", "hertz", "--solver", "bicgstab-ilut", "--out", tmp_path])
         assert case_calls == [((), {"solver": SolverConfig(method="bicgstab-ilut")})]
+
+    def test_hertz_sweep_passes_the_half_size(self, tmp_path, case_calls):
+        with pytest.raises(_Stop):
+            run_cli(["--case", "hertz", "--sweep-refine", "2,3", "--hertz-h", 0.5, "--out", tmp_path])
+        assert case_calls == [((), {"half_size": 0.5, "refine_levels": 2})]
 
     def test_sweep_runs_its_values_through_the_case_argument(self, tmp_path, case_calls):
         with pytest.raises(_Stop):
@@ -421,10 +428,9 @@ class TestArtifacts:
         assert rc == 0
         # The run frees its system before the factorization, so the dump is
         # assembled again; it must be the system of an independent assembly.
-        params = beam.BeamParams()
-        nodes = build_rectangle_grid(params.rect, params.length / 30)
+        nodes = build_rectangle_grid(beam.RECT, beam.L / 30)
         shapes = build_shape_set(nodes, build_supports(nodes, 9), BasisSpec(), WeightSpec())
-        system = assemble(nodes, shapes, Material(params.E, params.nu), beam.cantilever_bcs(nodes, params))
+        system = assemble(nodes, shapes, beam.MATERIAL, beam.cantilever_bcs(nodes))
         system.export_matrix(tmp_path / "independent.txt")
         dumped = (tmp_path / "matrix.txt").read_bytes()
         assert dumped.count(b"\n") == system.nnz

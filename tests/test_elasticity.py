@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import mlsm2d.cases.metrics
-from mlsm2d.cases.beam import BeamParams, cantilever_bcs, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.beam import MATERIAL, RECT, cantilever_bcs, grid_spacing_for, perturb_nodes
 from mlsm2d.cases.drilled import drilled_cantilever_case
 from mlsm2d.cases.hertz import hertz_case
 from mlsm2d.elasticity import (
@@ -237,14 +237,13 @@ def coo_assemble(nodes, shapes, material, bcs):
 
 
 def beam_inputs(n_target=400, n=9, sigma=0.0, levels=0):
-    params = BeamParams()
-    nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, n_target))
+    nodes = build_rectangle_grid(RECT, grid_spacing_for(n_target))
     if sigma > 0:
         nodes = perturb_nodes(nodes, sigma, seed=1)
     if levels > 0:
         nodes = refine_levels(nodes, [RefineRegion(Rect(10.0, 20.0, -1.2, 1.2), levels)])
     shapes = build_shape_set(nodes, build_supports(nodes, n))
-    return nodes, shapes, Material(params.E, params.nu), cantilever_bcs(nodes, params)
+    return nodes, shapes, MATERIAL, cantilever_bcs(nodes)
 
 
 def case_inputs(monkeypatch, run_case):

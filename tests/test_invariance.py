@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_measure
-from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_measure, hole_refined_cloud
-from mlsm2d.cases.hertz import HertzParams, hertz_bcs, hertz_cloud, hertz_geometry, hertz_measure, hertz_pressure
+from mlsm2d.cases import beam, hertz
+from mlsm2d.cases.beam import cantilever_bcs, cantilever_measure
+from mlsm2d.cases.drilled import HOLES, drilled_bcs, drilled_measure, hole_refined_cloud
+from mlsm2d.cases.hertz import hertz_bcs, hertz_cloud, hertz_measure
 from mlsm2d.cases.metrics import solve_on_cloud
-from mlsm2d.elasticity import Material
 from mlsm2d.nodes import build_rectangle_grid
 from mlsm2d.shapes import BasisSpec, WeightSpec
 from mlsm2d.solve import SolverConfig
@@ -27,29 +27,22 @@ TOLERANCE = 1e-8
 PERMUTATION_SEEDS = (1, 2)
 
 
-def cantilever_problem(spacing=BeamParams().length / 59, support_n=9):
+def cantilever_problem(spacing=beam.L / 59, support_n=9):
     """A grid on the beam, by default the CLI's: 60 nodes along it, 9-node supports."""
-    params = BeamParams()
-    nodes = build_rectangle_grid(params.rect, spacing)
-    bcs = partial(cantilever_bcs, params=params)
-    return nodes, Material(params.E, params.nu), bcs, partial(cantilever_measure, params), support_n
+    nodes = build_rectangle_grid(beam.RECT, spacing)
+    return nodes, beam.MATERIAL, cantilever_bcs, cantilever_measure, support_n
 
 
 def drilled_problem():
     """The drilled case's default cloud: spacing 0.25, one refinement level, relaxed."""
-    params = DrilledBeamParams()
-    nodes = hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, 1)
-    return nodes, Material(params.E, params.nu), partial(drilled_bcs, params=params), drilled_measure, 15
+    nodes = hole_refined_cloud(PhaseTimer(), beam.RECT, HOLES, 0.25, 1)
+    return nodes, beam.MATERIAL, drilled_bcs, drilled_measure, 15
 
 
 def hertz_problem():
     """The default Hertz schedule cut to 8 primary levels, 15-node supports."""
-    params = HertzParams()
-    geom = hertz_geometry(params)
-    nodes = hertz_cloud(PhaseTimer(), params, refine_levels=8)
-    pressure = partial(hertz_pressure, half_width=geom.half_width, peak=geom.peak_pressure)
-    bcs = partial(hertz_bcs, pressure_fn=pressure)
-    return nodes, Material(params.E1, params.nu1), bcs, partial(hertz_measure, geom), 15
+    nodes = hertz_cloud(PhaseTimer(), refine_levels=8)
+    return nodes, hertz.MATERIAL, hertz_bcs, hertz_measure, 15
 
 
 def solved(nodes, material, bcs, measure, support_n):

@@ -16,10 +16,10 @@ cloud the package builds (ROADMAP item 1).
 import numpy as np
 import pytest
 
-from mlsm2d.cases.beam import BeamParams, perturb_nodes
-from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
+from mlsm2d.cases.beam import MATERIAL, RECT, perturb_nodes
+from mlsm2d.cases.drilled import HOLES, hole_refined_cloud
 from mlsm2d.cases.metrics import error_einf
-from mlsm2d.elasticity import BoundaryConditions, Material, assemble, compute_stresses
+from mlsm2d.elasticity import BoundaryConditions, assemble, compute_stresses
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import build_rectangle_grid
 from mlsm2d.shapes import build_shape_set
@@ -92,12 +92,8 @@ def orders(make_cloud, support_n, material):
     return np.log2(eu0 / eu1), np.log2(es0 / es1)
 
 
-BEAM = BeamParams()
-DRILLED = DrilledBeamParams()
-
-
 def grid(h):
-    return build_rectangle_grid(BEAM.rect, h)
+    return build_rectangle_grid(RECT, h)
 
 
 def perturbed_grid(h):
@@ -105,7 +101,7 @@ def perturbed_grid(h):
 
 
 def drilled_cloud(refine_levels):
-    return lambda h: hole_refined_cloud(PhaseTimer(), DRILLED.rect, DRILLED.holes, h, refine_levels)
+    return lambda h: hole_refined_cloud(PhaseTimer(), RECT, HOLES, h, refine_levels)
 
 
 def test_field_derivatives_match_finite_differences():
@@ -141,6 +137,5 @@ def test_field_derivatives_match_finite_differences():
     ],
 )
 def test_second_order_convergence(make_cloud, support_n, min_order):
-    material = Material(BEAM.E, BEAM.nu)
-    order_u, order_sigma = orders(make_cloud, support_n, material)
+    order_u, order_sigma = orders(make_cloud, support_n, MATERIAL)
     assert order_u >= min_order and order_sigma >= min_order, (order_u, order_sigma)

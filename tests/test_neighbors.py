@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mlsm2d.cases.beam import perturb_nodes
-from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
+from mlsm2d.cases.beam import RECT
+from mlsm2d.cases.drilled import HOLES, hole_refined_cloud
 from mlsm2d.cases.hertz import hertz_cloud
 from mlsm2d.neighbors import _lattice_k, build_supports, knn
 from mlsm2d.nodes import Rect, build_rectangle_grid
@@ -101,8 +102,7 @@ def case_cloud(request):
     if request.param == "grid":
         return build_rectangle_grid(Rect(0, 4, 0, 2), 0.1)
     if request.param == "drilled":
-        params = DrilledBeamParams()
-        return hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, 1)
+        return hole_refined_cloud(PhaseTimer(), RECT, HOLES, 0.25, 1)
     return hertz_cloud(PhaseTimer())
 
 

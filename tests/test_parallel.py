@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from mlsm2d import parallel
-from mlsm2d.cases.drilled import DrilledBeamParams, hole_refined_cloud
-from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
+from mlsm2d.cases.beam import RECT
+from mlsm2d.cases.drilled import HOLES, hole_refined_cloud
+from mlsm2d.cases.hertz import HALF_WIDTH, refinement_schedule
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import refine_levels
@@ -37,16 +38,14 @@ def force(monkeypatch, split: bool) -> None:
 
 def drilled_cloud(relax_iterations=20):
     """The drilled case's default cloud: holes refined once, then relaxed."""
-    p = DrilledBeamParams()
-    return hole_refined_cloud(PhaseTimer(), p.rect, p.holes, 0.25, 1, relax_iterations)
+    return hole_refined_cloud(PhaseTimer(), RECT, HOLES, 0.25, 1, relax_iterations)
 
 
 def hertz_cloud():
     """The Hertz base grid refined toward the contact over four primary levels."""
-    geom = hertz_geometry()
-    H = 1000.0 * geom.half_width
+    H = 1000.0 * HALF_WIDTH
     base = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
-    return refine_levels(base, refinement_schedule(geom.half_width, 4))
+    return refine_levels(base, refinement_schedule(HALF_WIDTH, 4))
 
 
 def shape_bytes(nodes, n):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from mlsm2d import refine
-from mlsm2d.cases.drilled import DrilledBeamParams, _hole_box
-from mlsm2d.cases.hertz import hertz_geometry, refinement_schedule
+from mlsm2d.cases.beam import RECT
+from mlsm2d.cases.drilled import HOLES, _hole_box
+from mlsm2d.cases.hertz import HALF_WIDTH, refinement_schedule
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import PROXIMITY, RefineRegion, _accept, refine_levels, refine_once
@@ -251,14 +252,14 @@ class TestAccept:
         np.testing.assert_array_equal(fast.normals, slow.normals)
 
     def test_hertz_default_schedule_matches_the_reference(self, monkeypatch):
-        b = hertz_geometry().half_width
+        b = HALF_WIDTH
         H = 1000.0 * b
         nodes = build_rectangle_grid(Rect(-H, H, -H, 0.0), 2.0 * H / 68)
         self.refined_twice(monkeypatch, nodes, refinement_schedule(b))
 
     @pytest.mark.parametrize("level", [1, 3])
     def test_drilled_hole_boxes_match_the_reference(self, monkeypatch, level):
-        params, spacing = DrilledBeamParams(), 0.25
-        nodes = build_drilled_domain(params.rect, params.holes, spacing)
-        regions = [RefineRegion(_hole_box(h, params.rect, 2.0 * spacing), level) for h in params.holes]
+        spacing = 0.25
+        nodes = build_drilled_domain(RECT, HOLES, spacing)
+        regions = [RefineRegion(_hole_box(h, RECT, 2.0 * spacing), level) for h in HOLES]
         self.refined_twice(monkeypatch, nodes, regions)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsm2d.cases.beam import BeamParams, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.beam import RECT, grid_spacing_for, perturb_nodes
 from mlsm2d.neighbors import SupportSet, build_supports
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -462,8 +462,7 @@ class TestDeduplication:
     def test_large_grid_solves_few_distinct_stencils(self):
         # the 20k cantilever grid repeats 245 local geometries; a 0.1
         # perturbation makes every support distinct
-        params = BeamParams()
-        nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, 20_000))
+        nodes = build_rectangle_grid(RECT, grid_spacing_for(20_000))
         assert nodes.n == 20_473
         assert build_shape_set(nodes, build_supports(nodes, 9)).n_keys == 245
         perturbed = perturb_nodes(nodes, 0.1, seed=0)

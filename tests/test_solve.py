@@ -13,9 +13,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import mlsm2d.solve
-from mlsm2d.cases.beam import BeamParams, cantilever_bcs, cantilever_case, grid_spacing_for, perturb_nodes
-from mlsm2d.cases.drilled import DrilledBeamParams, drilled_bcs, drilled_cantilever_case, hole_refined_cloud
-from mlsm2d.elasticity import Material, SparseSystem, assemble
+from mlsm2d.cases.beam import MATERIAL, RECT, cantilever_bcs, cantilever_case, grid_spacing_for, perturb_nodes
+from mlsm2d.cases.drilled import HOLES, drilled_bcs, drilled_cantilever_case, hole_refined_cloud
+from mlsm2d.elasticity import SparseSystem, assemble
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -43,23 +43,20 @@ from mlsm2d.timing import PhaseTimer
 
 
 def beam_system(n_target=400, n=9, sigma=0.0, levels=0):
-    params = BeamParams()
-    nodes = build_rectangle_grid(params.rect, grid_spacing_for(params, n_target))
+    nodes = build_rectangle_grid(RECT, grid_spacing_for(n_target))
     if sigma > 0:
         nodes = perturb_nodes(nodes, sigma, seed=1)
     if levels > 0:
         nodes = refine_levels(nodes, [RefineRegion(Rect(10.0, 20.0, -1.2, 1.2), levels)])
     shapes = build_shape_set(nodes, build_supports(nodes, n))
-    bcs = cantilever_bcs(nodes, params)
-    return assemble(nodes, shapes, Material(params.E, params.nu), bcs)
+    return assemble(nodes, shapes, MATERIAL, cantilever_bcs(nodes))
 
 
 def drilled_system(refine_levels, relax_iterations):
     """The default drilled beam's system at the given refinement and relaxation."""
-    params = DrilledBeamParams()
-    nodes = hole_refined_cloud(PhaseTimer(), params.rect, params.holes, 0.25, refine_levels, relax_iterations)
+    nodes = hole_refined_cloud(PhaseTimer(), RECT, HOLES, 0.25, refine_levels, relax_iterations)
     shapes = build_shape_set(nodes, build_supports(nodes, 15))
-    return assemble(nodes, shapes, Material(params.E, params.nu, "plane-stress"), drilled_bcs(nodes, params))
+    return assemble(nodes, shapes, MATERIAL, drilled_bcs(nodes))
 
 
 def diagonal_system(diag):

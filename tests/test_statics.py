@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from mlsm2d.cases.beam import BeamParams, cantilever_case, timoshenko_stress
-from mlsm2d.cases.drilled import DrilledBeamParams, drilled_cantilever_case
+from mlsm2d.cases.beam import P, cantilever_case, timoshenko_stress
+from mlsm2d.cases.drilled import HOLES, drilled_cantilever_case
 
 # Interior cuts; each misses the drilled beam's holes.
 CUTS = np.array([5.0, 10.0, 20.0, 25.0])
@@ -70,7 +70,7 @@ def drilled():
 
 
 def test_cuts_miss_the_holes():
-    for hole in DrilledBeamParams().holes:
+    for hole in HOLES:
         assert np.all(np.abs(CUTS - hole.cx) > hole.radius)
 
 
@@ -80,12 +80,12 @@ def test_the_exact_field_meets_statics_on_the_cloud(case, request):
     # case's nodes, with no solve in them
     nodes = request.getfixturevalue(case).nodes
     sxx, _, sxy = timoshenko_stress(*nodes.positions.T)
-    assert violation(nodes, sxx, sxy, BeamParams().load) <= EXACT_BOUND
+    assert violation(nodes, sxx, sxy, P) <= EXACT_BOUND
 
 
 def test_cantilever_meets_statics(cantilever):
     stress = cantilever.stress
-    assert violation(cantilever.nodes, stress.sxx, stress.sxy, BeamParams().load) <= BOUND
+    assert violation(cantilever.nodes, stress.sxx, stress.sxy, P) <= BOUND
 
 
 @pytest.mark.xfail(
@@ -95,4 +95,4 @@ def test_cantilever_meets_statics(cantilever):
 )
 def test_drilled_default_meets_statics(drilled):
     stress = drilled.stress
-    assert violation(drilled.nodes, stress.sxx, stress.sxy, DrilledBeamParams().load) <= BOUND
+    assert violation(drilled.nodes, stress.sxx, stress.sxy, P) <= BOUND
