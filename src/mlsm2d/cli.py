@@ -2,9 +2,9 @@
 
 Runs one named case (or a sweep over it), writing nodes.csv, fields.csv,
 timing.csv, sweep.csv and optional fields.vtk / matrix.txt into the output
-directory. The argument parser is the one list of options: a JSON config
-file may set any of them under the flag's name with a value typed like the
-flag and within its choices, and flags win over file values. A case
+directory. The argument parser is the one list of options: `@FILE` reads
+flags from a file, written as on the command line and quoted like shell
+words, and a later flag wins over an earlier one. A case
 function receives only the values the user set, so every default is the
 case function's own. `validate` lists together what the command line alone
 shows to be wrong: no case, a flag the case ignores, and a flag that the
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
+import shlex
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -67,16 +67,16 @@ def _dashed(name: str) -> str:
 
 
 def _is_set(value) -> bool:
-    return value is not None and value is not False and value != []
+    return value is not None and value != []
 
 
 def validate(config: argparse.Namespace) -> list[str]:
     """List every problem the command line alone shows; value bounds are their owners' checks."""
     problems = []
     if config.case is None:
-        problems.append("no case selected (--case or config file 'case')")
+        problems.append("no case selected (--case)")
     if config.case in CASE_FLAGS:
-        taken = ("config", "case", "out", "seed") + CASE_FLAGS[config.case]
+        taken = ("case", "out", "seed") + CASE_FLAGS[config.case]
         given = [name for name, value in vars(config).items() if _is_set(value)]
         problems += [f"--{_dashed(name)} is ignored by case {config.case}" for name in given if name not in taken]
         # run runs the first sweep given; its own argument and the other sweeps go unused
@@ -89,20 +89,24 @@ def validate(config: argparse.Namespace) -> list[str]:
     return problems
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(kind):
+    """The flag type of comma-separated `kind` values, as in --sweep-n 500,900."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mlsm2d",
-        description="Meshless strong-form elasticity benchmarks (batch runner).",
+        description="Meshless strong-form elasticity benchmarks (batch runner). "
+        "@FILE reads flags from FILE, written as on the command line; a later flag wins.",
+        fromfile_prefix_chars="@",
     )
-    ap.add_argument("--config", type=str, help="JSON config file; flags override its values")
+    ap.convert_arg_line_to_args = shlex.split
     ap.add_argument("--case", choices=CASES)
     ap.add_argument("--out", type=str, help=f"output directory (default ${OUT_ENV} or ./mlsm2d-out)")
     ap.add_argument("--seed", type=int, help="perturbation seed; accepted by every case, read by the cantilever case")
@@ -120,58 +124,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--relax-iterations", type=int)
     ap.add_argument("--perturb-sigma", type=float, help="scale of the random shift of each interior cantilever node, in units of its nearest-neighbor distance; needs --n 11 or more, since at --n 9 and 10 a boundary support is rank 8 and the run exits 3")
     ap.add_argument("--hertz-h", type=float, help="contact domain half-size in meters")
-    ap.add_argument("--sweep-n", type=_int_list, help="comma-separated node counts")
-    ap.add_argument("--sweep-sigma", type=_float_list, help="comma-separated perturbation sigmas; needs --n 11 or more, as --perturb-sigma does")
-    ap.add_argument("--sweep-refine", type=_int_list, help="comma-separated hertz refine levels")
+    ap.add_argument("--sweep-n", type=_list_of(int), help="comma-separated node counts")
+    ap.add_argument("--sweep-sigma", type=_list_of(float), help="comma-separated perturbation sigmas; needs --n 11 or more, as --perturb-sigma does")
+    ap.add_argument("--sweep-refine", type=_list_of(int), help="comma-separated hertz refine levels")
     ap.add_argument("--vtk", action="store_true", default=None)
     ap.add_argument("--dump-matrix", action="store_true", default=None)
     return ap
 
 
-def _read_config_file(parser: argparse.ArgumentParser, config: argparse.Namespace) -> list[str]:
-    """Fill the options that no flag set from the config file; list its problems.
-
-    A file value is typed like its flag: written as flag text (a list joined
-    by commas) it must come back unchanged from the flag's own type.
-    """
-    with open(config.config) as fh:
-        values = json.load(fh)
-    if not isinstance(values, dict):
-        return [f"config file must hold a JSON object, got {type(values).__name__}"]
-    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-    unknown = sorted(set(values) - set(actions))
-    problems = [f"unknown config file keys: {', '.join(unknown)}"] if unknown else []
-    for key, value in values.items():
-        if key in unknown or value is None:  # null leaves the option unset
-            continue
-        action = actions[key]
-        if action.nargs == 0:  # an on/off flag
-            parsed = value if isinstance(value, bool) else None
-        else:
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            try:
-                parsed = (action.type or str)(text)
-            except ValueError:
-                parsed = None
-        if parsed is None or parsed != value:
-            problems.append(f"config file key {key!r} must be typed like --{_dashed(key)}, got {value!r}")
-        elif getattr(config, key) is None:
-            if action.choices is not None and parsed not in action.choices:
-                problems.append(f"unknown {key} {value!r}; choose from {', '.join(action.choices)}")
-            setattr(config, key, parsed)
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    config = parser.parse_args(argv)
-    try:
-        problems = [] if config.config is None else _read_config_file(parser, config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    problems += validate(config)
+    config = _build_parser().parse_args(argv)
+    problems = validate(config)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)

@@ -15,8 +15,6 @@ from mlsm2d.cases.beam import L, MATERIAL, RECT, cantilever_case
 from mlsm2d.cases.hertz import (
     HALF_WIDTH,
     PEAK_PRESSURE,
-    PRIMARY_FACTORS,
-    SECONDARY_FACTORS,
     hertz_case,
     hertz_pressure,
     hertz_stress,

@@ -1,8 +1,7 @@
-"""Batch runner: exit codes, artifacts and their bytes, config layering, reproducibility."""
+"""Batch runner: exit codes, artifacts and their bytes, option files, reproducibility."""
 
 import functools
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -35,6 +34,23 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def args_file(tmp_path, text):
+    """An @FILE argument naming a file that holds `text`."""
+    path = tmp_path / "run.args"
+    path.write_text(text)
+    return f"@{path}"
+
+
+def parser_exit(args, capsys):
+    """Run the CLI on `args`, which argparse must reject with exit 2; its stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlsm2d")
+    return err
+
+
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path]) == 0
@@ -44,18 +60,17 @@ class TestExitCodes:
         assert "no case selected" in capsys.readouterr().err
 
     def test_all_problems_reported_at_once(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever", "basis": "x9"}))
-        assert run_cli(["--config", cfg, "--refine-levels", 2, "--out", tmp_path]) == 2
-        err = capsys.readouterr().err
-        assert "config error: unknown basis 'x9'; choose from m9, g9\n" in err
-        assert "config error: --refine-levels is ignored by case cantilever\n" in err
+        assert run_cli(["--case", "cantilever", "--refine-levels", 2, "--hertz-h", 0.5, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --refine-levels is ignored by case cantilever\n"
+            "config error: --hertz-h is ignored by case cantilever\n"
+        )
 
-    def test_unknown_config_key_is_a_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever", "mesh_size": 3}))
-        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
-        assert "mesh_size" in capsys.readouterr().err
+    def test_unknown_flag_in_a_file_is_a_parser_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = args_file(tmp_path, "--case cantilever --mesh-size 3\n")
+        assert "error: unrecognized arguments: --mesh-size 3\n" in parser_exit([cfg, "--out", out], capsys)
+        assert not out.exists()
 
     def test_unstable_stencils_are_a_numerical_failure(self, tmp_path, capsys):
         rc = run_cli(
@@ -244,11 +259,10 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_fixed_solver_settings_are_not_config_keys(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever", "max_iter": 5, "fill_factor": 10.0, "drop_tol": 0.0}))
-        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
-        assert "unknown config file keys: drop_tol, fill_factor, max_iter" in capsys.readouterr().err
+    def test_fixed_solver_settings_are_not_flags_in_a_file(self, tmp_path, capsys):
+        cfg = args_file(tmp_path, "--case cantilever --max-iter 5\n--fill-factor 10.0 --drop-tol 0.0\n")
+        err = parser_exit([cfg, "--out", tmp_path], capsys)
+        assert "error: unrecognized arguments: --max-iter 5 --fill-factor 10.0 --drop-tol 0.0\n" in err
 
     @pytest.mark.parametrize("case", CASES)
     def test_seed_is_accepted_by_every_case(self, case):
@@ -262,63 +276,68 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "invalid choice: 'cantilever-perturbed'" in capsys.readouterr().err
 
-    def test_removed_perturbed_alias_in_a_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever-perturbed"}))
-        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
-        expected = f"unknown case 'cantilever-perturbed'; choose from {', '.join(CASES)}"
-        assert capsys.readouterr().err == f"config error: {expected}\n"  # and not also "no case selected"
+    def test_removed_perturbed_alias_in_a_file(self, tmp_path, capsys):
+        err = parser_exit([args_file(tmp_path, "--case cantilever-perturbed\n"), "--out", tmp_path], capsys)
+        assert "error: argument --case: invalid choice: 'cantilever-perturbed'" in err
+        assert "config error" not in err  # and not also "no case selected"
 
-    def test_file_choice_is_checked_only_where_the_file_value_is_used(self, tmp_path, case_calls):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever-perturbed", "basis": "x9"}))
+    def test_later_flag_overrides_the_file_value(self, tmp_path, case_calls):
+        cfg = args_file(tmp_path, "--case hertz --basis m9\n")
         with pytest.raises(_Stop):
-            run_cli(["--config", cfg, "--case", "cantilever", "--basis", "g9", "--out", tmp_path])
+            run_cli([cfg, "--case", "cantilever", "--basis", "g9", "--out", tmp_path])
         assert case_calls == [((), {"basis": BasisSpec("gaussian-9")})]
 
-    def test_threads_is_not_a_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever", "threads": 1}))
-        assert run_cli(["--config", cfg, "--out", tmp_path]) == 2
-        assert "threads" in capsys.readouterr().err
+    def test_threads_is_not_a_flag_in_a_file(self, tmp_path, capsys):
+        cfg = args_file(tmp_path, "--case cantilever --threads 1\n")
+        assert "error: unrecognized arguments: --threads 1\n" in parser_exit([cfg, "--out", tmp_path], capsys)
+
+    def test_missing_file_is_a_parser_error(self, tmp_path, capsys):
+        err = parser_exit([f"@{tmp_path / 'missing.args'}", "--out", tmp_path], capsys)
+        assert "No such file or directory" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, kind", [("--sweep-n", "500,abc", "int"), ("--sweep-sigma", "0.1,x", "float")]
+    )
+    def test_bad_sweep_list_names_the_flag_and_the_form(self, tmp_path, capsys, flag, value, kind):
+        err = parser_exit(["--case", "cantilever", flag, value, "--out", tmp_path], capsys)
+        assert f"error: argument {flag}: expected comma-separated {kind} values, got '{value}'\n" in err
+        assert "_int_list" not in err and "_float_list" not in err
 
 
-class TestConfigFileTypes:
-    """Config-file values are typed like the flags; a wrong type exits 2."""
+class TestFileValueTypes:
+    """Values in an @FILE go through the flags' own types and choices; a wrong one exits 2."""
 
-    def run_file(self, tmp_path, values):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(values))
-        return run_cli(["--config", cfg, "--out", tmp_path])
+    def run_file(self, tmp_path, capsys, text, *args):
+        return parser_exit([args_file(tmp_path, text), *args, "--out", tmp_path], capsys)
 
-    def test_string_for_an_integer_flag(self, tmp_path, capsys):
-        assert self.run_file(tmp_path, {"case": "cantilever", "nx": "31"}) == 2
-        assert "config error: config file key 'nx' must be typed like --nx" in capsys.readouterr().err
+    def test_non_integer_for_an_integer_flag(self, tmp_path, capsys):
+        err = self.run_file(tmp_path, capsys, "--case cantilever --nx 31.0\n")
+        assert "error: argument --nx: invalid int value: '31.0'\n" in err
 
-    def test_number_for_a_list_flag(self, tmp_path, capsys):
-        assert self.run_file(tmp_path, {"case": "cantilever", "sweep_n": 500}) == 2
-        assert "config error: config file key 'sweep_n' must be typed like --sweep-n" in capsys.readouterr().err
+    def test_non_integer_in_a_list_flag(self, tmp_path, capsys):
+        err = self.run_file(tmp_path, capsys, "--case cantilever --sweep-n 500.5\n")
+        assert "error: argument --sweep-n: expected comma-separated int values, got '500.5'\n" in err
 
     def test_unknown_solver_lists_the_solve_methods(self, tmp_path, capsys):
         solver = next(a for a in cli._build_parser()._actions if a.dest == "solver")
         assert tuple(solver.choices) == METHODS
-        assert self.run_file(tmp_path, {"case": "cantilever", "solver": "gmres"}) == 2
-        assert f"unknown solver 'gmres'; choose from {', '.join(METHODS)}" in capsys.readouterr().err
+        # rejected where the file is read, even though the later flag would override it
+        err = self.run_file(tmp_path, capsys, "--case cantilever --solver gmres\n", "--solver", "direct")
+        assert "error: argument --solver: invalid choice: 'gmres'" in err
+        assert all(f"'{method}'" in err for method in METHODS)
 
-    def test_top_level_list(self, tmp_path, capsys):
-        assert self.run_file(tmp_path, ["case", "cantilever"]) == 2
-        assert "config error: config file must hold a JSON object, got list" in capsys.readouterr().err
+    def test_json_file_is_not_read(self, tmp_path, capsys):
+        err = self.run_file(tmp_path, capsys, '{"case": "cantilever"}\n')
+        assert "error: unrecognized arguments: {case: cantilever}\n" in err
 
     def test_typed_values_are_read_like_flags(self, tmp_path):
-        values = {"case": "cantilever", "sweep_n": [500, 900], "spacing": 1, "vtk": False, "seed": None}
-        parser = cli._build_parser()
-        config = parser.parse_args(["--config", str(tmp_path / "run.json")])
-        (tmp_path / "run.json").write_text(json.dumps(values))
-        assert cli._read_config_file(parser, config) == []
+        cfg = args_file(tmp_path, "--case cantilever\n--sweep-n 500,900 --spacing 1 --vtk\n")
+        config = cli._build_parser().parse_args([cfg])
         assert config.sweep_n == [500, 900]
         assert config.spacing == 1.0 and isinstance(config.spacing, float)
-        assert config.vtk is False
-        assert config.seed is None  # null leaves the option unset
+        assert config.vtk is True
+        assert config.seed is None  # a flag the file leaves out stays unset
+        assert cli.validate(config) == []
 
 
 def test_cli_tables_name_real_flags():
@@ -608,17 +627,25 @@ class TestWriterBytes:
         assert (tmp_path / "timing.csv").read_text() == ref
 
 
-class TestConfigLayering:
+class TestOptionFiles:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"case": "cantilever", "nx": 31}))
+        cfg = args_file(tmp_path, "--case cantilever --nx 31\n")
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert run_cli(["--config", cfg, "--out", out_a]) == 0
-        assert run_cli(["--config", cfg, "--out", out_b, "--nx", 61]) == 0
+        assert run_cli([cfg, "--out", out_a]) == 0
+        assert run_cli([cfg, "--out", out_b, "--nx", 61]) == 0
         rows_a = len((out_a / "nodes.csv").read_text().splitlines())
         rows_b = len((out_b / "nodes.csv").read_text().splitlines())
         assert rows_a != rows_b
+
+    def test_file_run_matches_the_flags_typed_out(self, tmp_path):
+        # several flags a line, a blank line and a shell-quoted path with a space
+        out = tmp_path / "from file"
+        cfg = args_file(tmp_path, f"--case cantilever --nx 31\n\n--out '{out}'\n")
+        assert run_cli([cfg]) == 0
+        assert run_cli(["--case", "cantilever", "--nx", 31, "--out", tmp_path / "typed"]) == 0
+        for name in ("nodes.csv", "fields.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "typed" / name).read_bytes()
 
     def test_output_env_var_fallback(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"

@@ -22,7 +22,7 @@ from mlsm2d.elasticity import (
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
-from mlsm2d.shapes import BasisSpec, IllConditionedStencilError, WeightSpec, build_shape_set
+from mlsm2d.shapes import IllConditionedStencilError, build_shape_set
 from mlsm2d.solve import SolverConfig, solve
 
 

@@ -28,7 +28,6 @@ from mlsm2d.shapes import (
     RCOND,
     BasisSpec,
     IllConditionedStencilError,
-    ShapeSet,
     WeightSpec,
     _gaussian_rows,
     _monomial_rows,
