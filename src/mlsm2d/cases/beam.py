@@ -65,27 +65,25 @@ def timoshenko_displacement(x, y):
 def cantilever_bcs(nodes: NodeSet, all_essential: bool = False) -> BoundaryConditions:
     """Analytic displacement on the right edge, analytic traction elsewhere.
 
-    Traction vectors are the reference stress tensor contracted with each
-    node's outward normal, so corners and any boundary layout are handled
-    uniformly. With all_essential every boundary node is pinned instead.
+    Marks the right edge essential, or all boundary nodes with all_essential;
+    traction vectors are the reference stress contracted with each node's
+    outward normal, so corners and any boundary layout are handled uniformly.
     """
-    bcs = BoundaryConditions.empty(nodes.n)
-    bnd = np.nonzero(nodes.boundary_mask)[0]
+    bnd = np.flatnonzero(nodes.boundary_mask)
     x = nodes.positions[bnd, 0]
     y = nodes.positions[bnd, 1]
-    on_right = x == RECT.x_hi
+    pinned = (x == RECT.x_hi) | all_essential
+    essential = np.zeros(nodes.n, dtype=bool)
+    essential[bnd] = pinned
 
-    u_ref, v_ref = timoshenko_displacement(x, y)
     sxx, syy, sxy = timoshenko_stress(x, y)
     n1 = nodes.normals[bnd, 0]
     n2 = nodes.normals[bnd, 1]
-    t1 = sxx * n1 + sxy * n2
-    t2 = sxy * n1 + syy * n2
-
-    essential = on_right | all_essential
-    bcs.set_essential(bnd[essential], np.column_stack([u_ref, v_ref])[essential])
-    bcs.set_traction(bnd[~essential], np.column_stack([t1, t2])[~essential])
-    return bcs
+    values = np.zeros((nodes.n, 2))
+    values[bnd, 0] = sxx * n1 + sxy * n2
+    values[bnd, 1] = sxy * n1 + syy * n2
+    values[bnd[pinned]] = np.column_stack(timoshenko_displacement(x[pinned], y[pinned]))
+    return BoundaryConditions(essential, values)
 
 
 def cantilever_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:

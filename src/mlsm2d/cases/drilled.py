@@ -28,17 +28,12 @@ HOLES = (Circle(8.0, 0.5, 1.5), Circle(15.0, -0.6, 1.0), Circle(22.0, 0.4, 1.25)
 
 
 def drilled_bcs(nodes: NodeSet) -> BoundaryConditions:
-    """Clamp the right edge, push down uniformly on the left, free elsewhere."""
-    bcs = BoundaryConditions.empty(nodes.n)
+    """Clamp the right edge (its nodes marked essential), push down uniformly on the left, free elsewhere."""
     rect = nodes.domain.rect
-    bnd = np.nonzero(nodes.boundary_mask)[0]
-    x = nodes.positions[bnd, 0]
-    clamped = x == rect.x_hi
-    traction = np.zeros((bnd.size, 2))
-    traction[x == rect.x_lo, 1] = -P / D
-    bcs.set_essential(bnd[clamped], (0.0, 0.0))
-    bcs.set_traction(bnd[~clamped], traction[~clamped])
-    return bcs
+    x = nodes.positions[:, 0]
+    values = np.zeros((nodes.n, 2))
+    values[nodes.boundary_mask & (x == rect.x_lo), 1] = -P / D
+    return BoundaryConditions(essential=nodes.boundary_mask & (x == rect.x_hi), values=values)
 
 
 def drilled_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:

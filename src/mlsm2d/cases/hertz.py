@@ -121,18 +121,17 @@ def refinement_schedule(
 
 
 def hertz_bcs(nodes) -> BoundaryConditions:
-    """The contact pressure as a traction on the top edge, zero displacement elsewhere."""
-    bcs = BoundaryConditions.empty(nodes.n)
+    """Contact pressure as traction on the top edge's inner nodes, all other boundary nodes essential at zero."""
     rect = nodes.domain.rect
-    bnd = np.nonzero(nodes.boundary_mask)[0]
+    bnd = np.flatnonzero(nodes.boundary_mask)
     x = nodes.positions[bnd, 0]
     y = nodes.positions[bnd, 1]
     on_top = (y == rect.y_hi) & (x > rect.x_lo) & (x < rect.x_hi)
-    traction = np.zeros((on_top.sum(), 2))
-    traction[:, 1] = -hertz_pressure(x[on_top], HALF_WIDTH, PEAK_PRESSURE)
-    bcs.set_traction(bnd[on_top], traction)
-    bcs.set_essential(bnd[~on_top], (0.0, 0.0))
-    return bcs
+    essential = np.zeros(nodes.n, dtype=bool)
+    essential[bnd] = ~on_top
+    values = np.zeros((nodes.n, 2))
+    values[bnd[on_top], 1] = -hertz_pressure(x[on_top], HALF_WIDTH, PEAK_PRESSURE)
+    return BoundaryConditions(essential, values)
 
 
 def hertz_measure(nodes: NodeSet, u, v, stress) -> tuple[dict, dict]:

@@ -21,10 +21,6 @@ from .io import _table
 from .nodes import NodeSet
 from .shapes import ShapeSet
 
-BC_NONE = 0
-BC_ESSENTIAL = 1
-BC_TRACTION = 2
-
 
 @dataclass(frozen=True)
 class Material:
@@ -56,39 +52,24 @@ class Material:
         return lam
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryConditions:
     """Per-node boundary data: exactly one condition per boundary node.
 
-    kind[i] is BC_NONE for interior nodes, BC_ESSENTIAL or BC_TRACTION for
-    boundary ones. values[i] holds the prescribed displacement or traction
-    vector.
+    essential is an (N,) bool mask of the boundary nodes with a prescribed
+    displacement; the others carry a traction. values[i] holds either vector.
     """
 
-    kind: np.ndarray
+    essential: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def empty(cls, n: int) -> "BoundaryConditions":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros((n, 2)))
-
-    def set_essential(self, i, u0) -> None:
-        self.kind[i] = BC_ESSENTIAL
-        self.values[i] = u0
-
-    def set_traction(self, i, t0) -> None:
-        self.kind[i] = BC_TRACTION
-        self.values[i] = t0
-
     def validate(self, nodes: NodeSet) -> None:
-        if self.kind.shape != (nodes.n,) or self.values.shape != (nodes.n, 2):
+        if self.essential.shape != (nodes.n,) or self.values.shape != (nodes.n, 2):
             raise ValueError("boundary condition arrays do not match the node count")
-        bnd = nodes.boundary_mask
-        if np.any(self.kind[~bnd] != BC_NONE):
+        if self.essential.dtype != bool:
+            raise ValueError(f"the essential mask must have bool dtype, got {self.essential.dtype}")
+        if np.any(self.essential & nodes.interior_mask):
             raise ValueError("boundary condition set on an interior node")
-        if np.any(self.kind[bnd] == BC_NONE):
-            missing = np.nonzero(bnd & (self.kind == BC_NONE))[0]
-            raise ValueError(f"boundary nodes without a condition: {missing[:10].tolist()}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite boundary condition values")
 
@@ -148,8 +129,8 @@ def assemble(
     n = idx.shape[1]
 
     interior = np.nonzero(nodes.interior_mask)[0]
-    essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]
-    traction = np.nonzero(bcs.kind == BC_TRACTION)[0]
+    essential = np.flatnonzero(bcs.essential)
+    traction = np.flatnonzero(nodes.boundary_mask & ~bcs.essential)
 
     # dxy is exempt: structured supports (grid boundaries, refinement
     # interfaces) routinely leave only the mixed term underdetermined, and
@@ -165,7 +146,7 @@ def assemble(
     rhs[essential] = bcs.values[essential, 0]
     rhs[essential + N] = bcs.values[essential, 1]
 
-    row_nnz = np.tile(np.where(bcs.kind == BC_ESSENTIAL, 1, 2 * n), 2)
+    row_nnz = np.tile(np.where(bcs.essential, 1, 2 * n), 2)
     index_dtype = np.int32 if row_nnz.sum() <= np.iinfo(np.int32).max else np.int64
     indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(index_dtype)
     indices = np.empty(indptr[-1], dtype=index_dtype)

@@ -40,7 +40,7 @@ from mlsm2d.cases.hertz import (
     refinement_schedule,
 )
 from mlsm2d.cases.metrics import error_einf, solve_on_cloud
-from mlsm2d.elasticity import BC_ESSENTIAL, BC_TRACTION, BoundaryConditions, Material, StressField
+from mlsm2d.elasticity import BoundaryConditions, Material, StressField
 from mlsm2d.nodes import Circle, Rect, build_drilled_domain, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels, refine_once
 from mlsm2d.relax import relax
@@ -124,7 +124,7 @@ class TestCantileverBCs:
         bcs = cantilever_bcs(nodes)
         i = int(np.nonzero((nodes.positions[:, 0] == beam.L) & (nodes.positions[:, 1] == 0.5))[0][0])
         u_ref, v_ref = timoshenko_displacement(beam.L, 0.5)
-        assert bcs.kind[i] == BC_ESSENTIAL
+        assert bcs.essential[i]
         np.testing.assert_allclose(bcs.values[i], (u_ref, v_ref), rtol=1e-12)
 
     def test_top_edge_is_traction_free(self):
@@ -134,7 +134,7 @@ class TestCantileverBCs:
             0 < nodes.positions[:, 0]
         ) & (nodes.positions[:, 0] < beam.L)
         i = int(np.nonzero(on_top)[0][0])
-        assert bcs.kind[i] == BC_TRACTION
+        assert nodes.boundary_mask[i] and not bcs.essential[i]
         np.testing.assert_allclose(bcs.values[i], (0.0, 0.0), atol=1e-12)
 
     def test_load_edge_carries_the_shear_resultant(self):
@@ -144,7 +144,7 @@ class TestCantileverBCs:
         bcs = cantilever_bcs(nodes)
         on_left = nodes.positions[:, 0] == 0.0
         idx = np.nonzero(on_left & (np.abs(nodes.positions[:, 1]) < beam.D / 2))[0]
-        assert np.all(bcs.kind[idx] == BC_TRACTION)
+        assert np.all(nodes.boundary_mask[idx]) and not np.any(bcs.essential[idx])
         ys = nodes.positions[idx, 1]
         ty = bcs.values[idx, 1]
         _, _, sxy = timoshenko_stress(0.0, ys)
@@ -157,7 +157,7 @@ class TestCantileverBCs:
     def test_all_essential_pins_every_boundary_node(self):
         nodes = self.build()
         bcs = cantilever_bcs(nodes, all_essential=True)
-        assert np.all(bcs.kind[nodes.boundary_mask] == BC_ESSENTIAL)
+        assert np.array_equal(bcs.essential, nodes.boundary_mask)
 
 
 def test_hertz_bcs_press_the_top_edge_with_the_load():
@@ -167,7 +167,7 @@ def test_hertz_bcs_press_the_top_edge_with_the_load():
     top = np.nonzero(nodes.boundary_mask & (nodes.positions[:, 1] == 0.0))[0]
     top = top[np.argsort(nodes.positions[top, 0])]
     inner = top[1:-1]  # the corners are held fixed
-    assert np.all(bcs.kind[inner] == BC_TRACTION) and np.all(bcs.kind[top[[0, -1]]] == BC_ESSENTIAL)
+    assert not np.any(bcs.essential[inner]) and np.all(bcs.essential[top[[0, -1]]])
     assert np.all(bcs.values[top, 0] == 0.0)
     assert np.trapezoid(bcs.values[top, 1], nodes.positions[top, 0]) == pytest.approx(-hertz.P, rel=1e-3)
 
@@ -176,13 +176,13 @@ class TestBoundaryConditionsMatchPerNodeLoops:
     """The vectorized condition builders against the per-node loops they replaced."""
 
     @staticmethod
-    def same_bits(bcs, ref):
-        return bcs.kind.tobytes() == ref.kind.tobytes() and bcs.values.tobytes() == ref.values.tobytes()
+    def same_bits(bcs, essential, values):
+        return bcs.essential.tobytes() == essential.tobytes() and bcs.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("all_essential", [False, True])
     def test_cantilever(self, all_essential):
         nodes = build_rectangle_grid(RECT, 0.5)
-        ref = BoundaryConditions.empty(nodes.n)
+        essential, values = np.zeros(nodes.n, dtype=bool), np.zeros((nodes.n, 2))
         bnd = np.nonzero(nodes.boundary_mask)[0]
         x, y = nodes.positions[bnd, 0], nodes.positions[bnd, 1]
         u_ref, v_ref = timoshenko_displacement(x, y)
@@ -191,42 +191,42 @@ class TestBoundaryConditionsMatchPerNodeLoops:
         t1, t2 = sxx * n1 + sxy * n2, sxy * n1 + syy * n2
         for k, i in enumerate(bnd):
             if all_essential or x[k] == RECT.x_hi:
-                ref.set_essential(i, (u_ref[k], v_ref[k]))
+                essential[i], values[i] = True, (u_ref[k], v_ref[k])
             else:
-                ref.set_traction(i, (t1[k], t2[k]))
-        assert self.same_bits(cantilever_bcs(nodes, all_essential), ref)
+                values[i] = (t1[k], t2[k])
+        assert self.same_bits(cantilever_bcs(nodes, all_essential), essential, values)
 
     def test_hertz(self):
         b = HALF_WIDTH
         nodes = build_rectangle_grid(Rect(-2.0 * b, 2.0 * b, -2.0 * b, 0.0), b / 8.0)
         pressure = lambda xx: hertz_pressure(xx, b, PEAK_PRESSURE)  # noqa: E731
-        ref = BoundaryConditions.empty(nodes.n)
+        essential, values = np.zeros(nodes.n, dtype=bool), np.zeros((nodes.n, 2))
         rect = nodes.domain.rect
         bnd = np.nonzero(nodes.boundary_mask)[0]
         x, y = nodes.positions[bnd, 0], nodes.positions[bnd, 1]
         on_top = (y == rect.y_hi) & (x > rect.x_lo) & (x < rect.x_hi)
         for k, i in enumerate(bnd):
             if on_top[k]:
-                ref.set_traction(i, (0.0, -float(pressure(x[k]))))
+                values[i] = (0.0, -float(pressure(x[k])))
             else:
-                ref.set_essential(i, (0.0, 0.0))
-        assert np.count_nonzero(ref.values[:, 1]) > 10
-        assert self.same_bits(hertz_bcs(nodes), ref)
+                essential[i], values[i] = True, (0.0, 0.0)
+        assert np.count_nonzero(values[:, 1]) > 10
+        assert self.same_bits(hertz_bcs(nodes), essential, values)
 
     def test_drilled(self):
         nodes = build_drilled_domain(RECT, HOLES, 0.5)
-        ref = BoundaryConditions.empty(nodes.n)
+        essential, values = np.zeros(nodes.n, dtype=bool), np.zeros((nodes.n, 2))
         rect = nodes.domain.rect
         bnd = np.nonzero(nodes.boundary_mask)[0]
         x = nodes.positions[bnd, 0]
         for k, i in enumerate(bnd):
             if x[k] == rect.x_hi:
-                ref.set_essential(i, (0.0, 0.0))
+                essential[i], values[i] = True, (0.0, 0.0)
             elif x[k] == rect.x_lo:
-                ref.set_traction(i, (0.0, -beam.P / beam.D))
+                values[i] = (0.0, -beam.P / beam.D)
             else:
-                ref.set_traction(i, (0.0, 0.0))
-        assert self.same_bits(drilled_bcs(nodes), ref)
+                values[i] = (0.0, 0.0)
+        assert self.same_bits(drilled_bcs(nodes), essential, values)
 
 
 class TestPerturbNodes:
@@ -564,12 +564,8 @@ class TestDrilledCase:
 
     def test_zero_load_gives_zero_displacement(self):
         def unloaded(nodes):
-            bcs = BoundaryConditions.empty(nodes.n)
-            bnd = np.nonzero(nodes.boundary_mask)[0]
-            clamped = nodes.positions[bnd, 0] == RECT.x_hi
-            bcs.set_essential(bnd[clamped], (0.0, 0.0))
-            bcs.set_traction(bnd[~clamped], (0.0, 0.0))
-            return bcs
+            clamped = nodes.boundary_mask & (nodes.positions[:, 0] == RECT.x_hi)
+            return BoundaryConditions(essential=clamped, values=np.zeros((nodes.n, 2)))
 
         res = self.solid_beam(unloaded)
         assert np.abs(res.u).max() == pytest.approx(0.0, abs=1e-12)
@@ -585,7 +581,7 @@ class TestDrilledCase:
         bcs = drilled_bcs(nodes)
         loaded = np.nonzero(nodes.boundary_mask & (nodes.positions[:, 0] == RECT.x_lo))[0]
         assert loaded.size == 11
-        assert np.all(bcs.kind[loaded] == BC_TRACTION)
+        assert not np.any(bcs.essential[loaded])
         assert np.all(bcs.values[loaded] == (0.0, -beam.P / beam.D))
         y = np.sort(nodes.positions[loaded, 1])
         assert np.trapezoid(bcs.values[loaded, 1], y) == -beam.P

@@ -1,5 +1,6 @@
 """Material model, boundary conditions, and system assembly."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,7 @@ import mlsm2d.cases.metrics
 from mlsm2d.cases.beam import MATERIAL, RECT, cantilever_bcs, grid_spacing_for, perturb_nodes
 from mlsm2d.cases.drilled import drilled_cantilever_case
 from mlsm2d.cases.hertz import hertz_case
-from mlsm2d.elasticity import (
-    BC_ESSENTIAL,
-    BC_TRACTION,
-    BoundaryConditions,
-    Material,
-    StressField,
-    assemble,
-    compute_stresses,
-)
+from mlsm2d.elasticity import BoundaryConditions, Material, StressField, assemble, compute_stresses
 from mlsm2d.neighbors import build_supports
 from mlsm2d.nodes import Rect, build_rectangle_grid
 from mlsm2d.refine import RefineRegion, refine_levels
@@ -72,39 +65,84 @@ class TestLameParameters:
             Material(1.0, nu)
 
 
+def mixed_bcs(nodes):
+    """Zero displacement on the left edge, zero traction on the rest of the boundary."""
+    essential = nodes.boundary_mask & (nodes.positions[:, 0] == 0.0)
+    return BoundaryConditions(essential=essential, values=np.zeros((nodes.n, 2)))
+
+
 class TestBoundaryConditions:
-    def test_every_boundary_node_needs_a_condition(self):
-        nodes, _ = small_problem()
-        bcs = BoundaryConditions.empty(nodes.n)
-        with pytest.raises(ValueError):
-            bcs.validate(nodes)
+    def test_boundary_node_not_marked_essential_gets_the_traction_rows(self):
+        nodes, shapes = small_problem()
+        mat = Material(E=1.0, nu=0.3)
+        lam, mu = mat.lam, mat.mu
+        bcs = mixed_bcs(nodes)
+        i = int(np.nonzero(nodes.boundary_mask & (nodes.positions[:, 0] == 2.0) & (nodes.positions[:, 1] == 0.5))[0][0])
+        bcs.values[i] = (0.25, -0.5)
+        system = assemble(nodes, shapes, mat, bcs)
+        cols = np.concatenate([shapes.support[i], shapes.support[i] + nodes.n])
+        dx, dy = shapes.rows["dx"][i], shapes.rows["dy"][i]
+        n1, n2 = nodes.normals[i]
+        rows = {
+            i: np.concatenate([mu * n2 * dy + (2.0 * mu + lam) * n1 * dx, lam * n1 * dy + mu * n2 * dx]),
+            i + nodes.n: np.concatenate([mu * n1 * dy + lam * n2 * dx, mu * n1 * dx + (2.0 * mu + lam) * n2 * dy]),
+        }
+        for row, coeffs in rows.items():
+            got = system.matrix.getrow(row)
+            order = np.argsort(cols)
+            assert got.nnz == 2 * shapes.support.shape[1]
+            assert np.array_equal(got.indices, cols[order])
+            np.testing.assert_allclose(got.data, coeffs[order], rtol=1e-14, atol=0.0)
+        assert (system.rhs[i], system.rhs[i + nodes.n]) == (0.25, -0.5)
 
     def test_condition_on_interior_node_rejected(self):
         nodes, _ = small_problem()
-        bcs = BoundaryConditions.empty(nodes.n)
-        interior = int(np.nonzero(nodes.interior_mask)[0][0])
-        bcs.set_essential(interior, (0.0, 0.0))
-        with pytest.raises(ValueError):
+        bcs = mixed_bcs(nodes)
+        bcs.essential[np.nonzero(nodes.interior_mask)[0][0]] = True
+        with pytest.raises(ValueError, match="boundary condition set on an interior node"):
             bcs.validate(nodes)
+
+    @pytest.mark.parametrize("field", ["essential", "values"])
+    def test_arrays_of_the_wrong_length_rejected(self, field):
+        nodes, _ = small_problem()
+        bcs = mixed_bcs(nodes)
+        short = dataclasses.replace(bcs, **{field: getattr(bcs, field)[:-1]})
+        with pytest.raises(ValueError, match="boundary condition arrays do not match the node count"):
+            short.validate(nodes)
+
+    def test_non_finite_values_rejected(self):
+        nodes, _ = small_problem()
+        bcs = mixed_bcs(nodes)
+        bcs.values[np.nonzero(nodes.interior_mask)[0][0], 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite boundary condition values"):
+            bcs.validate(nodes)
+
+    def test_essential_mask_must_be_bool(self):
+        # ~ of a 0/1 int mask is -1/-2, all nonzero, so it would mark every node traction
+        nodes, _ = small_problem()
+        bcs = mixed_bcs(nodes)
+        as_int = BoundaryConditions(essential=bcs.essential.astype(np.int8), values=bcs.values)
+        with pytest.raises(ValueError, match="bool dtype"):
+            as_int.validate(nodes)
 
     def test_mixed_conditions_validate(self):
         nodes, _ = small_problem()
-        bcs = BoundaryConditions.empty(nodes.n)
-        for i in np.nonzero(nodes.boundary_mask)[0]:
-            if nodes.positions[i, 0] == 0.0:
-                bcs.set_essential(int(i), (0.0, 0.0))
-            else:
-                bcs.set_traction(int(i), (0.0, 0.0))
+        bcs = mixed_bcs(nodes)
+        assert bcs.essential.any() and not bcs.essential[nodes.boundary_mask].all()
         bcs.validate(nodes)
+
+    def test_fields_are_the_mask_and_values_and_frozen(self):
+        nodes, _ = small_problem()
+        assert [f.name for f in dataclasses.fields(BoundaryConditions)] == ["essential", "values"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mixed_bcs(nodes).essential = nodes.boundary_mask
 
 
 def linear_displacement_bcs(nodes, a, b, c, d):
     """Essential conditions sampling u = a x + b y, v = c x + d y."""
-    bcs = BoundaryConditions.empty(nodes.n)
-    for i in np.nonzero(nodes.boundary_mask)[0]:
-        x, y = nodes.positions[i]
-        bcs.set_essential(int(i), (a * x + b * y, c * x + d * y))
-    return bcs
+    x, y = nodes.positions[:, 0], nodes.positions[:, 1]
+    values = np.where(nodes.boundary_mask[:, None], np.column_stack([a * x + b * y, c * x + d * y]), 0.0)
+    return BoundaryConditions(essential=nodes.boundary_mask, values=values)
 
 
 class TestAssembly:
@@ -137,15 +175,13 @@ class TestAssembly:
         # uniaxial stretch u = x against a unit traction on the right edge
         nodes, shapes = small_problem()
         mat = Material(E=1.0, nu=0.0)
-        bcs = BoundaryConditions.empty(nodes.n)
-        for i in np.nonzero(nodes.boundary_mask)[0]:
-            x, y = nodes.positions[i]
-            if x == 0.0:
-                bcs.set_essential(int(i), (0.0, 0.0))
-            elif x == 2.0 and 0.0 < y < 1.0:
-                bcs.set_traction(int(i), (1.0, 0.0))
-            else:
-                bcs.set_essential(int(i), (x, 0.0))
+        x, y = nodes.positions[:, 0], nodes.positions[:, 1]
+        loaded = nodes.boundary_mask & (x == 2.0) & (0.0 < y) & (y < 1.0)
+        values = np.zeros((nodes.n, 2))
+        values[loaded, 0] = 1.0
+        pinned = nodes.boundary_mask & ~loaded
+        values[pinned, 0] = x[pinned]
+        bcs = BoundaryConditions(essential=pinned, values=values)
         system = assemble(nodes, shapes, mat, bcs)
         (u, v), _ = solve(system, SolverConfig(method="direct"))
         np.testing.assert_allclose(u, nodes.positions[:, 0], atol=1e-8)
@@ -174,9 +210,9 @@ class TestAssembly:
         nodes = grid.replace(positions=positions, normals=normals)
         shapes = build_shape_set(nodes, build_supports(nodes, 9))
         mat = Material(E=1.0, nu=0.3)
-        bcs = BoundaryConditions.empty(m)
-        bcs.set_essential(0, (0.0, 0.0))
-        bcs.set_essential(m - 1, (0.0, 0.0))
+        essential = np.zeros(m, dtype=bool)
+        essential[[0, m - 1]] = True
+        bcs = BoundaryConditions(essential=essential, values=np.zeros((m, 2)))
         with pytest.raises(IllConditionedStencilError):
             assemble(nodes, shapes, mat, bcs)
 
@@ -197,8 +233,8 @@ def coo_assemble(nodes, shapes, material, bcs):
     idx = shapes.support
     n = idx.shape[1]
     interior = np.nonzero(nodes.interior_mask)[0]
-    essential = np.nonzero(bcs.kind == BC_ESSENTIAL)[0]
-    traction = np.nonzero(bcs.kind == BC_TRACTION)[0]
+    essential = np.nonzero(bcs.essential)[0]
+    traction = np.setdiff1d(np.nonzero(nodes.boundary_mask)[0], essential)
     rows_parts, cols_parts, vals_parts = [], [], []
 
     def add_block(eq_rows, cols, coeffs):
@@ -274,7 +310,7 @@ class TestAssemblyMatchesCOO:
     def test_csr_equals_summed_coo(self, monkeypatch, make_inputs):
         nodes, shapes, material, bcs = make_inputs(monkeypatch)
         # every row kind is written
-        assert nodes.interior_mask.any() and (bcs.kind == BC_ESSENTIAL).any() and (bcs.kind == BC_TRACTION).any()
+        assert nodes.interior_mask.any() and bcs.essential.any() and not bcs.essential[nodes.boundary_mask].all()
         # the CSR is written in place, which needs each support to list distinct nodes
         idx = np.sort(shapes.support, axis=1)
         assert np.all(idx[:, 1:] != idx[:, :-1])

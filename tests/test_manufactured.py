@@ -70,9 +70,10 @@ def manufactured_errors(nodes, support_n, material):
     """(e_u, e_sigma) of the collocated solution of the manufactured field."""
     x, y = nodes.positions.T
     u_ref, v_ref, _ = field(x, y)
-    bcs = BoundaryConditions.empty(nodes.n)
-    bnd = np.nonzero(nodes.boundary_mask)[0]
-    bcs.set_essential(bnd, np.column_stack([u_ref, v_ref])[bnd])
+    bnd = nodes.boundary_mask
+    values = np.zeros((nodes.n, 2))
+    values[bnd] = np.column_stack([u_ref, v_ref])[bnd]
+    bcs = BoundaryConditions(essential=bnd, values=values)
     shapes = build_shape_set(nodes, build_supports(nodes, support_n))
     system = assemble(nodes, shapes, material, bcs)
     interior = np.nonzero(nodes.interior_mask)[0]
